@@ -241,7 +241,8 @@ def write_fmat(path: str | Path, matrix: np.ndarray | FeatureSequence) -> None:
 
 
 def read_fmat(path: str | Path, feature_kind: str = "external") -> FeatureSequence:
-    """Read an FMAT file; errors on bad magic, zero dims, or truncation."""
+    """Read an FMAT file; errors on bad magic, zero dims, truncation, or a
+    log_mel_64 file whose width is not 64."""
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 16:
@@ -253,6 +254,8 @@ def read_fmat(path: str | Path, feature_kind: str = "external") -> FeatureSequen
         raise CorpusError(f"{path}: unsupported FMAT version {version}")
     if rows == 0 or cols == 0:
         raise CorpusError(f"{path}: zero dimension ({rows} x {cols})")
+    if feature_kind == "log_mel_64" and cols != 64:
+        raise CorpusError(f"{path}: log_mel_64 features need 64 columns, got {cols}")
     expected = 16 + 4 * rows * cols
     if len(data) != expected:
         raise CorpusError(f"{path}: truncated payload, {len(data)} bytes, expected {expected}")

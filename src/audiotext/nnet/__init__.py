@@ -21,8 +21,6 @@ from .layers import (
     conv1d_forward,
     activation,
     pool_time,
-    gru_step,
-    lstm_step,
     NnetError,
 )
 from .model import (
@@ -46,7 +44,7 @@ __all__ = [
     "Dense", "Conv1d", "Activation", "MaxPoolTime", "MeanPoolTime",
     "GRUCell", "LSTMCell", "Projection",
     "dense_forward", "conv1d_forward", "activation", "pool_time",
-    "gru_step", "lstm_step", "NnetError",
+    "NnetError",
     "LayerSpec", "ProjectionSpec", "ModelConfig", "default_tower",
     "init_params", "parameter_shapes", "AudioTower", "TextEmbedder",
     "encode_audio", "embed_text", "shared_projection",

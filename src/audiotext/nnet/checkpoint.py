@@ -4,7 +4,8 @@ Layout: magic "CKPT", a u32-LE header length, a canonical JSON header,
 then each parameter's float32 little-endian buffer concatenated in
 header order. The header's parameter list is ordered, so the byte
 stream is fully determined by (config, params, epoch, metric) and a
-save/load/save round trip is byte-identical.
+save/load/save round trip is byte-identical. Loading checks the
+parameter list against the one the header's model config implies.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import ModelConfig, parameter_shapes
 from .tensor import Params, Tensor
 
 _MAGIC = b"CKPT"
@@ -54,6 +56,28 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
             f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
+def _check_parameter_list(path, header) -> list[tuple[str, tuple[int, ...]]]:
+    """Names, order and shapes must be exactly parameter_shapes(config);
+    returns that list."""
+    try:
+        expected = parameter_shapes(ModelConfig.from_dict(header["config"]))
+        found = [(entry["name"], tuple(int(s) for s in entry["shape"]))
+                 for entry in header["parameters"]]
+    except (KeyError, TypeError, ValueError) as e:  # ValueError covers NnetError
+        raise CheckpointError(f"{path}: invalid config or parameter list: {e}") from e
+    found_names = [name for name, _ in found]
+    for name, _ in expected:
+        if name not in found_names:
+            raise CheckpointError(f"{path}: missing parameter {name!r} required by its config")
+    if found_names != [name for name, _ in expected]:
+        raise CheckpointError(f"{path}: parameter names or order disagree with its config")
+    for (name, shape), (_, want) in zip(found, expected):
+        if shape != want:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {shape}, config expects {want}")
+    return expected
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         raw = f.read()
@@ -71,9 +95,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: header missing {key!r}")
     params: Params = {}
     off = 8 + hlen
-    for entry in header["parameters"]:
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
+    for name, shape in _check_parameter_list(path, header):
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 4
         if off + nbytes > len(raw):

@@ -21,13 +21,13 @@ class NnetError(ValueError):
     """Shape disagreement or invalid layer configuration."""
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 0.5 * (1 + tanh(x/2)): stable in both tails, and a few ufunc calls
+    # with no masking, which matters inside the recurrent time loops
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -168,24 +168,20 @@ class MaxPoolTime:
     def forward(self, x: np.ndarray):
         t, h = x.shape
         t_out = -(-t // self.stride)
-        y = np.empty((t_out, h), dtype=x.dtype)
-        argmax = np.empty((t_out, h), dtype=np.int64)
-        for w in range(t_out):
-            lo = w * self.stride
-            hi = min(lo + self.stride, t)
-            block = x[lo:hi]
-            idx = block.argmax(axis=0)
-            argmax[w] = lo + idx
-            y[w] = block[idx, np.arange(h)]
+        # -inf padding never wins a window: every window holds a real frame
+        padded = np.full((t_out * self.stride, h), -np.inf, dtype=x.dtype)
+        padded[:t] = x
+        windows = padded.reshape(t_out, self.stride, h)
+        idx = windows.argmax(axis=1)  # first maximum: the earliest frame
+        y = np.take_along_axis(windows, idx[:, None, :], axis=1)[:, 0, :]
+        argmax = idx + self.stride * np.arange(t_out)[:, None]
         return y, (x.shape, argmax)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         shape, argmax = cache
         dx = np.zeros(shape, dtype=dy.dtype)
-        h = shape[1]
-        cols = np.arange(h)
-        for w in range(dy.shape[0]):
-            dx[argmax[w], cols] += dy[w]
+        # windows do not overlap, so each (frame, channel) is hit at most once
+        dx[argmax, np.arange(shape[1])] = dy
         return dx
 
 
@@ -199,26 +195,28 @@ class MeanPoolTime:
             raise NnetError(f"mean pool stride must be >= 0, got {stride}")
         self.stride = stride
 
+    def _window_lengths(self, t: int) -> np.ndarray:
+        t_out = -(-t // self.stride)
+        lengths = np.full(t_out, self.stride)
+        lengths[-1] = t - (t_out - 1) * self.stride
+        return lengths
+
     def forward(self, x: np.ndarray):
         t = x.shape[0]
         if self.stride == 0:
             return x.mean(axis=0), t
-        t_out = -(-t // self.stride)
-        y = np.empty((t_out, x.shape[1]), dtype=x.dtype)
-        for w in range(t_out):
-            y[w] = x[w * self.stride : min((w + 1) * self.stride, t)].mean(axis=0)
-        return y, t
+        lengths = self._window_lengths(t)
+        padded = np.zeros((lengths.size * self.stride, x.shape[1]), dtype=x.dtype)
+        padded[:t] = x
+        sums = padded.reshape(lengths.size, self.stride, x.shape[1]).sum(axis=1)
+        return sums / lengths[:, None].astype(x.dtype), t
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         t = cache
         if self.stride == 0:
             return np.tile(dy / t, (t, 1))
-        dx = np.empty((t, dy.shape[1]), dtype=dy.dtype)
-        for w in range(dy.shape[0]):
-            lo = w * self.stride
-            hi = min(lo + self.stride, t)
-            dx[lo:hi] = dy[w] / (hi - lo)
-        return dx
+        lengths = self._window_lengths(t)
+        return np.repeat(dy / lengths[:, None].astype(dy.dtype), self.stride, axis=0)[:t]
 
 
 def pool_time(x: np.ndarray, kind: str, stride: int) -> np.ndarray:
@@ -233,6 +231,32 @@ def pool_time(x: np.ndarray, kind: str, stride: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # recurrent cells
+#
+# Both cells run fused sweeps (Appleyard et al. 2016, arXiv:1604.01946):
+# the per-gate weights are stacked in GATES order once per call, the input
+# projection of all T steps is one GEMM ahead of the time loop, the loop
+# does only the recurrent matvecs and the gate nonlinearities, and the
+# weight gradients are one GEMM each after the backward loop. The stacked
+# copies are rebuilt in sweep_backward rather than cached: parameters do
+# not change between a batch's forward and backward passes, and a training
+# batch keeps every clip's cache alive at once.
+
+
+def _stack(p: dict[str, Tensor], kind: str, gates) -> np.ndarray:
+    return np.concatenate([p[f"{kind}_{gate}"].data for gate in gates])
+
+
+def _accumulate_gates(p: dict[str, Tensor], kind: str, gates, grad: np.ndarray) -> None:
+    """Split a stacked (G*H, ...) gradient into its per-gate tensors."""
+    for gate, part in zip(gates, np.split(grad, len(gates))):
+        p[f"{kind}_{gate}"].accumulate(part)
+
+
+def _previous(seq: np.ndarray) -> np.ndarray:
+    """Row t holds seq[t-1]; row 0 is the zero initial state."""
+    prev = np.zeros_like(seq)
+    prev[1:] = seq[:-1]
+    return prev
 
 
 class GRUCell:
@@ -249,62 +273,57 @@ class GRUCell:
     def __init__(self, p: dict[str, Tensor]):
         self.p = p  # keys: w_z,u_z,b_z,w_r,u_r,b_r,w_h,u_h,b_h
 
-    def step(self, x: np.ndarray, h: np.ndarray):
-        p = self.p
-        z = _sigmoid(p["w_z"].data @ x + p["u_z"].data @ h + p["b_z"].data)
-        r = _sigmoid(p["w_r"].data @ x + p["u_r"].data @ h + p["b_r"].data)
-        rh = r * h
-        h_tilde = np.tanh(p["w_h"].data @ x + p["u_h"].data @ rh + p["b_h"].data)
-        h_new = (1.0 - z) * h + z * h_tilde
-        return h_new, (x, h, z, r, rh, h_tilde)
-
-    def step_backward(self, cache, dh_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (dx, dh_prev); accumulates parameter gradients."""
-        x, h, z, r, rh, h_tilde = cache
-        p = self.p
-        dz_pre = dh_new * (h_tilde - h) * z * (1.0 - z)
-        dht_pre = dh_new * z * (1.0 - h_tilde * h_tilde)
-        dh_prev = dh_new * (1.0 - z)
-        drh = p["u_h"].data.T @ dht_pre
-        dr_pre = drh * h * r * (1.0 - r)
-        dh_prev = dh_prev + drh * r
-        dh_prev = dh_prev + p["u_z"].data.T @ dz_pre + p["u_r"].data.T @ dr_pre
-        dx = p["w_z"].data.T @ dz_pre + p["w_r"].data.T @ dr_pre + p["w_h"].data.T @ dht_pre
-        p["w_z"].accumulate(np.outer(dz_pre, x))
-        p["u_z"].accumulate(np.outer(dz_pre, h))
-        p["b_z"].accumulate(dz_pre)
-        p["w_r"].accumulate(np.outer(dr_pre, x))
-        p["u_r"].accumulate(np.outer(dr_pre, h))
-        p["b_r"].accumulate(dr_pre)
-        p["w_h"].accumulate(np.outer(dht_pre, x))
-        p["u_h"].accumulate(np.outer(dht_pre, rh))
-        p["b_h"].accumulate(dht_pre)
-        return dx, dh_prev
-
     def sweep(self, xs: np.ndarray):
         """Run over a (T, in) sequence from h0 = 0; returns (T, H) states."""
-        hidden = self.p["b_z"].shape[0]
-        h = np.zeros(hidden, dtype=xs.dtype)
+        w, u = _stack(self.p, "w", self.GATES), _stack(self.p, "u", self.GATES)
+        hidden = u.shape[1]
+        u_zr, u_h = u[: 2 * hidden], u[2 * hidden :]
+        # (T, 3H) pre-activations, overwritten step by step with z, r, h~
+        gates = xs @ w.T + _stack(self.p, "b", self.GATES)
         states = np.empty((xs.shape[0], hidden), dtype=xs.dtype)
-        caches = []
+        h = np.zeros(hidden, dtype=gates.dtype)
         for t in range(xs.shape[0]):
-            h, cache = self.step(xs[t], h)
+            zr = gates[t, : 2 * hidden]
+            zr += u_zr @ h
+            _sigmoid(zr, out=zr)
+            z, r = zr[:hidden], zr[hidden:]
+            h_tilde = gates[t, 2 * hidden :]
+            h_tilde += u_h @ (r * h)
+            np.tanh(h_tilde, out=h_tilde)
+            h = (1.0 - z) * h + z * h_tilde
             states[t] = h
-            caches.append(cache)
-        return states, caches
+        return states, (xs, states, gates)
 
-    def sweep_backward(self, caches, dstates: np.ndarray) -> np.ndarray:
-        dxs = np.empty((dstates.shape[0], self.p["w_z"].shape[1]), dtype=dstates.dtype)
-        dh = np.zeros(dstates.shape[1], dtype=dstates.dtype)
-        for t in range(dstates.shape[0] - 1, -1, -1):
-            dxs[t], dh = self.step_backward(caches[t], dstates[t] + dh)
-        return dxs
-
-
-def gru_step(x: np.ndarray, h: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Single GRU step on plain arrays (params keyed w_z..b_h)."""
-    cell = GRUCell({k: Tensor(np.asarray(v)) for k, v in params.items()})
-    return cell.step(np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64))[0]
+    def sweep_backward(self, cache, dstates: np.ndarray) -> np.ndarray:
+        """Returns d(xs); accumulates all nine parameter gradients."""
+        xs, states, gates = cache
+        hidden = states.shape[1]
+        w, u = _stack(self.p, "w", self.GATES), _stack(self.p, "u", self.GATES)
+        u_zr, u_h = u[: 2 * hidden], u[2 * hidden :]
+        z, r, h_tilde = np.split(gates, 3, axis=1)
+        h_prev = _previous(states)
+        # gate-derivative coefficients that do not depend on the incoming gradient
+        coef_z = (h_tilde - h_prev) * z * (1.0 - z)
+        coef_h = z * (1.0 - h_tilde * h_tilde)
+        coef_keep = 1.0 - z
+        coef_r = h_prev * r * (1.0 - r)
+        # dpre[t] = (dz_pre, dr_pre, dh~_pre) at step t
+        dpre = np.empty((states.shape[0], 3 * hidden), dtype=dstates.dtype)
+        dh = np.zeros(hidden, dtype=dstates.dtype)
+        for t in range(states.shape[0] - 1, -1, -1):
+            dh_t = dstates[t] + dh
+            dz, dr, dht = dpre[t, :hidden], dpre[t, hidden : 2 * hidden], dpre[t, 2 * hidden :]
+            np.multiply(dh_t, coef_z[t], out=dz)
+            np.multiply(dh_t, coef_h[t], out=dht)
+            drh = dht @ u_h
+            np.multiply(drh, coef_r[t], out=dr)
+            dh = dh_t * coef_keep[t] + drh * r[t] + dpre[t, : 2 * hidden] @ u_zr
+        _accumulate_gates(self.p, "w", self.GATES, dpre.T @ xs)
+        du = np.concatenate([dpre[:, : 2 * hidden].T @ h_prev,
+                             dpre[:, 2 * hidden :].T @ (r * h_prev)])
+        _accumulate_gates(self.p, "u", self.GATES, du)
+        _accumulate_gates(self.p, "b", self.GATES, dpre.sum(axis=0))
+        return dpre @ w
 
 
 class LSTMCell:
@@ -321,77 +340,56 @@ class LSTMCell:
     def __init__(self, p: dict[str, Tensor]):
         self.p = p  # keys: w_i,u_i,b_i,...,w_g,u_g,b_g
 
-    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        p = self.p
-        i = _sigmoid(p["w_i"].data @ x + p["u_i"].data @ h + p["b_i"].data)
-        f = _sigmoid(p["w_f"].data @ x + p["u_f"].data @ h + p["b_f"].data)
-        o = _sigmoid(p["w_o"].data @ x + p["u_o"].data @ h + p["b_o"].data)
-        g = np.tanh(p["w_g"].data @ x + p["u_g"].data @ h + p["b_g"].data)
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h_new = o * tanh_c
-        return (h_new, c_new), (x, h, c, i, f, o, g, tanh_c)
-
-    def step_backward(self, cache, dh_new: np.ndarray, dc_new: np.ndarray):
-        """Returns (dx, dh_prev, dc_prev); accumulates parameter gradients."""
-        x, h, c, i, f, o, g, tanh_c = cache
-        p = self.p
-        do_pre = dh_new * tanh_c * o * (1.0 - o)
-        dc = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c)
-        di_pre = dc * g * i * (1.0 - i)
-        df_pre = dc * c * f * (1.0 - f)
-        dg_pre = dc * i * (1.0 - g * g)
-        dc_prev = dc * f
-        dh_prev = (
-            p["u_i"].data.T @ di_pre
-            + p["u_f"].data.T @ df_pre
-            + p["u_o"].data.T @ do_pre
-            + p["u_g"].data.T @ dg_pre
-        )
-        dx = (
-            p["w_i"].data.T @ di_pre
-            + p["w_f"].data.T @ df_pre
-            + p["w_o"].data.T @ do_pre
-            + p["w_g"].data.T @ dg_pre
-        )
-        for name, dpre in (("i", di_pre), ("f", df_pre), ("o", do_pre), ("g", dg_pre)):
-            p[f"w_{name}"].accumulate(np.outer(dpre, x))
-            p[f"u_{name}"].accumulate(np.outer(dpre, h))
-            p[f"b_{name}"].accumulate(dpre)
-        return dx, dh_prev, dc_prev
-
     def sweep(self, xs: np.ndarray):
-        hidden = self.p["b_i"].shape[0]
-        h = np.zeros(hidden, dtype=xs.dtype)
-        c = np.zeros(hidden, dtype=xs.dtype)
+        """Run over a (T, in) sequence from h0 = c0 = 0; returns (T, H) states."""
+        u = _stack(self.p, "u", self.GATES)
+        hidden = u.shape[1]
+        # (T, 4H) pre-activations, overwritten step by step with i, f, o, g
+        gates = xs @ _stack(self.p, "w", self.GATES).T + _stack(self.p, "b", self.GATES)
         states = np.empty((xs.shape[0], hidden), dtype=xs.dtype)
-        caches = []
+        cells = np.empty((xs.shape[0], hidden), dtype=gates.dtype)
+        h = np.zeros(hidden, dtype=gates.dtype)
+        c = np.zeros(hidden, dtype=gates.dtype)
         for t in range(xs.shape[0]):
-            (h, c), cache = self.step(xs[t], h, c)
+            pre = gates[t]
+            pre += u @ h
+            ifo, g = pre[: 3 * hidden], pre[3 * hidden :]
+            _sigmoid(ifo, out=ifo)
+            np.tanh(g, out=g)
+            c = ifo[hidden : 2 * hidden] * c + ifo[:hidden] * g
+            h = ifo[2 * hidden :] * np.tanh(c)
+            cells[t] = c
             states[t] = h
-            caches.append(cache)
-        return states, caches
+        return states, (xs, states, cells, gates)
 
-    def sweep_backward(self, caches, dstates: np.ndarray) -> np.ndarray:
-        dxs = np.empty((dstates.shape[0], self.p["w_i"].shape[1]), dtype=dstates.dtype)
-        dh = np.zeros(dstates.shape[1], dtype=dstates.dtype)
-        dc = np.zeros(dstates.shape[1], dtype=dstates.dtype)
-        for t in range(dstates.shape[0] - 1, -1, -1):
-            dxs[t], dh, dc = self.step_backward(caches[t], dstates[t] + dh, dc)
-        return dxs
-
-
-def lstm_step(
-    x: np.ndarray, h: np.ndarray, c: np.ndarray, params: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single LSTM step on plain arrays; returns (h', c')."""
-    cell = LSTMCell({k: Tensor(np.asarray(v)) for k, v in params.items()})
-    (h_new, c_new), _ = cell.step(
-        np.asarray(x, dtype=np.float64),
-        np.asarray(h, dtype=np.float64),
-        np.asarray(c, dtype=np.float64),
-    )
-    return h_new, c_new
+    def sweep_backward(self, cache, dstates: np.ndarray) -> np.ndarray:
+        """Returns d(xs); accumulates all twelve parameter gradients."""
+        xs, states, cells, gates = cache
+        steps, hidden = states.shape
+        w, u = _stack(self.p, "w", self.GATES), _stack(self.p, "u", self.GATES)
+        i, f, o, g = np.split(gates, 4, axis=1)
+        tanh_c = np.tanh(cells)
+        # gate-derivative coefficients that do not depend on the incoming
+        # gradient: dpre = coef * (dc, dc, dh, dc) gate by gate, dc += dh * coef_c
+        coef = np.concatenate([g * i * (1.0 - i), _previous(cells) * f * (1.0 - f),
+                               tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        coef = coef.reshape(steps, 4, hidden)
+        coef_c = o * (1.0 - tanh_c * tanh_c)
+        dpre = np.empty((steps, 4, hidden), dtype=dstates.dtype)
+        dh = np.zeros(hidden, dtype=dstates.dtype)
+        dc = np.zeros(hidden, dtype=dstates.dtype)
+        for t in range(steps - 1, -1, -1):
+            dh_t = dstates[t] + dh
+            dc = dc + dh_t * coef_c[t]
+            np.multiply(coef[t], dc, out=dpre[t])
+            np.multiply(coef[t, 2], dh_t, out=dpre[t, 2])
+            dc = dc * f[t]
+            dh = dpre[t].reshape(-1) @ u
+        dpre = dpre.reshape(steps, 4 * hidden)
+        _accumulate_gates(self.p, "w", self.GATES, dpre.T @ xs)
+        _accumulate_gates(self.p, "u", self.GATES, dpre.T @ _previous(states))
+        _accumulate_gates(self.p, "b", self.GATES, dpre.sum(axis=0))
+        return dpre @ w
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The training trajectory is a pure function of (dataset bytes, configs,
 seed): pair order, batch boundaries, imposter draws, and update order
-are all fixed by the config seed under single-threaded execution, so
-two runs from identical inputs produce byte-identical checkpoints and
-epoch logs.
+are all fixed by the config seed, so two runs from identical inputs with
+the same BLAS thread count produce byte-identical checkpoints and epoch
+logs. Runs with different BLAS thread counts need not agree: with 1 and
+2 OpenBLAS threads at H = 300 they differ in the last bits, because the
+recurrent sweep's input-gradient GEMM (inner dimension 3H) sums in a
+different order when split across threads.
 """
 
 from __future__ import annotations

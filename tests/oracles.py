@@ -291,3 +291,190 @@ def encode_audio_reference(frames, config, params):
         if config.projection.activation == "relu":
             out = np.maximum(out, 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# recurrent cells, one time step at a time
+#
+# These are the per-step cells the fused sweeps in audiotext.nnet.layers
+# replaced. Parameters are a dict of gate-keyed objects with ``.data`` and
+# ``.accumulate(grad)`` (the package's Tensor fits); every step_backward
+# accumulates the nine (GRU) or twelve (LSTM) parameter gradients with
+# per-step outer products.
+
+
+def _sigmoid_reference(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+class GRUCellReference:
+    """z, r = sigmoid(W x + U h + b); h~ = tanh(Wh x + Uh (r*h) + bh);
+    h' = (1-z)*h + z*h~."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def step(self, x, h):
+        p = self.p
+        z = _sigmoid_reference(p["w_z"].data @ x + p["u_z"].data @ h + p["b_z"].data)
+        r = _sigmoid_reference(p["w_r"].data @ x + p["u_r"].data @ h + p["b_r"].data)
+        rh = r * h
+        h_tilde = np.tanh(p["w_h"].data @ x + p["u_h"].data @ rh + p["b_h"].data)
+        h_new = (1.0 - z) * h + z * h_tilde
+        return h_new, (x, h, z, r, rh, h_tilde)
+
+    def step_backward(self, cache, dh_new):
+        """Returns (dx, dh_prev); accumulates parameter gradients."""
+        x, h, z, r, rh, h_tilde = cache
+        p = self.p
+        dz_pre = dh_new * (h_tilde - h) * z * (1.0 - z)
+        dht_pre = dh_new * z * (1.0 - h_tilde * h_tilde)
+        dh_prev = dh_new * (1.0 - z)
+        drh = p["u_h"].data.T @ dht_pre
+        dr_pre = drh * h * r * (1.0 - r)
+        dh_prev = dh_prev + drh * r
+        dh_prev = dh_prev + p["u_z"].data.T @ dz_pre + p["u_r"].data.T @ dr_pre
+        dx = p["w_z"].data.T @ dz_pre + p["w_r"].data.T @ dr_pre + p["w_h"].data.T @ dht_pre
+        p["w_z"].accumulate(np.outer(dz_pre, x))
+        p["u_z"].accumulate(np.outer(dz_pre, h))
+        p["b_z"].accumulate(dz_pre)
+        p["w_r"].accumulate(np.outer(dr_pre, x))
+        p["u_r"].accumulate(np.outer(dr_pre, h))
+        p["b_r"].accumulate(dr_pre)
+        p["w_h"].accumulate(np.outer(dht_pre, x))
+        p["u_h"].accumulate(np.outer(dht_pre, rh))
+        p["b_h"].accumulate(dht_pre)
+        return dx, dh_prev
+
+    def sweep(self, xs):
+        hidden = self.p["b_z"].data.shape[0]
+        h = np.zeros(hidden)
+        states = np.empty((xs.shape[0], hidden))
+        caches = []
+        for t in range(xs.shape[0]):
+            h, cache = self.step(xs[t], h)
+            states[t] = h
+            caches.append(cache)
+        return states, caches
+
+    def sweep_backward(self, caches, dstates):
+        dxs = np.empty((dstates.shape[0], self.p["w_z"].data.shape[1]))
+        dh = np.zeros(dstates.shape[1])
+        for t in range(dstates.shape[0] - 1, -1, -1):
+            dxs[t], dh = self.step_backward(caches[t], dstates[t] + dh)
+        return dxs
+
+
+class LSTMCellReference:
+    """i, f, o = sigmoid(W x + U h + b); g = tanh(Wg x + Ug h + bg);
+    c' = f*c + i*g; h' = o*tanh(c')."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def step(self, x, h, c):
+        p = self.p
+        i = _sigmoid_reference(p["w_i"].data @ x + p["u_i"].data @ h + p["b_i"].data)
+        f = _sigmoid_reference(p["w_f"].data @ x + p["u_f"].data @ h + p["b_f"].data)
+        o = _sigmoid_reference(p["w_o"].data @ x + p["u_o"].data @ h + p["b_o"].data)
+        g = np.tanh(p["w_g"].data @ x + p["u_g"].data @ h + p["b_g"].data)
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        return (h_new, c_new), (x, h, c, i, f, o, g, tanh_c)
+
+    def step_backward(self, cache, dh_new, dc_new):
+        """Returns (dx, dh_prev, dc_prev); accumulates parameter gradients."""
+        x, h, c, i, f, o, g, tanh_c = cache
+        p = self.p
+        do_pre = dh_new * tanh_c * o * (1.0 - o)
+        dc = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c)
+        di_pre = dc * g * i * (1.0 - i)
+        df_pre = dc * c * f * (1.0 - f)
+        dg_pre = dc * i * (1.0 - g * g)
+        dc_prev = dc * f
+        dh_prev = (
+            p["u_i"].data.T @ di_pre
+            + p["u_f"].data.T @ df_pre
+            + p["u_o"].data.T @ do_pre
+            + p["u_g"].data.T @ dg_pre
+        )
+        dx = (
+            p["w_i"].data.T @ di_pre
+            + p["w_f"].data.T @ df_pre
+            + p["w_o"].data.T @ do_pre
+            + p["w_g"].data.T @ dg_pre
+        )
+        for name, dpre in (("i", di_pre), ("f", df_pre), ("o", do_pre), ("g", dg_pre)):
+            p[f"w_{name}"].accumulate(np.outer(dpre, x))
+            p[f"u_{name}"].accumulate(np.outer(dpre, h))
+            p[f"b_{name}"].accumulate(dpre)
+        return dx, dh_prev, dc_prev
+
+    def sweep(self, xs):
+        hidden = self.p["b_i"].data.shape[0]
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
+        states = np.empty((xs.shape[0], hidden))
+        caches = []
+        for t in range(xs.shape[0]):
+            (h, c), cache = self.step(xs[t], h, c)
+            states[t] = h
+            caches.append(cache)
+        return states, caches
+
+    def sweep_backward(self, caches, dstates):
+        dxs = np.empty((dstates.shape[0], self.p["w_i"].data.shape[1]))
+        dh = np.zeros(dstates.shape[1])
+        dc = np.zeros(dstates.shape[1])
+        for t in range(dstates.shape[0] - 1, -1, -1):
+            dxs[t], dh, dc = self.step_backward(caches[t], dstates[t] + dh, dc)
+        return dxs
+
+
+# ---------------------------------------------------------------------------
+# time pools, one window at a time
+
+
+def max_pool_time_reference(x, stride):
+    """Non-overlapping max windows, partial last window kept; returns
+    (pooled, argmax) with argmax the earliest maximal frame per window."""
+    t, h = x.shape
+    t_out = -(-t // stride)
+    y = np.empty((t_out, h))
+    argmax = np.empty((t_out, h), dtype=np.int64)
+    for w in range(t_out):
+        lo = w * stride
+        hi = min(lo + stride, t)
+        block = x[lo:hi]
+        idx = block.argmax(axis=0)
+        argmax[w] = lo + idx
+        y[w] = block[idx, np.arange(h)]
+    return y, argmax
+
+
+def max_pool_time_backward_reference(shape, argmax, dy):
+    dx = np.zeros(shape)
+    cols = np.arange(shape[1])
+    for w in range(dy.shape[0]):
+        dx[argmax[w], cols] += dy[w]
+    return dx
+
+
+def mean_pool_time_reference(x, stride):
+    """Non-overlapping window means, each divided by its true length."""
+    t = x.shape[0]
+    t_out = -(-t // stride)
+    y = np.empty((t_out, x.shape[1]))
+    for w in range(t_out):
+        y[w] = x[w * stride : min((w + 1) * stride, t)].mean(axis=0)
+    return y
+
+
+def mean_pool_time_backward_reference(t, stride, dy):
+    dx = np.empty((t, dy.shape[1]))
+    for w in range(dy.shape[0]):
+        lo = w * stride
+        hi = min(lo + stride, t)
+        dx[lo:hi] = dy[w] / (hi - lo)
+    return dx

@@ -8,10 +8,15 @@ run), never from the code under test.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import audiotext
 from audiotext.corpus import (
     CaptionRecord,
     DatasetManifest,
@@ -144,57 +149,36 @@ def _cell_params(rng, gates, hidden, in_dim):
     return p
 
 
-def _gru_step_err(seed):
+def _sweep_err(cell_cls, seed, steps=3):
+    # the fused sweep over T >= 2 steps, so the recurrent h (and LSTM c)
+    # paths carry gradient between steps
     rng = np.random.default_rng(seed)
     hidden, in_dim = 3, 4
-    p = _cell_params(rng, GRUCell.GATES, hidden, in_dim)
-    cell = GRUCell(p)
-    xt = Tensor(0.8 * rng.standard_normal(in_dim))
-    ht = Tensor(0.8 * rng.standard_normal(hidden))
-    d = rng.standard_normal(hidden)
-    params = dict(p, x=xt, h=ht)
+    p = _cell_params(rng, cell_cls.GATES, hidden, in_dim)
+    cell = cell_cls(p)
+    xt = Tensor(0.8 * rng.standard_normal((steps, in_dim)))
+    d = rng.standard_normal((steps, hidden))
+    params = dict(p, x=xt)
 
     def loss_fn():
-        h_new, _ = cell.step(xt.data, ht.data)
-        return float(h_new @ d)
+        states, _ = cell.sweep(xt.data)
+        return float((states * d).sum())
 
     def grad_fn():
         zero_grads(params)
-        h_new, cache = cell.step(xt.data, ht.data)
-        dx, dh = cell.step_backward(cache, d)
-        xt.accumulate(dx)
-        ht.accumulate(dh)
+        _, cache = cell.sweep(xt.data)
+        xt.accumulate(cell.sweep_backward(cache, d))
         return collect_grads(params)
 
     return finite_difference_check(loss_fn, grad_fn, params)
 
 
-def _lstm_step_err(seed):
-    rng = np.random.default_rng(seed)
-    hidden, in_dim = 3, 4
-    p = _cell_params(rng, LSTMCell.GATES, hidden, in_dim)
-    cell = LSTMCell(p)
-    xt = Tensor(0.8 * rng.standard_normal(in_dim))
-    ht = Tensor(0.8 * rng.standard_normal(hidden))
-    ct = Tensor(0.8 * rng.standard_normal(hidden))
-    dh = rng.standard_normal(hidden)
-    dc = rng.standard_normal(hidden)
-    params = dict(p, x=xt, h=ht, c=ct)
+def _gru_sweep_err(seed):
+    return _sweep_err(GRUCell, seed)
 
-    def loss_fn():
-        (h_new, c_new), _ = cell.step(xt.data, ht.data, ct.data)
-        return float(h_new @ dh + c_new @ dc)
 
-    def grad_fn():
-        zero_grads(params)
-        (h_new, c_new), cache = cell.step(xt.data, ht.data, ct.data)
-        dx, dh_prev, dc_prev = cell.step_backward(cache, dh, dc)
-        xt.accumulate(dx)
-        ht.accumulate(dh_prev)
-        ct.accumulate(dc_prev)
-        return collect_grads(params)
-
-    return finite_difference_check(loss_fn, grad_fn, params)
+def _lstm_sweep_err(seed):
+    return _sweep_err(LSTMCell, seed)
 
 
 def _pool_err(seed):
@@ -277,8 +261,8 @@ def test_gradient_correctness():
     families = [
         ("dense", _dense_err, 0),
         ("conv1d", _conv_err, 100),
-        ("gru_step", _gru_step_err, 3200),
-        ("lstm_step", _lstm_step_err, 300),
+        ("gru_sweep", _gru_sweep_err, 3200),
+        ("lstm_sweep", _lstm_sweep_err, 300),
         ("pooling", _pool_err, 400),
         ("projection", _projection_err, 500),
         ("tower", _tower_err, 600),
@@ -588,3 +572,42 @@ def test_train_command_determinism(tmp_path):
             f"checkpoint {len(blobs[0][0])} bytes and epoch log reproduced bitwise: "
             f"{identical}")
     assert identical
+
+
+def _train_subprocess(config_path, blas_threads):
+    """One `train` run in a fresh interpreter with a fixed BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(audiotext.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "audiotext.cli", "train",
+                           "--config", str(config_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_train_determinism_under_blas_threads(tmp_path):
+    # the paper's H = 300: the recurrent input-gradient product then has an
+    # inner dimension of 3H = 900, large enough for OpenBLAS to split its
+    # work differently when it is allowed two threads
+    ds = make_dataset(tmp_path, n_frames=384, feature_dim=16, embed_dim=300)
+    results = {}
+    for threads in (1, 2):
+        for run in ("one", "two"):
+            out_dir = tmp_path / f"t{threads}_{run}"
+            out_dir.mkdir()
+            cfg = base_config_dict(ds, out_dir, epochs=2)
+            model = small_config(feature_dim=16, embed_dim=300,
+                                 audio_tower=small_tower(16, (32, 32))).to_dict()
+            del model["seed"]
+            cfg["model"] = model
+            out = _train_subprocess(write_config(tmp_path / f"t{threads}_{run}.json", cfg),
+                                    threads)
+            results[threads, run] = ((out_dir / "model.ckpt").read_bytes(),
+                                     (out_dir / "epochs.csv").read_text(encoding="utf-8"),
+                                     out)
+    repeat = {t: results[t, "one"] == results[t, "two"] for t in (1, 2)}
+    across = results[1, "one"] == results[2, "one"]
+    _report("train-determinism-blas-threads", all(repeat.values()),
+            f"bitwise repeat with 1 thread: {repeat[1]}, with 2 threads: {repeat[2]}; "
+            f"1-thread and 2-thread runs identical: {across}")
+    assert repeat[1] and repeat[2]

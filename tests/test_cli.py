@@ -21,7 +21,7 @@ from audiotext.corpus import (
     write_fmat,
 )
 from audiotext.dsp import log_mel_features, read_wav
-from audiotext.nnet import init_params, load_checkpoint, save_checkpoint
+from audiotext.nnet import Tensor, init_params, load_checkpoint, save_checkpoint
 from audiotext.optim import EPOCH_LOG_HEADER
 
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     caption_table_for,
     sine_wav,
     small_config,
+    small_tower,
     write_caption_csv,
     write_word_embeddings,
 )
@@ -413,6 +414,47 @@ def test_eval_retrieval_sentence_checkpoint_needs_caption_table(tmp_path):
     code, out, err = run_cli(base + ["--caption-embeddings", str(evec)])
     assert code == 0, err
     assert json.loads(out)["queries"] == 20
+
+
+@pytest.mark.parametrize("case", ["missing_parameter", "wrong_shape"])
+def test_eval_retrieval_rejects_checkpoint_disagreeing_with_config(tmp_path, case):
+    ds = make_dataset(tmp_path)
+    config = small_config(recurrent_cell="lstm")
+    params = init_params(config, seed=3)
+    if case == "missing_parameter":
+        del params["lstm.u_f"]
+        needle = "missing parameter 'lstm.u_f'"
+    else:
+        params["lstm.u_f"] = Tensor(np.zeros((3, 3), dtype=np.float32))
+        needle = "'lstm.u_f' has shape (3, 3), config expects (6, 6)"
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, config.to_dict(), params, 1, 0.0)
+    code, out, err = run_cli([
+        "eval-retrieval", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--word-embeddings", str(ds["words"]), "--feature-kind", "external",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert needle in err
+    assert "Traceback" not in err
+
+
+def test_eval_retrieval_rejects_log_mel_64_fmat_of_other_width(tmp_path):
+    ds = make_dataset(tmp_path, feature_dim=63)
+    config = small_config(feature_dim=63, audio_tower=small_tower(63))
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", config)
+    code, out, err = run_cli([
+        "eval-retrieval", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--word-embeddings", str(ds["words"]), "--feature-kind", "log_mel_64",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "log_mel_64 features need 64 columns, got 63" in err
+    assert "Traceback" not in err
 
 
 def test_eval_captions_cli(tmp_path):

@@ -23,8 +23,6 @@ from audiotext.nnet.layers import (
     activation,
     conv1d_forward,
     dense_forward,
-    gru_step,
-    lstm_step,
     pool_time,
 )
 from audiotext.nnet.model import (
@@ -43,7 +41,15 @@ from audiotext.nnet.model import (
 from audiotext.nnet.tensor import Tensor, clone_params, zero_grads
 
 from helpers import random_word_table, small_config, small_tower
-from oracles import encode_audio_reference
+from oracles import (
+    GRUCellReference,
+    LSTMCellReference,
+    encode_audio_reference,
+    max_pool_time_backward_reference,
+    max_pool_time_reference,
+    mean_pool_time_backward_reference,
+    mean_pool_time_reference,
+)
 
 
 # ---------------------------------------------------------------- tensor
@@ -182,21 +188,31 @@ def _zero_gru(in_dim=1, hidden=1):
     }
 
 
+def _sweep(cell_cls, params, xs):
+    """Fused sweep on plain float64 arrays; returns (states, cache)."""
+    cell = cell_cls({k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in params.items()})
+    return cell.sweep(np.asarray(xs, dtype=np.float64))
+
+
 def test_gru_step_zero_params_halves_state():
-    # z = 0.5, h_tilde = 0, so h' = 0.5 h
+    # step 1 writes h = 0.5 * tanh(atanh(0.8)) = 0.4 through w_h; at step 2
+    # x = 0 gives z = 0.5 and h_tilde = 0, so h' = 0.5 h
     p = _zero_gru()
-    h1 = gru_step(np.array([0.3]), np.array([0.4]), p)
-    assert h1[0] == pytest.approx(0.2)
-    h0 = gru_step(np.array([0.3]), np.array([0.0]), p)
-    assert h0[0] == 0.0
+    p["w_h"] = np.array([[1.0]])
+    states, _ = _sweep(GRUCell, p, [[np.arctanh(0.8)], [0.0]])
+    assert states[0, 0] == pytest.approx(0.4)
+    assert states[1, 0] == pytest.approx(0.2)
+    states, _ = _sweep(GRUCell, _zero_gru(), [[0.3], [0.3]])
+    assert (states == 0.0).all()
 
 
 def test_gru_step_saturated_update_gate_copies_candidate():
     p = _zero_gru()
     p["b_z"] = np.array([50.0])
     p["b_h"] = np.array([0.7])
-    h1 = gru_step(np.array([0.0]), np.array([0.4]), p)
-    assert h1[0] == pytest.approx(np.tanh(0.7), abs=1e-12)
+    states, _ = _sweep(GRUCell, p, [[0.0], [0.0]])
+    # step 2 starts from the nonzero state of step 1 and still copies h_tilde
+    assert states[1, 0] == pytest.approx(np.tanh(0.7), abs=1e-12)
 
 
 def _zero_lstm(in_dim=1, hidden=1):
@@ -208,21 +224,96 @@ def _zero_lstm(in_dim=1, hidden=1):
     return p
 
 
+def _lstm_cells(p, xs):
+    """(states, cell states) of a fused LSTM sweep."""
+    states, (_, _, cells, _) = _sweep(LSTMCell, p, xs)
+    return states, cells
+
+
 def test_lstm_step_zero_params():
+    h, c = _lstm_cells(_zero_lstm(), [[0.3], [0.3]])
+    assert (h == 0.0).all() and (c == 0.0).all()
+    # step 1 saturates i and g through x = 50, so c = 1; at step 2 x = 0
+    # leaves every gate at 0.5 and g at 0
     p = _zero_lstm()
-    h, c = lstm_step(np.array([0.3]), np.array([0.0]), np.array([0.0]), p)
-    assert h[0] == 0.0 and c[0] == 0.0
-    h, c = lstm_step(np.array([0.3]), np.array([0.0]), np.array([1.0]), p)
-    assert c[0] == pytest.approx(0.5)
-    assert h[0] == pytest.approx(0.5 * np.tanh(0.5))  # ~0.2311
+    p["w_i"] = np.array([[1.0]])
+    p["w_g"] = np.array([[1.0]])
+    h, c = _lstm_cells(p, [[50.0], [0.0]])
+    assert c[0, 0] == pytest.approx(1.0)
+    assert c[1, 0] == pytest.approx(0.5)
+    assert h[1, 0] == pytest.approx(0.5 * np.tanh(0.5))  # ~0.2311
 
 
 def test_lstm_step_saturated_gates_carry_cell():
     p = _zero_lstm()
     p["b_f"] = np.array([50.0])   # forget gate open
-    p["b_i"] = np.array([-50.0])  # input gate shut
-    _, c = lstm_step(np.array([0.9]), np.array([0.2]), np.array([0.7]), p)
-    assert c[0] == pytest.approx(0.7, abs=1e-12)
+    p["b_i"] = np.array([-50.0])  # input gate shut unless x < -0.5
+    p["w_i"] = np.array([[-100.0]])
+    p["w_g"] = np.array([[-np.arctanh(0.7)]])
+    # step 1 (x = -1) opens the input gate and writes c = 0.7; at step 2
+    # (x = 0.9) the shut input gate carries it unchanged
+    _, c = _lstm_cells(p, [[-1.0], [0.9]])
+    assert c[0, 0] == pytest.approx(0.7, abs=1e-12)
+    assert c[1, 0] == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 37])
+@pytest.mark.parametrize("fused_cls, reference_cls", [(GRUCell, GRUCellReference),
+                                                      (LSTMCell, LSTMCellReference)],
+                         ids=["gru", "lstm"])
+def test_fused_sweep_matches_per_step_oracle(fused_cls, reference_cls, steps):
+    rng = np.random.default_rng(steps)
+    raw = _random_cell_params(rng, fused_cls.GATES, 4, 5)
+    xs = rng.normal(size=(steps, 4))
+    dstates = rng.normal(size=(steps, 5))
+    results = []
+    for cls in (fused_cls, reference_cls):
+        params = {k: Tensor(t.data.copy()) for k, t in raw.items()}
+        cell = cls(params)
+        states, cache = cell.sweep(xs)
+        dxs = cell.sweep_backward(cache, dstates.copy())
+        results.append((states, dxs, {k: t.grad for k, t in params.items()}))
+    (states, dxs, grads), (ref_states, ref_dxs, ref_grads) = results
+    assert len(grads) == 3 * len(fused_cls.GATES)
+    np.testing.assert_allclose(states, ref_states, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dxs, ref_dxs, rtol=1e-12, atol=1e-12)
+    for name in raw:
+        np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+
+
+_POOL_CASES = {
+    "ties": (np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0], [3.0, 0.0], [3.0, 5.0]]), 2),
+    "t_below_stride": (np.array([[0.5, -1.0], [2.0, -3.0]]), 4),
+    "t_one": (np.array([[-0.25, 7.0, 1.0]]), 3),
+    "t_not_multiple": (np.random.default_rng(11).integers(-2, 3, size=(11, 3)).astype(float), 4),
+    "stride_one": (np.random.default_rng(12).normal(size=(5, 2)), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POOL_CASES))
+def test_max_pool_matches_loop_oracle(case):
+    x, stride = _POOL_CASES[case]
+    y, cache = MaxPoolTime(stride).forward(x)
+    ref_y, ref_argmax = max_pool_time_reference(x, stride)
+    assert y.shape == ref_y.shape
+    assert (y == ref_y).all()
+    dy = np.random.default_rng(13).normal(size=y.shape)
+    dx = MaxPoolTime(stride).backward(cache, dy)
+    assert (dx == max_pool_time_backward_reference(x.shape, ref_argmax, dy)).all()
+
+
+@pytest.mark.parametrize("case", sorted(_POOL_CASES))
+def test_mean_pool_matches_loop_oracle(case):
+    x, stride = _POOL_CASES[case]
+    y, cache = MeanPoolTime(stride).forward(x)
+    ref_y = mean_pool_time_reference(x, stride)
+    assert y.shape == ref_y.shape
+    np.testing.assert_allclose(y, ref_y, rtol=1e-12, atol=1e-12)
+    dy = np.random.default_rng(14).normal(size=y.shape)
+    dx = MeanPoolTime(stride).backward(cache, dy)
+    np.testing.assert_allclose(dx, mean_pool_time_backward_reference(x.shape[0], stride, dy),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_shared_projection_applies_activation():
@@ -845,3 +936,28 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(raw + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_parameter_list_disagreeing_with_config(tmp_path):
+    config = small_config()
+    params = init_params(config, seed=0)
+    path = tmp_path / "model.ckpt"
+
+    names = list(params)
+    swapped = dict(params)
+    swapped[names[0]], swapped[names[1]] = params[names[1]], params[names[0]]
+    reordered = {names[1]: params[names[1]], names[0]: params[names[0]],
+                 **{k: params[k] for k in names[2:]}}
+    for bad_params in (reordered, {**params, "extra.w": Tensor(np.zeros(2, np.float32))}):
+        save_checkpoint(path, config.to_dict(), bad_params, epoch=1, best_validation_map10=0.0)
+        with pytest.raises(CheckpointError, match="names or order disagree"):
+            load_checkpoint(path)
+
+    save_checkpoint(path, config.to_dict(), swapped, epoch=1, best_validation_map10=0.0)
+    with pytest.raises(CheckpointError, match="has shape"):
+        load_checkpoint(path)
+
+    save_checkpoint(path, {**config.to_dict(), "recurrent_cell": "rnn"}, params,
+                    epoch=1, best_validation_map10=0.0)
+    with pytest.raises(CheckpointError, match="invalid config"):
+        load_checkpoint(path)
