@@ -257,6 +257,17 @@ def cmd_eval_captions(args) -> int:
     return 0
 
 
+def _read_query_vector(path: str) -> np.ndarray:
+    """A flat structured-text array of numbers, as float64."""
+    try:
+        vec = json.loads(Path(path).read_text(encoding="utf-8"))
+        if isinstance(vec, list) and all(type(v) in (int, float) for v in vec):
+            return np.array(vec, dtype=np.float64)
+    except (ValueError, OverflowError) as e:  # bad UTF-8 or syntax, an int beyond float range
+        raise RunConfigError(f"{path}: query vector is not a flat array of numbers ({e})") from e
+    raise RunConfigError(f"{path}: query vector is not a flat array of numbers")
+
+
 def cmd_rank(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     config = ModelConfig.from_dict(checkpoint.config)
@@ -274,8 +285,7 @@ def cmd_rank(args) -> int:
             raise RunConfigError(
                 "sentence_table checkpoint needs --query-vector (a structured-text "
                 "array of floats; there is no text tower to embed raw words)")
-        vec = json.loads(Path(args.query_vector).read_text(encoding="utf-8"))
-        query_vector = np.asarray(vec, dtype=np.float64)
+        query_vector = _read_query_vector(args.query_vector)
     ranked = rank_query(checkpoint, args.query, manifest, features, args.top_k,
                         word_table=word_table, query_vector=query_vector,
                         scorer=args.scorer)

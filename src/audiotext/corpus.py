@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -263,10 +265,17 @@ def read_fmat(path: str | Path, feature_kind: str = "external") -> FeatureSequen
     return FeatureSequence(frames=frames.copy(), feature_kind=feature_kind, source_file=str(path))
 
 
+_WORD_CHUNK = 64  # lines per parse; bounds the parser's extra memory
+
+
 def load_word_embeddings(path: str | Path) -> EmbeddingTable:
-    """Load a word2vec-style text table; header line is ``count dim``."""
+    """Load a word2vec-style text table; header line is ``count dim``.
+
+    Lines are parsed in chunks into one float32 matrix whose rows are
+    the table's vectors.
+    """
     path = Path(path)
-    entries: dict[str, np.ndarray] = {}
+    rows: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -277,25 +286,61 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
             raise CorpusError(f"{path}: non-integer header {header!r}") from None
         if count < 0 or dim < 1:
             raise CorpusError(f"{path}: invalid header count={count} dim={dim}")
+        # a row takes at least 2*dim+1 bytes, so an overstated count in a
+        # regular file allocates no more (a pipe has no size to go by)
+        st = os.fstat(fh.fileno())
+        cap = st.st_size // (2 * dim + 1) if stat.S_ISREG(st.st_mode) else count
+        matrix = np.empty((min(count, cap), dim), dtype=np.float32)
+        chunk: list[tuple[int, str, str]] = []
         for line_no, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue  # trailing blank line tolerated
-            word = parts[0]
-            if word in entries:
+            parts = line.split(None, 1)
+            if parts:  # blank lines are tolerated
+                chunk.append((line_no, parts[0], parts[1] if len(parts) > 1 else ""))
+            if len(chunk) == _WORD_CHUNK:
+                _add_word_rows(path, chunk, rows, matrix, dim)
+                chunk = []
+        if chunk:
+            _add_word_rows(path, chunk, rows, matrix, dim)
+    if len(rows) != count:
+        raise CorpusError(f"{path}: header declares {count} words, found {len(rows)}")
+    return EmbeddingTable(dim=dim, entries={word: matrix[i] for word, i in rows.items()})
+
+
+def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str, int],
+                   matrix: np.ndarray, dim: int) -> None:
+    """Parse ``(line_no, word, values text)`` lines into the next rows of ``matrix``.
+
+    A chunk the fast parser rejects is re-checked line by line, so the
+    first offending line raises, and values ``float`` reads but the fast
+    parser does not (such as ``1_0``) still load.
+    """
+    _, words, texts = zip(*chunk)
+    values = None
+    if all(texts):  # a line without values is left to the per-line rules
+        try:
+            values = np.loadtxt(texts, dtype=np.float32, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if (values is None or values.shape != (len(chunk), dim)
+            or len(set(words)) != len(words) or not rows.keys().isdisjoint(words)):
+        checked = []
+        for line_no, word, text in chunk:
+            if word in rows or word in words[:len(checked)]:
                 raise CorpusError(f"{path}: line {line_no}: duplicate word {word!r}")
-            if len(parts) - 1 != dim:
+            parts = text.split()
+            if len(parts) != dim:
                 raise CorpusError(
-                    f"{path}: line {line_no}: {len(parts) - 1} values, expected dim {dim}"
+                    f"{path}: line {line_no}: {len(parts)} values, expected dim {dim}"
                 )
             try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                checked.append([float(v) for v in parts])
             except ValueError:
                 raise CorpusError(f"{path}: line {line_no}: non-numeric value") from None
-            entries[word] = vec
-    if len(entries) != count:
-        raise CorpusError(f"{path}: header declares {count} words, found {len(entries)}")
-    return EmbeddingTable(dim=dim, entries=entries)
+        values = np.array(checked, dtype=np.float32)
+    start = len(rows)
+    rows.update((word, start + k) for k, word in enumerate(words))
+    # rows past the declared count are checked but not kept: the load fails
+    matrix[start:start + len(chunk)] = values[:max(0, len(matrix) - start)]
 
 
 def _check_caption_key(key: str, where: str) -> None:

@@ -11,7 +11,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor import Params, zero_grads
+from .tensor import Params
 
 
 def finite_difference_check(
@@ -61,10 +61,3 @@ def collect_grads(params: Params) -> dict[str, np.ndarray]:
     for name, t in params.items():
         out[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
     return out
-
-
-def run_and_grad(forward_backward: Callable[[], float], params: Params) -> dict[str, np.ndarray]:
-    """Zero grads, run one forward+backward, return the fresh gradients."""
-    zero_grads(params)
-    forward_backward()
-    return collect_grads(params)

@@ -226,10 +226,13 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
     """Forward/backward over one batch; accumulates gradients in place.
 
     Every batch item is an anchor once. Gradients are scaled by 1/B so
-    the objective is the mean per-anchor loss.
+    the objective is the mean per-anchor loss. Each distinct clip runs the
+    tower once, backward with the summed gradient of every pair using it.
     """
     size = len(batch)
-    audio = [tower.forward(features[name].frames) for name, _ in batch]
+    slot_of: dict[str, int] = {}
+    clip = [slot_of.setdefault(name, len(slot_of)) for name, _ in batch]
+    audio = [tower.forward(features[name].frames) for name in slot_of]
     texts = [embedder.embed(record) for _, record in batch]
     keyed = [(name, record.key) for name, record in batch]
     d_audio = [np.zeros_like(emb) for emb, _ in audio]
@@ -237,20 +240,20 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
     total = 0.0
     for i in range(size):
         text_imp, audio_imp = sample_imposters(keyed, i, rng)
-        a_i = audio[i][0]
+        a_i = audio[clip[i]][0]
         t_i = texts[i][0]
         if config.loss == "triplet":
             t_neg = texts[text_imp][0]
-            a_neg = audio[audio_imp][0]
+            a_neg = audio[clip[audio_imp]][0]
             s_pos = dot_score(a_i, t_i)
             s_neg_text = dot_score(a_i, t_neg)
             s_neg_audio = dot_score(a_neg, t_i)
             total += triplet_margin_loss(s_pos, s_neg_text, s_neg_audio, config.margin)
             d_pos, d_ntext, d_naudio = triplet_margin_grads(
                 s_pos, s_neg_text, s_neg_audio, config.margin)
-            d_audio[i] += d_pos * t_i + d_ntext * t_neg
+            d_audio[clip[i]] += d_pos * t_i + d_ntext * t_neg
             d_text[i] += d_pos * a_i + d_naudio * a_neg
-            d_audio[audio_imp] += d_naudio * t_i
+            d_audio[clip[audio_imp]] += d_naudio * t_i
             d_text[text_imp] += d_ntext * a_i
         else:
             # bce_expdist: the positive pair plus the text imposter as
@@ -261,18 +264,19 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
             total += bce_match_loss(d_match, True)
             ga, gt = exp_neg_euclid_backward(a_i, t_i, d_match,
                                              bce_match_grad(d_match, True))
-            d_audio[i] += ga
+            d_audio[clip[i]] += ga
             d_text[i] += gt
             d_nomatch = exp_neg_euclid(a_i, t_neg)
             total += bce_match_loss(d_nomatch, False)
             ga, gt = exp_neg_euclid_backward(a_i, t_neg, d_nomatch,
                                              bce_match_grad(d_nomatch, False))
-            d_audio[i] += ga
+            d_audio[clip[i]] += ga
             d_text[text_imp] += gt
     scale = 1.0 / size
-    for i in range(size):
-        tower.backward(audio[i][1], (d_audio[i] * scale).astype(audio[i][0].dtype))
-        embedder.backward(texts[i][1], d_text[i] * scale)
+    for (emb, cache), grad in zip(audio, d_audio):
+        tower.backward(cache, (grad * scale).astype(emb.dtype))
+    for (_, cache), grad in zip(texts, d_text):
+        embedder.backward(cache, grad * scale)
     return total * scale
 
 

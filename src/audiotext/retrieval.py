@@ -21,7 +21,6 @@ from .corpus import (
     FeatureSequence,
     normalize_caption,
 )
-from .losses import dot_score, exp_neg_euclid
 from .nnet import ModelConfig, Params, TextEmbedder, encode_audio
 from .nnet.checkpoint import Checkpoint
 
@@ -80,14 +79,6 @@ class RetrievalReport:
     def to_json(self) -> str:
         return ('{"R1":%.4f,"R5":%.4f,"R10":%.4f,"mAP10":%.4f,"queries":%d,"audio":%d}'
                 % (self.r1, self.r5, self.r10, self.map10, self.queries, self.audio))
-
-
-def _score_pair(t: np.ndarray, a: np.ndarray, scorer: str) -> float:
-    if scorer == "dot":
-        return dot_score(t, a)
-    if scorer == "exp_neg_euclid":
-        return exp_neg_euclid(t, a)
-    raise RetrievalError(f"unknown scorer {scorer!r}, want one of {SCORERS}")
 
 
 def score_all(text_embs: np.ndarray, audio_embs: np.ndarray, scorer: str,
@@ -264,10 +255,7 @@ def rank_query(checkpoint: Checkpoint, query_text: str, manifest: DatasetManifes
         emb, _ = embedder.embed_tokens(tokens)
         qvec = np.asarray(emb, dtype=np.float64)
 
-    scores = np.array([
-        _score_pair(qvec, np.asarray(encode_audio(features[name], config, params),
-                                     dtype=np.float64), scorer)
-        for name in audio_ids
-    ])
+    audio_embs = np.stack([encode_audio(features[name], config, params) for name in audio_ids])
+    scores = score_all(qvec[None, :], audio_embs, scorer).scores[0]
     order = rank_row(scores)
     return [(audio_ids[j], float(scores[j])) for j in order[:top_k]]

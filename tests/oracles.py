@@ -478,3 +478,108 @@ def mean_pool_time_backward_reference(t, stride, dy):
         hi = min(lo + stride, t)
         dx[lo:hi] = dy[w] / (hi - lo)
     return dx
+
+
+# ---------------------------------------------------------------------------
+# one training batch, one tower pass per pair
+#
+# The batch step `audiotext.optim._batch_step` replaced: every (clip,
+# caption) pair runs the tower forward and backward on its own, so a clip
+# used by k pairs is encoded and back-propagated k times. The loss loop,
+# its imposter draws and its scorers are the package's own.
+
+
+def batch_step_reference(batch, features, tower, embedder, config, rng):
+    from audiotext.losses import (
+        bce_match_grad,
+        bce_match_loss,
+        dot_score,
+        exp_neg_euclid,
+        exp_neg_euclid_backward,
+        sample_imposters,
+        triplet_margin_grads,
+        triplet_margin_loss,
+    )
+
+    size = len(batch)
+    audio = [tower.forward(features[name].frames) for name, _ in batch]
+    texts = [embedder.embed(record) for _, record in batch]
+    keyed = [(name, record.key) for name, record in batch]
+    d_audio = [np.zeros_like(emb) for emb, _ in audio]
+    d_text = [np.zeros_like(emb) for emb, _ in texts]
+    total = 0.0
+    for i in range(size):
+        text_imp, audio_imp = sample_imposters(keyed, i, rng)
+        a_i = audio[i][0]
+        t_i = texts[i][0]
+        t_neg = texts[text_imp][0]
+        if config.loss == "triplet":
+            a_neg = audio[audio_imp][0]
+            s_pos = dot_score(a_i, t_i)
+            s_neg_text = dot_score(a_i, t_neg)
+            s_neg_audio = dot_score(a_neg, t_i)
+            total += triplet_margin_loss(s_pos, s_neg_text, s_neg_audio, config.margin)
+            d_pos, d_ntext, d_naudio = triplet_margin_grads(
+                s_pos, s_neg_text, s_neg_audio, config.margin)
+            d_audio[i] += d_pos * t_i + d_ntext * t_neg
+            d_text[i] += d_pos * a_i + d_naudio * a_neg
+            d_audio[audio_imp] += d_naudio * t_i
+            d_text[text_imp] += d_ntext * a_i
+        else:
+            d_match = exp_neg_euclid(a_i, t_i)
+            total += bce_match_loss(d_match, True)
+            ga, gt = exp_neg_euclid_backward(a_i, t_i, d_match, bce_match_grad(d_match, True))
+            d_audio[i] += ga
+            d_text[i] += gt
+            d_nomatch = exp_neg_euclid(a_i, t_neg)
+            total += bce_match_loss(d_nomatch, False)
+            ga, gt = exp_neg_euclid_backward(a_i, t_neg, d_nomatch,
+                                             bce_match_grad(d_nomatch, False))
+            d_audio[i] += ga
+            d_text[text_imp] += gt
+    scale = 1.0 / size
+    for i in range(size):
+        tower.backward(audio[i][1], (d_audio[i] * scale).astype(audio[i][0].dtype))
+        embedder.backward(texts[i][1], d_text[i] * scale)
+    return total * scale
+
+
+# ---------------------------------------------------------------------------
+# word-vector text table, one float() per value
+
+
+def load_word_embeddings_reference(path):
+    """The line-at-a-time loader `audiotext.corpus.load_word_embeddings`
+    replaced; returns (dim, {word: float32 vector}) and raises the
+    package's CorpusError with the same messages."""
+    from audiotext.corpus import CorpusError
+
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise CorpusError(f"{path}: header must be 'count dim', got {header!r}")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise CorpusError(f"{path}: non-integer header {header!r}") from None
+        if count < 0 or dim < 1:
+            raise CorpusError(f"{path}: invalid header count={count} dim={dim}")
+        for line_no, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            word = parts[0]
+            if word in entries:
+                raise CorpusError(f"{path}: line {line_no}: duplicate word {word!r}")
+            if len(parts) - 1 != dim:
+                raise CorpusError(
+                    f"{path}: line {line_no}: {len(parts) - 1} values, expected dim {dim}")
+            try:
+                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+            except ValueError:
+                raise CorpusError(f"{path}: line {line_no}: non-numeric value") from None
+            entries[word] = vec
+    if len(entries) != count:
+        raise CorpusError(f"{path}: header declares {count} words, found {len(entries)}")
+    return dim, entries

@@ -585,6 +585,30 @@ def test_rank_sentence_checkpoint_requires_query_vector(tmp_path):
     assert len(out.strip().split("\n")) == 2
 
 
+@pytest.mark.parametrize("content", [
+    "[0.1, ",  # malformed structured text
+    '["a", "b", "c", "d", "e", "f"]',  # not numbers
+    "[[1, 2], [3]]",  # ragged
+    '{"a": 1}',  # an object
+])
+def test_rank_bad_query_vector_file_is_an_error(tmp_path, content):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(text_mode="sentence_table"))
+    vec_path = tmp_path / "query.json"
+    vec_path.write_text(content, encoding="utf-8")
+    code, out, err = run_cli([
+        "rank", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--query", "unused", "--top-k", "2",
+        "--query-vector", str(vec_path),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(vec_path) in err
+    assert "Traceback" not in err
+
+
 def test_rank_top_k_beyond_clip_count_fails(tmp_path):
     ds = make_dataset(tmp_path)
     ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from audiotext.corpus import (
     write_fmat,
 )
 from helpers import write_caption_csv
+from oracles import load_word_embeddings_reference
 
 FIVE = ["a dog barks", "rain falls hard", "a man speaks", "birds chirp", "wind blows"]
 
@@ -176,6 +179,104 @@ def test_load_word_embeddings_errors(tmp_path):
         p.write_text(content, encoding="utf-8")
         with pytest.raises(CorpusError, match=match):
             load_word_embeddings(p)
+
+
+def _word_lines(n, dim, seed):
+    """n table lines in a mix of number spellings."""
+    rng = np.random.default_rng(seed)
+    spell = (repr, lambda v: f"{v:.6f}", lambda v: f"{v:.3e}", lambda v: f"{v:+.9g}")
+    lines = []
+    for i in range(n):
+        values = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+        lines.append(f"w{i} " + " ".join(spell[(i + j) % 4](float(v))
+                                         for j, v in enumerate(values)))
+    return lines
+
+
+def _loaded_or_error(loader, path):
+    try:
+        return loader(path)
+    except CorpusError as e:
+        return str(e)
+
+
+def _assert_loads_like_reference(path):
+    want = _loaded_or_error(load_word_embeddings_reference, path)
+    got = _loaded_or_error(load_word_embeddings, path)
+    if isinstance(want, str):
+        assert got == want
+        return None
+    dim, entries = want
+    assert not isinstance(got, str), got
+    assert got.dim == dim
+    assert list(got.entries) == list(entries)
+    for word, vec in entries.items():
+        assert got[word].dtype == np.float32 and got[word].shape == (dim,)
+        assert got[word].tobytes() == vec.tobytes(), word
+    return got
+
+
+def test_load_word_embeddings_matches_line_reference(tmp_path):
+    lines = _word_lines(200, 7, seed=1)  # several parse chunks
+    lines[3] = "odd\t" + "  ".join(["nan", "inf", "-inf", "0", "-0", "1e-40", "5."]) + "\t "
+    lines[100] = "under 1_0 2 3 4 5 6 7"  # float() reads 1_0; the chunk parser does not
+    lines.insert(150, "")
+    lines.insert(151, "   \t")
+    p = tmp_path / "vecs.txt"
+    p.write_text("200 7\n" + "\n".join(lines) + "\n\n", encoding="utf-8")
+    table = _assert_loads_like_reference(p)
+    assert len(table) == 200
+    assert table["under"].tolist() == [10.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_word_embeddings_reads_a_pipe():
+    # a pipe reports size 0, which must not bound the table
+    text = "3 2\n" + "\n".join(_word_lines(3, 2, seed=3)) + "\n"
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, text.encode("utf-8"))
+        os.close(write_fd)
+        table = load_word_embeddings(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+    assert list(table.entries) == ["w0", "w1", "w2"]
+    assert table["w2"].shape == (2,)
+
+
+def test_load_word_embeddings_errors_match_line_reference(tmp_path):
+    lines = _word_lines(150, 3, seed=2)
+
+    def table(edits, count=150, header=None):
+        body = list(lines)
+        for line_no, text in edits:  # line_no counts the header as line 1
+            body[line_no - 2] = text
+        return (header or f"{count} 3") + "\n" + "\n".join(body) + "\n"
+
+    cases = {
+        "more_words": (table([], count=149), "declares 149 words"),
+        "fewer_words": (table([], count=151), "declares 151 words"),
+        "huge_count": (table([], count=10**15), "declares 1000000000000000 words"),
+        "short_line": (table([(90, "x 1 2")]), "line 90: 2 values"),
+        "long_line": (table([(12, "x 1 2 3 4")]), "line 12: 4 values"),
+        "word_only": (table([(120, "x")]), "line 120: 0 values"),
+        "dup_in_chunk": (table([(80, "w70 1 2 3")]), "line 80: duplicate word 'w70'"),
+        "dup_across_chunks": (table([(140, "w3 1 2 3")]), "line 140: duplicate word 'w3'"),
+        "non_numeric": (table([(100, "x 1 two 3")]), "line 100: non-numeric"),
+        "header_fields": (table([], header="150"), "header must be"),
+        "header_int": (table([], header="150 3.0"), "non-integer header"),
+        "header_dim": (table([], header="150 0"), "invalid header"),
+        # two faults: the earlier line wins, whichever rule it breaks
+        "dup_before_value": (table([(70, "w1 1 2 3"), (75, "x 1 y 3")]), "line 70: duplicate"),
+        "value_before_dup": (table([(70, "x 1 y 3"), (75, "w1 1 2 3")]), "line 70: non-numeric"),
+        "count_before_dup": (table([(66, "x 1"), (67, "w1 1 2 3")]), "line 66: 1 values"),
+    }
+    for name, (content, match) in cases.items():
+        p = tmp_path / f"{name}.txt"
+        p.write_text(content, encoding="utf-8")
+        with pytest.raises(CorpusError, match=match):
+            load_word_embeddings(p)
+        assert _assert_loads_like_reference(p) is None
 
 
 # ---------------------------------------------------------------------------

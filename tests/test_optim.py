@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from audiotext.losses import LossError
-from audiotext.nnet.tensor import Tensor
+from audiotext.nnet import AudioTower, ProjectionSpec, TextEmbedder, init_params
+from audiotext.nnet.gradcheck import collect_grads
+from audiotext.nnet.tensor import Tensor, zero_grads
 from audiotext.optim import (
     EPOCH_LOG_HEADER,
     AdamState,
@@ -12,12 +14,14 @@ from audiotext.optim import (
     OptimError,
     PlateauState,
     TrainConfig,
+    _batch_step,
     adam_step,
     early_stop_check,
     plateau_update,
     train,
     write_epoch_log,
 )
+from audiotext.rng import SplitMix64
 
 from helpers import (
     VOCAB10,
@@ -26,6 +30,7 @@ from helpers import (
     small_config,
     synthetic_dataset,
 )
+from oracles import batch_step_reference
 
 
 # ---------------------------------------------------------------- adam
@@ -325,3 +330,74 @@ def test_train_rejects_uncontrastable_batch():
         train(manifest, records, manifest, records, features,
               small_config(), TrainConfig(epochs=1, batch_size=5, seed=0),
               word_table=table)
+
+
+# ---------------------------------------------------------------- batch step
+
+
+_BATCH_MODES = {
+    "triplet_word_projection": dict(loss="triplet", projection=ProjectionSpec(out_dim=5)),
+    "bce_word_projection": dict(loss="bce_expdist", projection=ProjectionSpec(out_dim=5)),
+    "triplet_sentence": dict(loss="triplet", text_mode="sentence_table"),
+    "bce_sentence": dict(loss="bce_expdist", text_mode="sentence_table"),
+    "triplet_word_lstm": dict(loss="triplet", recurrent_cell="lstm"),
+}
+
+
+def _batch_setup(mode):
+    manifest, records, features = synthetic_dataset(6, seed=4)
+    config = small_config(**_BATCH_MODES[mode])
+    params = init_params(config, seed=5, dtype=np.float64)
+    if config.text_mode == "sentence_table":
+        embedder = TextEmbedder(config, params,
+                                caption_table=caption_table_for(records, dim=6, seed=6))
+    else:
+        embedder = TextEmbedder(config, params,
+                                word_table=random_word_table(VOCAB10, 6, seed=7))
+    pairs = [(record.file_name, record) for record in records]
+    return pairs, features, config, params, AudioTower(config, params), embedder
+
+
+def _batches(pairs):
+    shuffled = list(pairs)
+    SplitMix64(8).shuffle(shuffled)
+    one_per_clip = list({name: (name, record) for name, record in pairs}.values())
+    return {"repeats": shuffled[:12], "all_pairs": shuffled,
+            "distinct": one_per_clip}
+
+
+@pytest.mark.parametrize("mode", sorted(_BATCH_MODES))
+def test_batch_step_matches_per_pair_oracle(mode):
+    pairs, features, config, params, tower, embedder = _batch_setup(mode)
+    for label, batch in _batches(pairs).items():
+        results = []
+        for step in (_batch_step, batch_step_reference):
+            zero_grads(params)
+            rng = SplitMix64(9)
+            loss = step(batch, features, tower, embedder, config, rng)
+            results.append((loss, collect_grads(params), rng.state))
+        (loss, grads, state), (ref_loss, ref_grads, ref_state) = results
+        assert loss == ref_loss, label
+        assert state == ref_state, label
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            assert grads[name].dtype == np.float64
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                       err_msg=f"{label}: {name}")
+
+
+def test_batch_step_encodes_each_distinct_clip_once(monkeypatch):
+    pairs, features, config, params, tower, embedder = _batch_setup("triplet_word_projection")
+    encoded = []
+    forward = AudioTower.forward
+
+    def counting_forward(self, frames):
+        encoded.append(next(name for name, f in features.items() if f.frames is frames))
+        return forward(self, frames)
+
+    monkeypatch.setattr(AudioTower, "forward", counting_forward)
+    for batch in _batches(pairs).values():
+        encoded.clear()
+        _batch_step(batch, features, tower, embedder, config, SplitMix64(9))
+        names = [name for name, _ in batch]
+        assert sorted(encoded) == sorted(set(names))
