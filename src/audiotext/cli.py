@@ -23,6 +23,7 @@ import numpy as np
 from .corpus import (
     CorpusError,
     FeatureDirectory,
+    atomic_write,
     build_manifest,
     load_caption_embeddings,
     load_captions,
@@ -171,7 +172,18 @@ def _emit(line: str, out_path: Optional[str]) -> None:
     if out_path:
         target = Path(out_path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(line + "\n", encoding="utf-8")
+        with atomic_write(target, encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+
+def _load_split(args):
+    """(checkpoint, model config, captions, manifest, features) of a scored split."""
+    checkpoint = load_checkpoint(args.checkpoint)
+    config = ModelConfig.from_dict(checkpoint.config)
+    captions = load_captions(args.captions)
+    manifest = build_manifest(captions, args.features_dir, args.split)
+    features = FeatureDirectory(args.features_dir, feature_kind=args.feature_kind)
+    return checkpoint, config, captions, manifest, features
 
 
 def _load_text_tables(config: ModelConfig, word_path, caption_path):
@@ -237,11 +249,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_retrieval(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    config = ModelConfig.from_dict(checkpoint.config)
-    captions = load_captions(args.captions)
-    manifest = build_manifest(captions, args.features_dir, args.split)
-    features = FeatureDirectory(args.features_dir, feature_kind=args.feature_kind)
+    checkpoint, config, captions, manifest, features = _load_split(args)
     word_table, caption_table = _load_text_tables(
         config, args.word_embeddings, args.caption_embeddings)
     report = evaluate_retrieval(checkpoint, manifest, captions, features,
@@ -269,17 +277,11 @@ def _read_query_vector(path: str) -> np.ndarray:
 
 
 def cmd_rank(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    config = ModelConfig.from_dict(checkpoint.config)
-    captions = load_captions(args.captions)
-    manifest = build_manifest(captions, args.features_dir, args.split)
-    features = FeatureDirectory(args.features_dir, feature_kind=args.feature_kind)
+    checkpoint, config, _, manifest, features = _load_split(args)
     word_table = None
     query_vector = None
     if config.text_mode == "word_average":
-        if args.word_embeddings is None:
-            raise RunConfigError("word_average checkpoint needs --word-embeddings")
-        word_table = load_word_embeddings(args.word_embeddings)
+        word_table, _ = _load_text_tables(config, args.word_embeddings, None)
     else:
         if args.query_vector is None:
             raise RunConfigError(

@@ -24,6 +24,7 @@ import json
 import os
 import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,15 +124,6 @@ class DatasetManifest:
     split: str  # development | validation | evaluation
     items: tuple[ManifestItem, ...]
 
-    def caption_records(self, captions: list[CaptionRecord]) -> list[CaptionRecord]:
-        """Filter/order caption records to this manifest's item order."""
-        by_key = {c.key: c for c in captions}
-        out = []
-        for item in self.items:
-            for key in item.caption_keys:
-                out.append(by_key[key])
-        return out
-
     def to_json(self) -> str:
         """Canonical serialization; byte-identical for identical inputs."""
         payload = {
@@ -227,6 +219,22 @@ def write_captions(records: list[CaptionRecord], csv_path: str | Path) -> None:
             writer.writerow([file_name] + [per[i].raw_text for i in range(1, 6)])
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
+    """Write ``path`` through a temp file beside it, which replaces ``path``
+    when the block completes and is removed when the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_fmat(path: str | Path, matrix: np.ndarray | FeatureSequence) -> None:
     """Write a T x F float32 matrix in the FMAT layout (bit-exact round trip)."""
     frames = matrix.frames if isinstance(matrix, FeatureSequence) else np.asarray(matrix)
@@ -236,7 +244,7 @@ def write_fmat(path: str | Path, matrix: np.ndarray | FeatureSequence) -> None:
     if not np.isfinite(frames).all():
         raise CorpusError("refusing to write non-finite values to FMAT")
     rows, cols = frames.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(FMAT_MAGIC)
         fh.write(struct.pack("<III", FMAT_VERSION, rows, cols))
         fh.write(frames.astype("<f4", copy=False).tobytes(order="C"))
@@ -270,6 +278,7 @@ _WORD_CHUNK = 64  # lines per parse; bounds the parser's extra memory
 
 def load_word_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a word2vec-style text table; header line is ``count dim``.
+    Every value must be finite in float32.
 
     Lines are parsed in chunks into one float32 matrix whose rows are
     the table's vectors.
@@ -310,9 +319,10 @@ def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str
                    matrix: np.ndarray, dim: int) -> None:
     """Parse ``(line_no, word, values text)`` lines into the next rows of ``matrix``.
 
-    A chunk the fast parser rejects is re-checked line by line, so the
-    first offending line raises, and values ``float`` reads but the fast
-    parser does not (such as ``1_0``) still load.
+    A chunk the fast parser rejects, or one holding a non-finite value,
+    is re-checked line by line, so the first offending line raises, and
+    values ``float`` reads but the fast parser does not (such as ``1_0``)
+    still load.
     """
     _, words, texts = zip(*chunk)
     values = None
@@ -321,7 +331,7 @@ def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str
             values = np.loadtxt(texts, dtype=np.float32, comments=None, ndmin=2)
         except ValueError:
             pass
-    if (values is None or values.shape != (len(chunk), dim)
+    if (values is None or values.shape != (len(chunk), dim) or not np.isfinite(values).all()
             or len(set(words)) != len(words) or not rows.keys().isdisjoint(words)):
         checked = []
         for line_no, word, text in chunk:
@@ -333,10 +343,14 @@ def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str
                     f"{path}: line {line_no}: {len(parts)} values, expected dim {dim}"
                 )
             try:
-                checked.append([float(v) for v in parts])
+                with np.errstate(over="ignore"):  # beyond float32 range: inf, rejected below
+                    row = np.array([float(v) for v in parts], dtype=np.float32)
             except ValueError:
                 raise CorpusError(f"{path}: line {line_no}: non-numeric value") from None
-        values = np.array(checked, dtype=np.float32)
+            if not np.isfinite(row).all():
+                raise CorpusError(f"{path}: line {line_no}: non-finite value")
+            checked.append(row)
+        values = np.stack(checked)
     start = len(rows)
     rows.update((word, start + k) for k, word in enumerate(words))
     # rows past the declared count are checked but not kept: the load fails
@@ -379,6 +393,8 @@ def load_caption_embeddings(path: str | Path) -> CaptionEmbeddingTable:
         if key in entries:
             raise CorpusError(f"{path}: record {i}: duplicate key {key!r}")
         vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
+        if not np.isfinite(vec).all():
+            raise CorpusError(f"{path}: record {i}: non-finite value")
         offset += 4 * dim
         entries[key] = vec
     if offset != len(data):

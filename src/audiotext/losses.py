@@ -10,7 +10,6 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,34 +21,6 @@ class LossError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddingPair:
-    """An (audio, text) embedding pair with its match label."""
-
-    audio: np.ndarray
-    text: np.ndarray
-    matching: bool
-
-    def __post_init__(self):
-        if self.audio.shape != self.text.shape or self.audio.ndim != 1:
-            raise LossError(
-                f"embedding pair dims differ: audio {self.audio.shape}, text {self.text.shape}")
-
-
-@dataclass(frozen=True)
-class GroundTruthLikelihoods:
-    """Per-step model probabilities of the ground-truth tokens."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.probs) < 1:
-            raise LossError("likelihood sequence is empty")
-        for i, p in enumerate(self.probs):
-            if not (0.0 < p <= 1.0):
-                raise LossError(f"probability out of (0,1] at step {i}: {p}")
-
-
 def _check_dims(a: np.ndarray, t: np.ndarray) -> None:
     if a.shape != t.shape or a.ndim != 1:
         raise LossError(f"vector dims differ: {a.shape} vs {t.shape}")
@@ -59,12 +30,6 @@ def dot_score(a: np.ndarray, t: np.ndarray) -> float:
     """Plain dot product similarity."""
     _check_dims(a, t)
     return float(np.dot(a, t))
-
-
-def dot_score_backward(a: np.ndarray, t: np.ndarray,
-                       dscore: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of dscore * dot(a, t) with respect to a and t."""
-    return dscore * t, dscore * a
 
 
 def exp_neg_euclid(a: np.ndarray, t: np.ndarray) -> float:
@@ -155,10 +120,3 @@ def sample_imposters(batch: Sequence[tuple[str, str]], anchor_index: int,
     text_imposter = eligible[rng.bounded(len(eligible))]
     audio_imposter = eligible[rng.bounded(len(eligible))]
     return text_imposter, audio_imposter
-
-
-def sequence_cross_entropy(g: GroundTruthLikelihoods | Sequence[float]) -> float:
-    """Mean negative log of the supplied ground-truth probabilities."""
-    if not isinstance(g, GroundTruthLikelihoods):
-        g = GroundTruthLikelihoods(tuple(float(p) for p in g))
-    return float(np.mean([-np.log(p) for p in g.probs]))

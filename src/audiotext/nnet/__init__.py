@@ -17,10 +17,6 @@ from .layers import (
     GRUCell,
     LSTMCell,
     Projection,
-    dense_forward,
-    conv1d_forward,
-    activation,
-    pool_time,
     NnetError,
 )
 from .model import (
@@ -33,8 +29,6 @@ from .model import (
     AudioTower,
     TextEmbedder,
     encode_audio,
-    embed_text,
-    shared_projection,
 )
 from .gradcheck import finite_difference_check
 from .checkpoint import Checkpoint, save_checkpoint, load_checkpoint
@@ -43,11 +37,10 @@ __all__ = [
     "Tensor", "Params", "zero_grads", "clone_params",
     "Dense", "Conv1d", "Activation", "MaxPoolTime", "MeanPoolTime",
     "GRUCell", "LSTMCell", "Projection",
-    "dense_forward", "conv1d_forward", "activation", "pool_time",
     "NnetError",
     "LayerSpec", "ProjectionSpec", "ModelConfig", "default_tower",
     "init_params", "parameter_shapes", "AudioTower", "TextEmbedder",
-    "encode_audio", "embed_text", "shared_projection",
+    "encode_audio",
     "finite_difference_check",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
 ]

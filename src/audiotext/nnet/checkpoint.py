@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..corpus import atomic_write
 from .model import ModelConfig, parameter_shapes
 from .tensor import Params, Tensor
 
@@ -48,7 +49,7 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
         "best_validation_mAP10": float(best_validation_map10),
     }
     blob = _canonical_json(header)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)

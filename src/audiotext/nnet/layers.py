@@ -60,11 +60,6 @@ class Dense:
         return dy @ self.w.data
 
 
-def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = W x + b (stateless convenience form)."""
-    return Dense(Tensor(w), Tensor(b)).forward(np.asarray(x))[0]
-
-
 # ---------------------------------------------------------------------------
 # activations
 
@@ -93,10 +88,6 @@ class Activation:
         if self.kind == "tanh":
             return dy * (1.0 - y * y)
         return dy * y * (1.0 - y)
-
-
-def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    return Activation(kind).forward(np.asarray(x, dtype=np.float64))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +134,6 @@ class Conv1d:
         for j in range(k):
             dxp[j : j + t] += dcols[:, :, j]
         return dxp[pad : pad + t]
-
-
-def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return Conv1d(Tensor(np.asarray(kernels)), Tensor(np.asarray(bias))).forward(np.asarray(x))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +204,6 @@ class MeanPoolTime:
             return np.tile(dy / t, (t, 1))
         lengths = self._window_lengths(t)
         return np.repeat(dy / lengths[:, None].astype(dy.dtype), self.stride, axis=0)[:t]
-
-
-def pool_time(x: np.ndarray, kind: str, stride: int) -> np.ndarray:
-    """Functional pooling entry point; mean with stride=0 collapses time."""
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "max":
-        return MaxPoolTime(stride).forward(x)[0]
-    if kind == "mean":
-        return MeanPoolTime(stride).forward(x)[0]
-    raise NnetError(f"unknown pool kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -461,21 +461,3 @@ class TextEmbedder:
         """Accumulate text-projection gradients (no-op without projection)."""
         if self.proj is not None and cache is not None:
             self.proj.backward(cache, dvec)
-
-
-def embed_text(
-    record: CaptionRecord,
-    config: ModelConfig,
-    params: Params,
-    word_table: EmbeddingTable | None = None,
-    caption_table: CaptionEmbeddingTable | None = None,
-) -> np.ndarray:
-    """One caption to one vector (forward only)."""
-    embedder = TextEmbedder(config, params, word_table, caption_table)
-    return embedder.embed(record)[0]
-
-
-def shared_projection(v: np.ndarray, w: np.ndarray, b: np.ndarray, activation_kind: str = "relu") -> np.ndarray:
-    """Project an embedding into the shared space: activation(W v + b)."""
-    proj = Projection(Tensor(np.asarray(w)), Tensor(np.asarray(b)), activation_kind)
-    return proj.forward(np.asarray(v))[0]

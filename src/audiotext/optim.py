@@ -17,7 +17,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import CaptionEmbeddingTable, CaptionRecord, DatasetManifest, EmbeddingTable, FeatureSequence
+from .corpus import (CaptionEmbeddingTable, CaptionRecord, DatasetManifest, EmbeddingTable,
+                     FeatureSequence, atomic_write)
 from .losses import (
     bce_match_grad,
     bce_match_loss,
@@ -191,7 +192,7 @@ class EpochLog:
 
 
 def write_epoch_log(path, rows: Sequence[EpochLog]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="") as f:
         f.write(EPOCH_LOG_HEADER + "\n")
         for row in rows:
             f.write(row.to_csv_row() + "\n")

@@ -21,7 +21,7 @@ from .corpus import (
     FeatureSequence,
     normalize_caption,
 )
-from .nnet import ModelConfig, Params, TextEmbedder, encode_audio
+from .nnet import AudioTower, ModelConfig, Params, TextEmbedder
 from .nnet.checkpoint import Checkpoint
 
 SCORERS = ("dot", "exp_neg_euclid")
@@ -182,9 +182,9 @@ def build_score_matrix(config: ModelConfig, params: Params, manifest: DatasetMan
         scorer = default_scorer(config)
     by_key = {record.key: record for record in captions}
     audio_ids = tuple(item.file_name for item in manifest.items)
-    audio_embs = np.stack([
-        encode_audio(features[name], config, params) for name in audio_ids
-    ]).astype(np.float64)
+    tower = AudioTower(config, params)
+    audio_embs = np.stack([tower.forward(features[name].frames)[0]
+                           for name in audio_ids]).astype(np.float64)
     embedder = TextEmbedder(config, params, word_table=word_table,
                             caption_table=caption_table)
     query_keys = []
@@ -255,7 +255,8 @@ def rank_query(checkpoint: Checkpoint, query_text: str, manifest: DatasetManifes
         emb, _ = embedder.embed_tokens(tokens)
         qvec = np.asarray(emb, dtype=np.float64)
 
-    audio_embs = np.stack([encode_audio(features[name], config, params) for name in audio_ids])
+    tower = AudioTower(config, params)
+    audio_embs = np.stack([tower.forward(features[name].frames)[0] for name in audio_ids])
     scores = score_all(qvec[None, :], audio_embs, scorer).scores[0]
     order = rank_row(scores)
     return [(audio_ids[j], float(scores[j])) for j in order[:top_k]]

@@ -576,9 +576,12 @@ def load_word_embeddings_reference(path):
                 raise CorpusError(
                     f"{path}: line {line_no}: {len(parts) - 1} values, expected dim {dim}")
             try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                with np.errstate(over="ignore"):
+                    vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
             except ValueError:
                 raise CorpusError(f"{path}: line {line_no}: non-numeric value") from None
+            if not np.isfinite(vec).all():  # nan, inf, or beyond float32 range
+                raise CorpusError(f"{path}: line {line_no}: non-finite value")
             entries[word] = vec
     if len(entries) != count:
         raise CorpusError(f"{path}: header declares {count} words, found {len(entries)}")

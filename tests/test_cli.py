@@ -635,6 +635,31 @@ def test_rank_query_with_no_tokens_fails(tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["train", "rank"])
+def test_non_finite_word_vector_is_an_error(tmp_path, command):
+    ds = make_dataset(tmp_path)
+    words = {w: np.full(6, 0.25) for w in VOCAB10}
+    words["w3"][2] = np.nan  # header is line 1, so w3 is line 5
+    write_word_embeddings(ds["words"], words)
+    out_dir = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--config",
+                str(write_config(tmp_path / "run.json", base_config_dict(ds, out_dir)))]
+    else:
+        ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+        argv = [
+            "rank", "--checkpoint", str(ckpt),
+            "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+            "--feature-kind", "external", "--word-embeddings", str(ds["words"]),
+            "--query", "w0 w1", "--top-k", "2",
+        ]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {ds['words']}: line 5: non-finite value\n"
+    assert not (out_dir / "model.ckpt").exists()
+
+
 def test_missing_checkpoint_file_is_reported(tmp_path):
     ds = make_dataset(tmp_path)
     code, _, err = run_cli([
@@ -644,3 +669,28 @@ def test_missing_checkpoint_file_is_reported(tmp_path):
     ])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # the snippet's relative paths: log_mel_64 features, an evaluation split,
+    # word vectors, a checkpoint and a caption system's output
+    ds = make_dataset(tmp_path, n_clips=6, feature_dim=64)
+    (tmp_path / "data").mkdir()
+    ds["val_csv"].rename(tmp_path / "data" / "evaluation.csv")
+    ds["words"].rename(tmp_path / "data" / "word_vectors.txt")
+    (tmp_path / "out").mkdir()
+    make_checkpoint(tmp_path / "out" / "model.ckpt", small_config(feature_dim=64))
+    write_candidates_csv(tmp_path / "system_output.csv",
+                         [(name, "w0 w1 w2") for name in ds["names"]])
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 + 5 + 1
+    assert json.loads(lines[0])["audio"] == 6
+    assert {line.split()[0] for line in lines[1:6]} <= set(ds["names"])
+    assert "BLEU_1" in json.loads(lines[6])

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from audiotext import cli as cli_module
+from audiotext import corpus as corpus_module
 from audiotext.corpus import (
     CaptionEmbeddingTable,
     CorpusError,
     FeatureDirectory,
     FeatureSequence,
+    atomic_write,
     build_manifest,
     load_caption_embeddings,
     load_captions,
@@ -18,6 +24,9 @@ from audiotext.corpus import (
     write_caption_embeddings,
     write_fmat,
 )
+from audiotext.nnet.checkpoint import save_checkpoint
+from audiotext.nnet.tensor import Tensor
+from audiotext.optim import EpochLog, write_epoch_log
 from helpers import write_caption_csv
 from oracles import load_word_embeddings_reference
 
@@ -218,7 +227,7 @@ def _assert_loads_like_reference(path):
 
 def test_load_word_embeddings_matches_line_reference(tmp_path):
     lines = _word_lines(200, 7, seed=1)  # several parse chunks
-    lines[3] = "odd\t" + "  ".join(["nan", "inf", "-inf", "0", "-0", "1e-40", "5."]) + "\t "
+    lines[3] = "odd\t" + "  ".join(["1E2", "+3", "-.5", "0", "-0", "1e-40", "5."]) + "\t "
     lines[100] = "under 1_0 2 3 4 5 6 7"  # float() reads 1_0; the chunk parser does not
     lines.insert(150, "")
     lines.insert(151, "   \t")
@@ -270,6 +279,16 @@ def test_load_word_embeddings_errors_match_line_reference(tmp_path):
         "dup_before_value": (table([(70, "w1 1 2 3"), (75, "x 1 y 3")]), "line 70: duplicate"),
         "value_before_dup": (table([(70, "x 1 y 3"), (75, "w1 1 2 3")]), "line 70: non-numeric"),
         "count_before_dup": (table([(66, "x 1"), (67, "w1 1 2 3")]), "line 66: 1 values"),
+        # non-finite values: every spelling, in either parse path, and the
+        # earlier line still wins against any other fault
+        "nan": (table([(30, "x 1 nan 3")]), "line 30: non-finite value"),
+        "inf": (table([(95, "x inf 2 3")]), "line 95: non-finite value"),
+        "neg_infinity": (table([(140, "x 1 2 -Infinity")]), "line 140: non-finite value"),
+        "nan_beside_1_0": (table([(20, "x 1_0 NaN 3")]), "line 20: non-finite value"),
+        "float32_overflow": (table([(50, "x 1 2 3.5e38")]), "line 50: non-finite value"),
+        "nan_before_dup": (table([(70, "x nan 2 3"), (75, "w1 1 2 3")]), "line 70: non-finite"),
+        "dup_before_nan": (table([(70, "w1 1 2 3"), (75, "x nan 2 3")]), "line 70: duplicate"),
+        "value_before_nan": (table([(70, "x 1 y 3"), (71, "z nan 2 3")]), "line 70: non-numeric"),
     }
     for name, (content, match) in cases.items():
         p = tmp_path / f"{name}.txt"
@@ -323,6 +342,18 @@ def test_evec_truncation_and_trailing_bytes(tmp_path):
         load_caption_embeddings(p)
 
 
+def test_evec_non_finite_values_rejected(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        table = CaptionEmbeddingTable(dim=2, entries={
+            "x.wav#1": np.ones(2, dtype=np.float32),
+            "x.wav#2": np.array([1.0, bad], dtype=np.float32),
+        })
+        p = tmp_path / "bad.evec"
+        write_caption_embeddings(p, table)
+        with pytest.raises(CorpusError, match="record 1: non-finite value"):
+            load_caption_embeddings(p)
+
+
 # ---------------------------------------------------------------------------
 # manifests
 
@@ -364,8 +395,8 @@ def test_manifest_caption_records_follow_item_order(tmp_path):
     records = load_captions(write_caption_csv(tmp_path / "c.csv", rows))
     _features_on_disk(tmp_path, ["a.wav", "b.wav"])
     manifest = build_manifest(records, tmp_path, "validation")
-    ordered = manifest.caption_records(records)
-    assert [r.key for r in ordered][:5] == [f"a.wav#{i}" for i in range(1, 6)]
+    ordered = [key for item in manifest.items for key in item.caption_keys]
+    assert ordered[:5] == [f"a.wav#{i}" for i in range(1, 6)]
 
 
 def test_feature_directory_lazy_lookup(tmp_path):
@@ -378,3 +409,61 @@ def test_feature_directory_lazy_lookup(tmp_path):
     assert feats["x.wav"] is feats["x.wav"]  # cached
     with pytest.raises(FileNotFoundError):
         feats["y.wav"]
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_atomic_write_replaces_target_only_on_success(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old contents")
+    with pytest.raises(RuntimeError):
+        with atomic_write(target, "wb") as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted")
+    assert target.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+    with atomic_write(target, "w", encoding="utf-8") as fh:
+        fh.write("new")
+    assert target.read_text(encoding="utf-8") == "new"
+    assert os.listdir(tmp_path) == ["out.bin"]
+    # permissions follow the umask, as a plain open() would give them
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
+def _fail_fmat(path, monkeypatch):
+    monkeypatch.setattr(corpus_module, "FMAT_VERSION", "not an int")  # after the magic
+    with pytest.raises(struct.error):
+        write_fmat(path, np.ones((3, 2), dtype=np.float32))
+
+
+def _fail_checkpoint(path, monkeypatch):
+    params = {"a": Tensor(np.ones(2)), "b": Tensor(np.array(["x"], dtype=object))}
+    with pytest.raises(ValueError):  # after the header and the first parameter
+        save_checkpoint(path, {}, params, 0, 0.0)
+
+
+def _fail_epoch_log(path, monkeypatch):
+    class Broken:
+        def to_csv_row(self):
+            raise RuntimeError("interrupted")
+    rows = [EpochLog(1, 0.5, 0.1, 0.2, 0.3, 0.2, 1e-3), Broken()]
+    with pytest.raises(RuntimeError):  # after the header and the first row
+        write_epoch_log(path, rows)
+
+
+def _fail_report(path, monkeypatch):
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(UnicodeEncodeError):
+        cli_module._emit("R1 \ud800", str(path))  # a lone surrogate has no UTF-8 form
+
+
+@pytest.mark.parametrize("fail", [_fail_fmat, _fail_checkpoint, _fail_epoch_log, _fail_report])
+def test_failed_write_keeps_existing_output(tmp_path, monkeypatch, fail):
+    target = tmp_path / "output"
+    target.write_bytes(b"previous run")
+    fail(target, monkeypatch)
+    assert target.read_bytes() == b"previous run"
+    assert os.listdir(tmp_path) == ["output"]

@@ -4,17 +4,13 @@ import numpy as np
 import pytest
 
 from audiotext.losses import (
-    EmbeddingPair,
-    GroundTruthLikelihoods,
     LossError,
     bce_match_grad,
     bce_match_loss,
     dot_score,
-    dot_score_backward,
     exp_neg_euclid,
     exp_neg_euclid_backward,
     sample_imposters,
-    sequence_cross_entropy,
     triplet_margin_grads,
     triplet_margin_loss,
 )
@@ -35,14 +31,6 @@ def test_dot_score_rejects_dim_mismatch():
         dot_score(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(LossError):
         dot_score(np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-def test_dot_score_backward_closed_form():
-    a = np.array([1.0, -2.0, 0.5])
-    t = np.array([0.3, 4.0, -1.0])
-    da, dt = dot_score_backward(a, t, 2.0)
-    assert np.array_equal(da, 2.0 * t)
-    assert np.array_equal(dt, 2.0 * a)
 
 
 def test_exp_neg_euclid_example():
@@ -224,47 +212,3 @@ def test_sample_imposters_errors():
         sample_imposters(BATCH4, 4, SplitMix64(0))
     with pytest.raises(LossError, match="no eligible imposter"):
         sample_imposters([("a.wav", "a#1"), ("a.wav", "a#2")], 0, SplitMix64(0))
-
-
-# ---------------------------------------------------------------- validation types
-
-
-def test_embedding_pair_validates_shapes():
-    EmbeddingPair(np.zeros(3), np.zeros(3), matching=True)
-    with pytest.raises(LossError):
-        EmbeddingPair(np.zeros(3), np.zeros(4), matching=True)
-    with pytest.raises(LossError):
-        EmbeddingPair(np.zeros((2, 2)), np.zeros((2, 2)), matching=False)
-
-
-def test_ground_truth_likelihoods_validation():
-    GroundTruthLikelihoods((1.0, 0.5))
-    with pytest.raises(LossError, match="empty"):
-        GroundTruthLikelihoods(())
-    with pytest.raises(LossError, match="step 1"):
-        GroundTruthLikelihoods((0.5, 0.0))
-    with pytest.raises(LossError, match="step 0"):
-        GroundTruthLikelihoods((1.5,))
-
-
-# ---------------------------------------------------------------- cross entropy
-
-
-def test_sequence_cross_entropy_examples():
-    assert sequence_cross_entropy([0.5, 0.5]) == pytest.approx(np.log(2.0), rel=1e-12)
-    assert sequence_cross_entropy([0.25]) == pytest.approx(np.log(4.0), rel=1e-12)
-    assert sequence_cross_entropy([1.0, 1.0, 1.0]) == 0.0
-
-
-def test_sequence_cross_entropy_mean_decomposition():
-    rng = np.random.default_rng(5)
-    p1 = list(rng.uniform(0.05, 1.0, size=3))
-    p2 = list(rng.uniform(0.05, 1.0, size=2))
-    whole = sequence_cross_entropy(p1 + p2) * (len(p1) + len(p2))
-    parts = sequence_cross_entropy(p1) * len(p1) + sequence_cross_entropy(p2) * len(p2)
-    assert whole == pytest.approx(parts, rel=1e-12)
-
-
-def test_sequence_cross_entropy_accepts_wrapper():
-    g = GroundTruthLikelihoods((0.5, 0.25))
-    assert sequence_cross_entropy(g) == pytest.approx((np.log(2) + np.log(4)) / 2.0)

@@ -20,10 +20,6 @@ from audiotext.nnet.layers import (
     MeanPoolTime,
     NnetError,
     Projection,
-    activation,
-    conv1d_forward,
-    dense_forward,
-    pool_time,
 )
 from audiotext.nnet.model import (
     AudioTower,
@@ -32,11 +28,9 @@ from audiotext.nnet.model import (
     ProjectionSpec,
     TextEmbedder,
     default_tower,
-    embed_text,
     encode_audio,
     init_params,
     parameter_shapes,
-    shared_projection,
 )
 from audiotext.nnet.tensor import Tensor, clone_params, zero_grads
 
@@ -83,7 +77,8 @@ def test_clone_params_copies_values_only():
 
 
 def test_dense_hand_example():
-    y = dense_forward(np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+    layer = Dense(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])), Tensor(np.zeros(2)))
+    y, _ = layer.forward(np.array([1.0, 1.0]))
     assert y.tolist() == [3.0, 7.0]
 
 
@@ -97,7 +92,7 @@ def test_conv1d_hand_example():
     # width-3 averaging kernel over (0, 3, 6) with zero padding
     x = np.array([[0.0], [3.0], [6.0]])
     kernels = np.full((1, 1, 3), 1.0 / 3.0)
-    y = conv1d_forward(x, kernels, np.zeros(1))
+    y, _ = Conv1d(Tensor(kernels), Tensor(np.zeros(1))).forward(x)
     assert np.allclose(y[:, 0], [1.0, 3.0, 3.0])
 
 
@@ -106,7 +101,7 @@ def test_conv1d_kernel_alignment():
     x = np.array([[1.0], [0.0], [0.0]])
     left = np.zeros((1, 1, 3))
     left[0, 0, 0] = 1.0  # reads the previous frame
-    y = conv1d_forward(x, left, np.zeros(1))
+    y, _ = Conv1d(Tensor(left), Tensor(np.zeros(1))).forward(x)
     assert y[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
@@ -125,41 +120,39 @@ def test_conv1d_rejects_bad_bias_and_input():
 
 def test_activation_values():
     x = np.array([-1.0, 0.0, 2.0])
-    assert activation(x, "relu").tolist() == [0.0, 0.0, 2.0]
-    assert np.allclose(activation(x, "tanh"), np.tanh(x))
-    assert activation(x, "sigmoid")[1] == 0.5
+    assert Activation("relu").forward(x)[0].tolist() == [0.0, 0.0, 2.0]
+    assert np.allclose(Activation("tanh").forward(x)[0], np.tanh(x))
+    assert Activation("sigmoid").forward(x)[0][1] == 0.5
     with pytest.raises(NnetError, match="unknown activation"):
         Activation("softplus")
 
 
 def test_sigmoid_stable_in_tails():
-    y = activation(np.array([-1000.0, 1000.0]), "sigmoid")
+    y, _ = Activation("sigmoid").forward(np.array([-1000.0, 1000.0]))
     assert y[0] == 0.0
     assert y[1] == 1.0
 
 
 def test_mean_pool_full_collapse():
-    v = pool_time(np.array([[1.0, 3.0], [3.0, 5.0]]), "mean", 0)
+    v, _ = MeanPoolTime(0).forward(np.array([[1.0, 3.0], [3.0, 5.0]]))
     assert v.tolist() == [2.0, 4.0]
 
 
 def test_max_pool_stride_two():
-    y = pool_time(np.array([[1.0], [4.0], [2.0]]), "max", 2)
+    y, _ = MaxPoolTime(2).forward(np.array([[1.0], [4.0], [2.0]]))
     assert y[:, 0].tolist() == [4.0, 2.0]
 
 
 def test_mean_pool_partial_window():
-    y = pool_time(np.array([[2.0], [4.0], [9.0]]), "mean", 2)
+    y, _ = MeanPoolTime(2).forward(np.array([[2.0], [4.0], [9.0]]))
     assert y[:, 0].tolist() == [3.0, 9.0]
 
 
 def test_pool_rejects_bad_arguments():
     with pytest.raises(NnetError):
-        pool_time(np.zeros((2, 2)), "max", 0)
+        MaxPoolTime(0)
     with pytest.raises(NnetError):
         MeanPoolTime(-1)
-    with pytest.raises(NnetError, match="unknown pool kind"):
-        pool_time(np.zeros((2, 2)), "median", 2)
 
 
 def test_max_pool_backward_earliest_tie():
@@ -320,8 +313,8 @@ def test_shared_projection_applies_activation():
     w = np.array([[1.0, 0.0], [0.0, -1.0]])
     b = np.array([0.0, 0.0])
     v = np.array([2.0, 3.0])
-    assert shared_projection(v, w, b, "relu").tolist() == [2.0, 0.0]
-    assert shared_projection(v, w, b, "identity").tolist() == [2.0, -3.0]
+    assert Projection(Tensor(w), Tensor(b), "relu").forward(v)[0].tolist() == [2.0, 0.0]
+    assert Projection(Tensor(w), Tensor(b), "identity").forward(v)[0].tolist() == [2.0, -3.0]
     with pytest.raises(NnetError):
         Projection(Tensor(w), Tensor(b), "tanh")
 
@@ -812,7 +805,7 @@ def test_text_embedder_word_average():
     config = small_config()
     params = init_params(config, seed=0)
     table = random_word_table(("dog", "barks"), 6, seed=1)
-    out = embed_text(_record(["dog", "barks"]), config, params, word_table=table)
+    out, _ = TextEmbedder(config, params, word_table=table).embed(_record(["dog", "barks"]))
     expected = np.mean(np.stack([table["dog"], table["barks"]]), axis=0)
     assert np.allclose(out, expected, rtol=1e-6, atol=1e-7)
 
@@ -842,9 +835,9 @@ def test_text_embedder_projection_path():
     config = small_config(projection=ProjectionSpec(out_dim=5))
     params = init_params(config, seed=0)
     table = random_word_table(("dog", "barks"), 6, seed=2)
-    out = embed_text(_record(["dog", "barks"]), config, params, word_table=table)
+    out, _ = TextEmbedder(config, params, word_table=table).embed(_record(["dog", "barks"]))
     mean = np.mean(np.stack([table["dog"], table["barks"]]), axis=0).astype(np.float32)
-    expected = shared_projection(mean, params["proj_text.w"].data, params["proj_text.b"].data)
+    expected, _ = Projection(params["proj_text.w"], params["proj_text.b"]).forward(mean)
     assert out.shape == (5,)
     assert np.allclose(out, expected, rtol=1e-6, atol=1e-7)
 
