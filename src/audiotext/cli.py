@@ -39,12 +39,13 @@ from .retrieval import SCORERS, RetrievalError, evaluate_retrieval, rank_query
 from .textmetrics import MetricError, evaluate_captions
 
 _ERRORS = (CorpusError, DspError, NnetError, LossError, OptimError,
-           RetrievalError, MetricError, CheckpointError, OSError)
+           RetrievalError, MetricError, CheckpointError, OSError, UnicodeDecodeError)
 
 _TOP_KEYS = {"seed", "model", "train", "data", "scorer", "out"}
-_DATA_KEYS = {"train_captions", "val_captions", "features_dir",
-              "word_embeddings", "caption_embeddings", "feature_kind"}
-_OUT_KEYS = {"checkpoint", "epoch_log"}
+_PATH_KEYS = ("train_captions", "val_captions", "features_dir",
+              "word_embeddings", "caption_embeddings")
+_DATA_KEYS = {*_PATH_KEYS, "feature_kind"}
+_OUT_KEYS = ("checkpoint", "epoch_log")
 _FEATURE_KINDS = ("log_mel_64", "external")
 
 
@@ -145,12 +146,18 @@ def load_run_config(path: str | Path) -> RunConfig:
     out = raw.get("out")
     if not isinstance(out, dict):
         raise RunConfigError(f"{path}: out: required object")
-    unknown = set(out) - _OUT_KEYS
+    unknown = set(out).difference(_OUT_KEYS)
     if unknown:
         raise RunConfigError(f"{path}: out: unknown keys {sorted(unknown)}")
     for key in _OUT_KEYS:
         if key not in out:
             raise RunConfigError(f"{path}: out.{key}: required")
+    for section, keys in (("data", _PATH_KEYS), ("out", _OUT_KEYS)):
+        for key in keys:
+            value = raw[section].get(key)
+            if value is not None and not isinstance(value, str):
+                raise RunConfigError(
+                    f"{path}: {section}.{key}: must be a path string, got {value!r}")
 
     return RunConfig(
         model=model,
@@ -177,13 +184,12 @@ def _emit(line: str, out_path: Optional[str]) -> None:
 
 
 def _load_split(args):
-    """(checkpoint, model config, captions, manifest, features) of a scored split."""
+    """(checkpoint, model config, manifest, features) of a scored split."""
     checkpoint = load_checkpoint(args.checkpoint)
     config = ModelConfig.from_dict(checkpoint.config)
-    captions = load_captions(args.captions)
-    manifest = build_manifest(captions, args.features_dir, args.split)
+    manifest = build_manifest(load_captions(args.captions), args.features_dir, args.split)
     features = FeatureDirectory(args.features_dir, feature_kind=args.feature_kind)
-    return checkpoint, config, captions, manifest, features
+    return checkpoint, config, manifest, features
 
 
 def _load_text_tables(config: ModelConfig, word_path, caption_path):
@@ -228,18 +234,17 @@ def cmd_train(args) -> int:
     # create output dirs before the (long) training loop, not after it
     rc.checkpoint_out.parent.mkdir(parents=True, exist_ok=True)
     rc.epoch_log_out.parent.mkdir(parents=True, exist_ok=True)
-    train_caps = load_captions(rc.train_captions)
-    val_caps = load_captions(rc.val_captions)
-    train_manifest = build_manifest(train_caps, rc.features_dir, "development")
-    val_manifest = build_manifest(val_caps, rc.features_dir, "validation")
+    train_manifest = build_manifest(load_captions(rc.train_captions), rc.features_dir,
+                                    "development")
+    val_manifest = build_manifest(load_captions(rc.val_captions), rc.features_dir,
+                                  "validation")
     features = FeatureDirectory(rc.features_dir, feature_kind=rc.feature_kind)
     word_table = (load_word_embeddings(rc.word_embeddings)
                   if rc.word_embeddings is not None else None)
     caption_table = (load_caption_embeddings(rc.caption_embeddings)
                      if rc.caption_embeddings is not None else None)
-    result = train(train_manifest, train_caps, val_manifest, val_caps, features,
-                   rc.model, rc.train, word_table=word_table,
-                   caption_table=caption_table)
+    result = train(train_manifest, val_manifest, features, rc.model, rc.train,
+                   word_table=word_table, caption_table=caption_table)
     ckpt = result.checkpoint
     save_checkpoint(rc.checkpoint_out, ckpt.config, ckpt.params, ckpt.epoch,
                     ckpt.best_validation_map10)
@@ -249,10 +254,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_retrieval(args) -> int:
-    checkpoint, config, captions, manifest, features = _load_split(args)
+    checkpoint, config, manifest, features = _load_split(args)
     word_table, caption_table = _load_text_tables(
         config, args.word_embeddings, args.caption_embeddings)
-    report = evaluate_retrieval(checkpoint, manifest, captions, features,
+    report = evaluate_retrieval(checkpoint, manifest, features,
                                 word_table=word_table, caption_table=caption_table,
                                 scorer=args.scorer)
     _emit(report.to_json(), args.out)
@@ -277,7 +282,7 @@ def _read_query_vector(path: str) -> np.ndarray:
 
 
 def cmd_rank(args) -> int:
-    checkpoint, config, _, manifest, features = _load_split(args)
+    checkpoint, config, manifest, features = _load_split(args)
     word_table = None
     query_vector = None
     if config.text_mode == "word_average":

@@ -20,7 +20,6 @@ Word vectors  text; first line ``count dim``, then ``word v1 ... v_dim``
 from __future__ import annotations
 
 import csv
-import json
 import os
 import stat
 import struct
@@ -112,32 +111,18 @@ class CaptionEmbeddingTable:
 
 @dataclass(frozen=True)
 class ManifestItem:
+    """One clip and its caption records in ``caption_index`` order."""
+
     file_name: str
-    feature_path: str
-    caption_keys: tuple[str, ...]
+    captions: tuple[CaptionRecord, ...]
 
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """One split's audio clips with resolvable feature paths and caption keys."""
+    """One split's audio clips, each with the captions that describe it."""
 
     split: str  # development | validation | evaluation
     items: tuple[ManifestItem, ...]
-
-    def to_json(self) -> str:
-        """Canonical serialization; byte-identical for identical inputs."""
-        payload = {
-            "split": self.split,
-            "items": [
-                {
-                    "file_name": it.file_name,
-                    "feature_path": it.feature_path,
-                    "caption_keys": list(it.caption_keys),
-                }
-                for it in self.items
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def normalize_caption(raw: str) -> list[str]:
@@ -445,11 +430,11 @@ class FeatureDirectory:
 def build_manifest(
     captions: list[CaptionRecord], feature_dir: str | Path, split: str
 ) -> DatasetManifest:
-    """Group captions by clip and resolve ``<file_name>.fmat`` feature paths.
+    """Group captions by clip, checking each clip has ``<file_name>.fmat``.
 
-    Items are ordered by file_name ascending (byte order) so two builds
-    from the same inputs serialize identically. Missing feature files
-    are reported all at once.
+    Items are ordered by file_name ascending (byte order) and each item's
+    captions by caption_index, so two builds from the same inputs are
+    equal. Missing feature files are reported all at once.
     """
     if split not in ("development", "validation", "evaluation"):
         raise CorpusError(f"unknown split {split!r}")
@@ -462,14 +447,7 @@ def build_manifest(
     if missing:
         raise CorpusError(f"missing feature files under {feature_dir}: {', '.join(missing)}")
 
-    items = []
-    for name in sorted(by_file):
-        recs = sorted(by_file[name], key=lambda r: r.caption_index)
-        items.append(
-            ManifestItem(
-                file_name=name,
-                feature_path=str(feature_dir / f"{name}.fmat"),
-                caption_keys=tuple(r.key for r in recs),
-            )
-        )
-    return DatasetManifest(split=split, items=tuple(items))
+    items = tuple(
+        ManifestItem(name, tuple(sorted(by_file[name], key=lambda r: r.caption_index)))
+        for name in sorted(by_file))
+    return DatasetManifest(split=split, items=items)

@@ -9,7 +9,7 @@ trainable projection) or a frozen caption-level vector used verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -40,6 +40,20 @@ _TOWER_KINDS = (
 _ACT_OF = {"relu": "relu", "tanh_act": "tanh", "sigmoid_act": "sigmoid"}
 
 
+def check_field_types(d: Mapping, ints=(), numbers=(), error=NnetError,
+                      optional: bool = False) -> None:
+    """Raise ``error`` naming the first present field of ``d`` that is not an
+    integer (``ints``; a bool is not one) or not a number (``numbers``).
+    With ``optional``, a None value passes."""
+    for key in (*ints, *numbers):
+        value = d.get(key)
+        if key not in d or (optional and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, int if key in ints else (int, float)):
+            kind = "an integer" if key in ints else "a number"
+            raise error(f"{key}: must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One audio-tower layer. Unused size fields stay None."""
@@ -60,10 +74,14 @@ class LayerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
+        if not isinstance(d, Mapping) or "kind" not in d:
+            raise NnetError(f"audio_tower: each layer must be an object with a kind, got {d!r}")
         allowed = {"kind", "in_dim", "out_dim", "kernel_width", "pool_stride"}
         unknown = set(d) - allowed
         if unknown:
             raise NnetError(f"unknown LayerSpec keys {sorted(unknown)}")
+        check_field_types(d, ints=("in_dim", "out_dim", "kernel_width", "pool_stride"),
+                          optional=True)
         return cls(**d)
 
 
@@ -192,13 +210,21 @@ class ModelConfig:
             raise NnetError(f"unknown ModelConfig keys {sorted(unknown)}")
         if "feature_dim" not in d:
             raise NnetError("ModelConfig requires feature_dim")
+        check_field_types(d, ints=("feature_dim", "embed_dim", "seed"),
+                          numbers=("margin", "lr", "beta1", "beta2", "adam_eps"))
         d = dict(d)
-        d["audio_tower"] = tuple(LayerSpec.from_dict(s) for s in d.get("audio_tower", ()))
+        tower = d.get("audio_tower", ())
+        if not isinstance(tower, (list, tuple)):
+            raise NnetError(f"audio_tower: must be a list of layer objects, got {tower!r}")
+        d["audio_tower"] = tuple(LayerSpec.from_dict(s) for s in tower)
         proj = d.get("projection")
         if proj is not None:
+            if not isinstance(proj, Mapping) or "out_dim" not in proj:
+                raise NnetError(f"projection: must be an object with an out_dim, got {proj!r}")
             unknown = set(proj) - {"out_dim", "activation"}
             if unknown:
                 raise NnetError(f"unknown projection keys {sorted(unknown)}")
+            check_field_types(proj, ints=("out_dim",))
             d["projection"] = ProjectionSpec(**proj)
         cfg = cls(**d)
         cfg.validate()
@@ -394,7 +420,6 @@ class TextEmbedder:
         params: Params,
         word_table: EmbeddingTable | None = None,
         caption_table: CaptionEmbeddingTable | None = None,
-        dtype=None,
     ):
         self.config = config
         self.word_table = word_table
@@ -415,19 +440,14 @@ class TextEmbedder:
                 raise NnetError(
                     f"caption embedding dim {caption_table.dim} != scoring dim {config.scoring_dim}"
                 )
-        if dtype is None:
-            dtype = (
-                params["proj_text.w"].dtype
-                if config.projection is not None and config.text_mode == "word_average"
-                else np.float32
-            )
-        self.dtype = dtype
         if config.projection is not None and config.text_mode == "word_average":
             self.proj = Projection(
                 params["proj_text.w"], params["proj_text.b"], config.projection.activation
             )
+            self.dtype = params["proj_text.w"].dtype
         else:
             self.proj = None
+            self.dtype = np.float32
 
     def embed_tokens(self, tokens) -> tuple[np.ndarray, object]:
         """Mean word vector for a token list (word_average mode only)."""

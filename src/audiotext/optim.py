@@ -30,6 +30,7 @@ from .losses import (
     triplet_margin_loss,
 )
 from .nnet import AudioTower, ModelConfig, Params, TextEmbedder, init_params, zero_grads, clone_params
+from .nnet.model import check_field_types
 from .nnet.checkpoint import Checkpoint
 from .retrieval import build_score_matrix, report_from_matrix, RetrievalReport
 from .rng import SplitMix64
@@ -87,6 +88,9 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise OptimError(f"unknown training config keys: {sorted(unknown)}")
+        check_field_types(d, ints=("epochs", "batch_size", "seed", "early_stop_patience",
+                                   "plateau_patience"),
+                          numbers=("plateau_factor", "min_lr"), error=OptimError)
         cfg = cls(**{k: d[k] for k in d})
         cfg.validate()
         return cfg
@@ -207,19 +211,6 @@ class TrainResult:
     final_report: RetrievalReport
 
 
-def _training_pairs(manifest: DatasetManifest,
-                    captions: Sequence[CaptionRecord]) -> list[tuple[str, CaptionRecord]]:
-    by_key = {record.key: record for record in captions}
-    pairs = []
-    for item in manifest.items:
-        for key in item.caption_keys:
-            record = by_key.get(key)
-            if record is None:
-                raise OptimError(f"no caption record for manifest key {key!r}")
-            pairs.append((item.file_name, record))
-    return pairs
-
-
 def _batch_step(batch: list[tuple[str, CaptionRecord]],
                 features: Mapping[str, FeatureSequence],
                 tower: AudioTower, embedder: TextEmbedder,
@@ -281,8 +272,7 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
     return total * scale
 
 
-def train(train_manifest: DatasetManifest, train_captions: Sequence[CaptionRecord],
-          val_manifest: DatasetManifest, val_captions: Sequence[CaptionRecord],
+def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
           features: Mapping[str, FeatureSequence], config: ModelConfig,
           train_config: TrainConfig,
           word_table: Optional[EmbeddingTable] = None,
@@ -308,7 +298,8 @@ def train(train_manifest: DatasetManifest, train_captions: Sequence[CaptionRecor
     plateau = PlateauState(factor=train_config.plateau_factor,
                            patience=train_config.plateau_patience,
                            min_lr=train_config.min_lr)
-    pairs = _training_pairs(train_manifest, train_captions)
+    pairs = [(item.file_name, record)
+             for item in train_manifest.items for record in item.captions]
     if len(pairs) < 2:
         raise OptimError("training needs at least 2 (audio, caption) pairs")
     starts = list(range(0, len(pairs), train_config.batch_size))
@@ -343,7 +334,7 @@ def train(train_manifest: DatasetManifest, train_captions: Sequence[CaptionRecor
         train_loss = loss_sum / len(pairs)
 
         report = report_from_matrix(build_score_matrix(
-            config, params, val_manifest, val_captions, features,
+            config, params, val_manifest, features,
             word_table=word_table, caption_table=caption_table))
         history.append(report.map10)
         if report.map10 > best_map10:

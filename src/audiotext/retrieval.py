@@ -15,7 +15,6 @@ import numpy as np
 
 from .corpus import (
     CaptionEmbeddingTable,
-    CaptionRecord,
     DatasetManifest,
     EmbeddingTable,
     FeatureSequence,
@@ -36,16 +35,12 @@ class ScoreMatrix:
     """Q x N query-by-audio scores with per-query ground truth."""
 
     scores: np.ndarray
-    query_keys: tuple[str, ...]
-    audio_ids: tuple[str, ...]
     ground_truth: tuple[int, ...]
 
     def __post_init__(self):
         q, n = self.scores.shape
-        if len(self.query_keys) != q or len(self.ground_truth) != q:
-            raise RetrievalError("query key/ground-truth count does not match score rows")
-        if len(self.audio_ids) != n:
-            raise RetrievalError("audio id count does not match score columns")
+        if len(self.ground_truth) != q:
+            raise RetrievalError("ground-truth count does not match score rows")
         if not np.all(np.isfinite(self.scores)):
             raise RetrievalError("score matrix contains non-finite values")
         for gt in self.ground_truth:
@@ -82,14 +77,12 @@ class RetrievalReport:
 
 
 def score_all(text_embs: np.ndarray, audio_embs: np.ndarray, scorer: str,
-              query_keys: Optional[Sequence[str]] = None,
-              audio_ids: Optional[Sequence[str]] = None,
               ground_truth: Optional[Sequence[int]] = None) -> ScoreMatrix:
     """Score every query embedding against every audio embedding.
 
-    Keys and ground truth default to placeholders (query q matched to
-    clip q mod N) for score-only uses; metric callers must supply the
-    real ground truth.
+    Ground truth defaults to a placeholder (query q matched to clip
+    q mod N) for score-only uses; metric callers must supply the real
+    ground truth.
     """
     text_embs = np.asarray(text_embs, dtype=np.float64)
     audio_embs = np.asarray(audio_embs, dtype=np.float64)
@@ -108,14 +101,9 @@ def score_all(text_embs: np.ndarray, audio_embs: np.ndarray, scorer: str,
         scores = np.exp(-np.sqrt(np.maximum(sq, 0.0)))
     else:
         raise RetrievalError(f"unknown scorer {scorer!r}, want one of {SCORERS}")
-    if query_keys is None:
-        query_keys = tuple(f"q{i}" for i in range(q))
-    if audio_ids is None:
-        audio_ids = tuple(f"a{j}" for j in range(n))
     if ground_truth is None:
-        ground_truth = tuple(i % n for i in range(q))
-    return ScoreMatrix(scores=scores, query_keys=tuple(query_keys),
-                       audio_ids=tuple(audio_ids), ground_truth=tuple(int(g) for g in ground_truth))
+        ground_truth = [i % n for i in range(q)]
+    return ScoreMatrix(scores=scores, ground_truth=tuple(int(g) for g in ground_truth))
 
 
 def rank_row(row: np.ndarray) -> np.ndarray:
@@ -133,20 +121,6 @@ def _ground_truth_ranks(matrix: ScoreMatrix) -> np.ndarray:
         perm = rank_row(matrix.scores[qi])
         ranks[qi] = int(np.nonzero(perm == matrix.ground_truth[qi])[0][0]) + 1
     return ranks
-
-
-def recall_at_k(matrix: ScoreMatrix, k: int) -> float:
-    """Fraction of queries whose true clip appears in the top k."""
-    if not (1 <= k <= matrix.num_audio):
-        raise RetrievalError(f"k={k} out of range [1,{matrix.num_audio}]")
-    return float(np.mean(_ground_truth_ranks(matrix) <= k))
-
-
-def map_at_10(matrix: ScoreMatrix) -> float:
-    """Mean of 1/rank over queries, counting 0 beyond rank 10."""
-    ranks = _ground_truth_ranks(matrix)
-    ap = np.where(ranks <= 10, 1.0 / ranks, 0.0)
-    return float(np.mean(ap))
 
 
 def report_from_matrix(matrix: ScoreMatrix) -> RetrievalReport:
@@ -168,51 +142,35 @@ def default_scorer(config: ModelConfig) -> str:
 
 
 def build_score_matrix(config: ModelConfig, params: Params, manifest: DatasetManifest,
-                       captions: Sequence[CaptionRecord],
                        features: Mapping[str, FeatureSequence],
                        word_table: Optional[EmbeddingTable] = None,
                        caption_table: Optional[CaptionEmbeddingTable] = None,
                        scorer: Optional[str] = None) -> ScoreMatrix:
-    """Embed every caption (query) and clip in the manifest and score them.
-
-    `captions` supplies the token data behind the manifest's caption
-    keys; every key in the manifest must be covered.
-    """
+    """Embed every clip and every caption (query) of the manifest and score
+    them; queries follow item order, then caption_index."""
     if scorer is None:
         scorer = default_scorer(config)
-    by_key = {record.key: record for record in captions}
-    audio_ids = tuple(item.file_name for item in manifest.items)
     tower = AudioTower(config, params)
-    audio_embs = np.stack([tower.forward(features[name].frames)[0]
-                           for name in audio_ids]).astype(np.float64)
+    audio_embs = np.stack([tower.forward(features[item.file_name].frames)[0]
+                           for item in manifest.items]).astype(np.float64)
     embedder = TextEmbedder(config, params, word_table=word_table,
                             caption_table=caption_table)
-    query_keys = []
-    ground_truth = []
-    text_rows = []
-    for idx, item in enumerate(manifest.items):
-        for key in item.caption_keys:
-            record = by_key.get(key)
-            if record is None:
-                raise RetrievalError(f"no caption record for manifest key {key!r}")
-            emb, _ = embedder.embed(record)
-            text_rows.append(np.asarray(emb, dtype=np.float64))
-            query_keys.append(record.key)
-            ground_truth.append(idx)
-    return score_all(np.stack(text_rows), audio_embs, scorer,
-                     query_keys=query_keys, audio_ids=audio_ids,
-                     ground_truth=ground_truth)
+    queries = [(idx, record) for idx, item in enumerate(manifest.items)
+               for record in item.captions]
+    text_embs = np.stack([np.asarray(embedder.embed(record)[0], dtype=np.float64)
+                          for _, record in queries])
+    return score_all(text_embs, audio_embs, scorer,
+                     ground_truth=[idx for idx, _ in queries])
 
 
 def evaluate_retrieval(checkpoint: Checkpoint, manifest: DatasetManifest,
-                       captions: Sequence[CaptionRecord],
                        features: Mapping[str, FeatureSequence],
                        word_table: Optional[EmbeddingTable] = None,
                        caption_table: Optional[CaptionEmbeddingTable] = None,
                        scorer: Optional[str] = None) -> RetrievalReport:
     """Retrieval metrics of a checkpointed model over one dataset split."""
     config = ModelConfig.from_dict(checkpoint.config)
-    matrix = build_score_matrix(config, checkpoint.params, manifest, captions,
+    matrix = build_score_matrix(config, checkpoint.params, manifest,
                                 features, word_table=word_table,
                                 caption_table=caption_table, scorer=scorer)
     return report_from_matrix(matrix)

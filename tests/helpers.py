@@ -112,16 +112,15 @@ def synthetic_dataset(n_clips, feature_shape=(12, 8), captions_per_clip=5,
         frames = rng.standard_normal(feature_shape).astype(np.float32)
         features[name] = FeatureSequence(frames=frames, feature_kind="external",
                                          source_file=name)
-        keys = []
+        clip_records = []
         for idx in range(1, captions_per_clip + 1):
             n_tok = int(rng.integers(2, 7))
             tokens = tuple(vocab[int(rng.integers(0, len(vocab)))] for _ in range(n_tok))
             rec = CaptionRecord(file_name=name, caption_index=idx,
                                 raw_text=" ".join(tokens), tokens=tokens)
-            records.append(rec)
-            keys.append(rec.key)
-        items.append(ManifestItem(file_name=name, feature_path=f"{name}.fmat",
-                                  caption_keys=tuple(keys)))
+            clip_records.append(rec)
+        records.extend(clip_records)
+        items.append(ManifestItem(file_name=name, captions=tuple(clip_records)))
     manifest = DatasetManifest(split=split, items=tuple(items))
     return manifest, records, features
 

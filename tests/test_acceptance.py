@@ -353,20 +353,14 @@ def test_retrieval_metric_oracle():
         if i % 3 == 0:
             scores = np.round(scores, 1)  # force score ties
         gt = tuple(int(g) for g in rng.integers(0, n, size=q))
-        matrix = ScoreMatrix(scores=scores,
-                             query_keys=tuple(f"q{j}" for j in range(q)),
-                             audio_ids=tuple(f"a{j}" for j in range(n)),
-                             ground_truth=gt)
+        matrix = ScoreMatrix(scores=scores, ground_truth=gt)
         report = report_from_matrix(matrix)
         want = retrieval_reference(scores, gt)
         exact &= (report.r1, report.r5, report.r10, report.map10) == want
 
         if i % 10 == 0:
             for transform in (lambda s: 2.0 * s + 1.0, np.exp):
-                mapped = ScoreMatrix(scores=transform(scores),
-                                     query_keys=matrix.query_keys,
-                                     audio_ids=matrix.audio_ids,
-                                     ground_truth=gt)
+                mapped = ScoreMatrix(scores=transform(scores), ground_truth=gt)
                 mapped_report = report_from_matrix(mapped)
                 invariant &= (
                     (mapped_report.r1, mapped_report.r5, mapped_report.r10,
@@ -388,14 +382,13 @@ def test_retrieval_metric_oracle():
 
 
 def test_null_model_calibration():
-    manifest, records, features = synthetic_dataset(100, feature_shape=(12, 24), seed=2)
+    manifest, _, features = synthetic_dataset(100, feature_shape=(12, 24), seed=2)
     table = random_word_table(VOCAB10, 20, seed=4)
     config = small_config(feature_dim=24, embed_dim=20, audio_tower=small_tower(24))
     checkpoint = Checkpoint(config=config.to_dict(),
                             params=init_params(config, seed=5),
                             epoch=1, best_validation_map10=0.0)
-    report = evaluate_retrieval(checkpoint, manifest, records, features,
-                                word_table=table)
+    report = evaluate_retrieval(checkpoint, manifest, features, word_table=table)
     assert report.queries == 500
     assert report.audio == 100
     # an untrained scorer ranks uniformly: E[R10] = 10/100, E[mAP10] = H(10)/100
@@ -419,7 +412,6 @@ def test_overfit_tiny_corpus():
     eye = np.eye(16, dtype=np.float32)
     names = [f"clip{c}.wav" for c in range(8)]
     features = {}
-    records = []
     items = []
     for i, name in enumerate(names):
         features[name] = FeatureSequence(
@@ -427,9 +419,7 @@ def test_overfit_tiny_corpus():
             feature_kind="external", source_file=name)
         rec = CaptionRecord(file_name=name, caption_index=1,
                             raw_text=f"w{i}", tokens=(f"w{i}",))
-        records.append(rec)
-        items.append(ManifestItem(file_name=name, feature_path=f"{name}.fmat",
-                                  caption_keys=(rec.key,)))
+        items.append(ManifestItem(file_name=name, captions=(rec,)))
     manifest = DatasetManifest(split="development", items=tuple(items))
     table = EmbeddingTable(dim=16, entries={f"w{i}": eye[i] for i in range(8)})
 
@@ -440,8 +430,7 @@ def test_overfit_tiny_corpus():
                                early_stop_patience=10 ** 9,
                                plateau_patience=10 ** 9)
     start = time.perf_counter()
-    result = train(manifest, records, manifest, records, features,
-                   config, train_config, word_table=table)
+    result = train(manifest, manifest, features, config, train_config, word_table=table)
     elapsed = time.perf_counter() - start
 
     best_r1 = max(row.val_r1 for row in result.log)
@@ -478,10 +467,10 @@ def test_experiment_matrix_reproducible(tmp_path):
     ]
 
     failures = []
-    for name, (manifest, records, features), config, word_table, caption_table in variants:
+    for name, (manifest, _, features), config, word_table, caption_table in variants:
         blobs = []
         for rep in range(2):
-            result = train(manifest, records, manifest, records, features, config,
+            result = train(manifest, manifest, features, config,
                            TrainConfig(epochs=5, batch_size=8, seed=3),
                            word_table=word_table, caption_table=caption_table)
             assert len(result.log) == 5

@@ -214,7 +214,31 @@ BAD_CONFIG_CASES = [
     ("missing_feature_dim", "model.feature_dim: required"),
     ("unknown_data_key", "data: unknown keys ['clips']"),
     ("missing_model", "model: required object"),
+    ("str_embed_dim", "model: embed_dim: must be an integer, got '8'"),
+    ("str_margin", "model: margin: must be a number, got 'x'"),
+    ("str_epochs", "train: epochs: must be an integer, got '2'"),
+    ("float_epochs", "train: epochs: must be an integer, got 1.5"),
+    ("bool_epochs", "train: epochs: must be an integer, got True"),
+    ("float_batch_size", "train: batch_size: must be an integer, got 4.5"),
+    ("int_audio_tower", "model: audio_tower: must be a list of layer objects, got 5"),
+    ("int_projection", "model: projection: must be an object with an out_dim, got 5"),
+    ("int_data_path", "data.train_captions: must be a path string, got 5"),
+    ("int_out_path", "out.checkpoint: must be a path string, got 5"),
 ]
+
+# case -> (section, key, value) for the wrong-type cases above
+_WRONG_TYPES = {
+    "str_embed_dim": ("model", "embed_dim", "8"),
+    "str_margin": ("model", "margin", "x"),
+    "str_epochs": ("train", "epochs", "2"),
+    "float_epochs": ("train", "epochs", 1.5),
+    "bool_epochs": ("train", "epochs", True),
+    "float_batch_size": ("train", "batch_size", 4.5),
+    "int_audio_tower": ("model", "audio_tower", 5),
+    "int_projection": ("model", "projection", 5),
+    "int_data_path": ("data", "train_captions", 5),
+    "int_out_path": ("out", "checkpoint", 5),
+}
 
 
 @pytest.mark.parametrize("case,needle", BAD_CONFIG_CASES, ids=[c for c, _ in BAD_CONFIG_CASES])
@@ -243,6 +267,9 @@ def test_train_rejects_bad_configs(tmp_path, case, needle):
         cfg["data"]["clips"] = "x"
     elif case == "missing_model":
         del cfg["model"]
+    elif case in _WRONG_TYPES:
+        section, key, value = _WRONG_TYPES[case]
+        cfg[section][key] = value
     path = write_config(tmp_path / "run.json", cfg)
 
     code, out, err = run_cli(["train", "--config", str(path)])
@@ -250,6 +277,8 @@ def test_train_rejects_bad_configs(tmp_path, case, needle):
     assert out == ""
     assert err.startswith("error:")
     assert needle in err
+    if case in _WRONG_TYPES:
+        assert err == f"error: {path}: {needle}\n"
 
 
 def test_train_config_must_be_valid_json(tmp_path):
@@ -658,6 +687,30 @@ def test_non_finite_word_vector_is_an_error(tmp_path, command):
     assert out == ""
     assert err == f"error: {ds['words']}: line 5: non-finite value\n"
     assert not (out_dir / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("bad_input", ["run_config", "caption_csv", "word_table",
+                                       "candidates_csv", "spice_file"])
+def test_non_utf8_input_is_an_error(tmp_path, bad_input):
+    ds = make_dataset(tmp_path)
+    config = write_config(tmp_path / "run.json", base_config_dict(ds, tmp_path / "run"))
+    refs = write_caption_csv(tmp_path / "refs.csv", [(n, ["w0 w1"] * 5) for n in ("a", "b")])
+    cands = write_candidates_csv(tmp_path / "cands.csv", [("a", "w0"), ("b", "w1")])
+    spice = tmp_path / "spice.json"
+    spice.write_text('{"a": 0.5, "b": 0.25}', encoding="utf-8")
+    bad = {"run_config": config, "caption_csv": ds["train_csv"], "word_table": ds["words"],
+           "candidates_csv": cands, "spice_file": spice}[bad_input]
+    bad.write_bytes(b"\xff\xfe not UTF-8 \xc3\x28\n")
+    if bad_input in ("candidates_csv", "spice_file"):
+        argv = ["eval-captions", "--candidates", str(cands), "--references", str(refs),
+                "--spice", str(spice)]
+    else:
+        argv = ["train", "--config", str(config)]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "can't decode" in err
+    assert err.count("\n") == 1
 
 
 def test_missing_checkpoint_file_is_reported(tmp_path):

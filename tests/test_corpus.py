@@ -369,11 +369,11 @@ def test_build_manifest_sorted_and_complete(tmp_path):
     _features_on_disk(tmp_path, ["a.wav", "b.wav"])
     manifest = build_manifest(records, tmp_path, "development")
     assert [it.file_name for it in manifest.items] == ["a.wav", "b.wav"]
-    assert manifest.items[0].caption_keys == tuple(f"a.wav#{i}" for i in range(1, 6))
-    assert sum(len(it.caption_keys) for it in manifest.items) == 10
-    # two builds serialize identically
+    assert tuple(r.key for r in manifest.items[0].captions) == tuple(
+        f"a.wav#{i}" for i in range(1, 6))
+    assert sum(len(it.captions) for it in manifest.items) == 10
     again = build_manifest(records, tmp_path, "development")
-    assert manifest.to_json() == again.to_json()
+    assert manifest == again
 
 
 def test_build_manifest_missing_features_all_named(tmp_path):
@@ -394,9 +394,12 @@ def test_manifest_caption_records_follow_item_order(tmp_path):
     rows = [("b.wav", FIVE), ("a.wav", FIVE)]
     records = load_captions(write_caption_csv(tmp_path / "c.csv", rows))
     _features_on_disk(tmp_path, ["a.wav", "b.wav"])
-    manifest = build_manifest(records, tmp_path, "validation")
-    ordered = [key for item in manifest.items for key in item.caption_keys]
-    assert ordered[:5] == [f"a.wav#{i}" for i in range(1, 6)]
+    # records in reverse: the manifest restores item, then caption_index order
+    manifest = build_manifest(records[::-1], tmp_path, "validation")
+    ordered = [record for item in manifest.items for record in item.captions]
+    assert [r.key for r in ordered] == [f"{name}#{i}" for name in ("a.wav", "b.wav")
+                                        for i in range(1, 6)]
+    assert set(ordered) == set(records)
 
 
 def test_feature_directory_lazy_lookup(tmp_path):

@@ -225,8 +225,8 @@ def test_train_is_deterministic():
     manifest, records, features, table = _tiny_problem()
     config = small_config()
     tc = TrainConfig(epochs=3, batch_size=8, seed=1)
-    r1 = train(manifest, records, manifest, records, features, config, tc, word_table=table)
-    r2 = train(manifest, records, manifest, records, features, config, tc, word_table=table)
+    r1 = train(manifest, manifest, features, config, tc, word_table=table)
+    r2 = train(manifest, manifest, features, config, tc, word_table=table)
     assert [row.to_csv_row() for row in r1.log] == [row.to_csv_row() for row in r2.log]
     assert list(r1.checkpoint.params) == list(r2.checkpoint.params)
     for name in r1.checkpoint.params:
@@ -239,7 +239,7 @@ def test_train_log_and_checkpoint_consistency():
     manifest, records, features, table = _tiny_problem()
     config = small_config()
     tc = TrainConfig(epochs=4, batch_size=8, seed=2)
-    result = train(manifest, records, manifest, records, features, config, tc, word_table=table)
+    result = train(manifest, manifest, features, config, tc, word_table=table)
     assert [row.epoch for row in result.log] == list(range(1, len(result.log) + 1))
     best_in_log = max(row.val_map10 for row in result.log)
     assert result.best_val_map10 == best_in_log
@@ -257,7 +257,7 @@ def test_train_keeps_trailing_singleton_in_last_batch():
     # 6 clips x 5 captions = 30 pairs; batch_size 29 leaves a singleton
     # that cannot be contrasted, so it merges into the previous batch
     manifest, records, features, table = _tiny_problem()
-    result = train(manifest, records, manifest, records, features,
+    result = train(manifest, manifest, features,
                    small_config(), TrainConfig(epochs=1, batch_size=29, seed=0),
                    word_table=table)
     assert len(result.log) == 1
@@ -268,7 +268,7 @@ def test_train_early_stops_on_flat_validation():
     # scores (and mAP10) never move and the best epoch stays at 1
     manifest, records, features, _ = _tiny_problem()
     frozen = random_word_table(VOCAB10, 6, seed=0, scale=0.0)
-    result = train(manifest, records, manifest, records, features,
+    result = train(manifest, manifest, features,
                    small_config(), TrainConfig(epochs=10, batch_size=8, seed=0,
                                                early_stop_patience=2),
                    word_table=frozen)
@@ -279,7 +279,7 @@ def test_train_early_stops_on_flat_validation():
 def test_train_logs_the_lr_used_each_epoch():
     manifest, records, features, _ = _tiny_problem()
     frozen = random_word_table(VOCAB10, 6, seed=0, scale=0.0)
-    result = train(manifest, records, manifest, records, features,
+    result = train(manifest, manifest, features,
                    small_config(), TrainConfig(epochs=4, batch_size=8, seed=0,
                                                early_stop_patience=10**9,
                                                plateau_patience=1),
@@ -290,7 +290,7 @@ def test_train_logs_the_lr_used_each_epoch():
 
 def test_train_lr_constant_when_plateau_disabled():
     manifest, records, features, table = _tiny_problem()
-    result = train(manifest, records, manifest, records, features,
+    result = train(manifest, manifest, features,
                    small_config(), TrainConfig(epochs=3, batch_size=8, seed=0,
                                                plateau_patience=10**9),
                    word_table=table)
@@ -300,7 +300,7 @@ def test_train_lr_constant_when_plateau_disabled():
 def test_train_bce_loss_mode_runs():
     manifest, records, features, table = _tiny_problem()
     config = small_config(loss="bce_expdist")
-    result = train(manifest, records, manifest, records, features, config,
+    result = train(manifest, manifest, features, config,
                    TrainConfig(epochs=2, batch_size=8, seed=0), word_table=table)
     assert len(result.log) == 2
     assert all(np.isfinite(row.train_loss) and row.train_loss > 0 for row in result.log)
@@ -310,24 +310,16 @@ def test_train_sentence_table_mode_runs():
     manifest, records, features, _ = _tiny_problem()
     config = small_config(text_mode="sentence_table")
     table = caption_table_for(records, dim=6, seed=3)
-    result = train(manifest, records, manifest, records, features, config,
+    result = train(manifest, manifest, features, config,
                    TrainConfig(epochs=2, batch_size=8, seed=0), caption_table=table)
     assert len(result.log) == 2
-
-
-def test_train_rejects_missing_caption_record():
-    manifest, records, features, table = _tiny_problem()
-    with pytest.raises(OptimError, match="no caption record"):
-        train(manifest, records[:-1], manifest, records, features,
-              small_config(), TrainConfig(epochs=1, batch_size=8, seed=0),
-              word_table=table)
 
 
 def test_train_rejects_uncontrastable_batch():
     # a single clip gives every pair the same audio_id
     manifest, records, features, table = _tiny_problem(n_clips=1)
     with pytest.raises(LossError, match="no eligible imposter"):
-        train(manifest, records, manifest, records, features,
+        train(manifest, manifest, features,
               small_config(), TrainConfig(epochs=1, batch_size=5, seed=0),
               word_table=table)
 

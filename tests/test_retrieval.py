@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from audiotext.nnet import ModelConfig, init_params
+from audiotext.nnet import ModelConfig, TextEmbedder, encode_audio, init_params
 from audiotext.nnet.checkpoint import Checkpoint
 from audiotext.retrieval import (
     SCORERS,
@@ -13,10 +13,8 @@ from audiotext.retrieval import (
     build_score_matrix,
     default_scorer,
     evaluate_retrieval,
-    map_at_10,
     rank_query,
     rank_row,
-    recall_at_k,
     report_from_matrix,
     score_all,
 )
@@ -46,21 +44,13 @@ def test_rank_row_rejects_nan():
 
 
 def _matrix(scores, ground_truth):
-    scores = np.asarray(scores, dtype=np.float64)
-    q, n = scores.shape
-    return ScoreMatrix(
-        scores=scores,
-        query_keys=tuple(f"q{i}" for i in range(q)),
-        audio_ids=tuple(f"a{j}" for j in range(n)),
-        ground_truth=tuple(ground_truth),
-    )
+    return ScoreMatrix(scores=np.asarray(scores, dtype=np.float64),
+                       ground_truth=tuple(ground_truth))
 
 
 def test_score_matrix_validation():
     with pytest.raises(RetrievalError, match="score rows"):
-        ScoreMatrix(np.zeros((2, 3)), ("q0",), ("a0", "a1", "a2"), (0, 1))
-    with pytest.raises(RetrievalError, match="columns"):
-        ScoreMatrix(np.zeros((2, 3)), ("q0", "q1"), ("a0",), (0, 1))
+        ScoreMatrix(np.zeros((2, 3)), (0,))
     with pytest.raises(RetrievalError, match="non-finite"):
         _matrix([[np.inf, 0.0]], [0])
     with pytest.raises(RetrievalError, match="out of"):
@@ -72,37 +62,30 @@ def test_reciprocal_rank_examples():
     n = 12
     base = np.linspace(1.0, 0.5, n)
 
-    top = _matrix([base], [0])
-    assert map_at_10(top) == 1.0
+    top = report_from_matrix(_matrix([base], [0]))
+    assert top.map10 == 1.0
 
-    third = _matrix([base], [2])
-    assert map_at_10(third) == pytest.approx(1.0 / 3.0)
+    third = report_from_matrix(_matrix([base], [2]))
+    assert third.map10 == pytest.approx(1.0 / 3.0)
+    assert (third.r1, third.r5, third.r10) == (0.0, 1.0, 1.0)
 
-    eleventh = _matrix([base], [10])
-    assert map_at_10(eleventh) == 0.0
-    assert recall_at_k(eleventh, 10) == 0.0
-    assert recall_at_k(eleventh, 11) == 1.0
+    eleventh = report_from_matrix(_matrix([base], [10]))
+    assert eleventh.map10 == 0.0
+    assert eleventh.r10 == 0.0
 
 
 def test_recall_examples():
     scores = np.array([
-        [0.9, 0.8, 0.1],   # gt 0 at rank 1
-        [0.2, 0.9, 0.4],   # gt 2 at rank 2
-        [0.9, 0.8, 0.85],  # gt 1 at rank 3
+        [0.9, 0.8, 0.1, 0.0, 0.0, 0.0],    # gt 0 at rank 1
+        [0.2, 0.9, 0.4, 0.0, 0.0, 0.0],    # gt 2 at rank 2
+        [0.9, 0.8, 0.85, 0.0, 0.0, 0.0],   # gt 1 at rank 3
+        [0.9, 0.8, 0.85, 0.7, 0.6, 0.5],   # gt 5 at rank 6
     ])
-    m = _matrix(scores, [0, 2, 1])
-    assert recall_at_k(m, 1) == pytest.approx(1.0 / 3.0)
-    assert recall_at_k(m, 2) == pytest.approx(2.0 / 3.0)
-    assert recall_at_k(m, 3) == 1.0
-    assert map_at_10(m) == pytest.approx((1.0 + 0.5 + 1.0 / 3.0) / 3.0)
-
-
-def test_recall_at_k_range_check():
-    m = _matrix(np.zeros((1, 3)), [0])
-    with pytest.raises(RetrievalError, match="out of range"):
-        recall_at_k(m, 0)
-    with pytest.raises(RetrievalError, match="out of range"):
-        recall_at_k(m, 4)
+    report = report_from_matrix(_matrix(scores, [0, 2, 1, 5]))
+    assert report.r1 == pytest.approx(1.0 / 4.0)
+    assert report.r5 == pytest.approx(3.0 / 4.0)
+    assert report.r10 == 1.0
+    assert report.map10 == pytest.approx((1.0 + 0.5 + 1.0 / 3.0 + 1.0 / 6.0) / 4.0)
 
 
 def test_report_clamps_cutoffs_to_catalog_size():
@@ -145,9 +128,6 @@ def test_metrics_match_counting_reference():
         assert report.r5 == r5
         assert report.r10 == r10
         assert report.map10 == map10
-        if n >= 10:
-            assert recall_at_k(m, 10) == r10
-        assert map_at_10(m) == map10
 
 
 def test_ranks_invariant_under_monotone_transforms():
@@ -194,8 +174,6 @@ def test_score_all_dot_is_matrix_product():
     audio = rng.normal(size=(3, 6))
     m = score_all(text, audio, "dot")
     assert np.allclose(m.scores, text @ audio.T)
-    assert m.query_keys == ("q0", "q1", "q2", "q3")
-    assert m.audio_ids == ("a0", "a1", "a2")
     assert m.ground_truth == (0, 1, 2, 0)  # placeholder: query q -> clip q mod N
 
 
@@ -230,50 +208,47 @@ def test_default_scorer_follows_loss():
 
 
 def _problem(n_clips=4):
-    manifest, records, features = synthetic_dataset(n_clips, seed=5)
+    manifest, _, features = synthetic_dataset(n_clips, seed=5)
     table = random_word_table(VOCAB10, 6, seed=7)
     config = small_config()
     params = init_params(config, seed=0)
-    return manifest, records, features, table, config, params
+    return manifest, features, table, config, params
 
 
 def test_build_score_matrix_shape_and_keys():
-    manifest, records, features, table, config, params = _problem()
-    m = build_score_matrix(config, params, manifest, records, features, word_table=table)
+    manifest, features, table, config, params = _problem()
+    m = build_score_matrix(config, params, manifest, features, word_table=table)
     assert m.scores.shape == (20, 4)
-    assert m.audio_ids == tuple(item.file_name for item in manifest.items)
-    assert m.query_keys[:5] == tuple(f"{manifest.items[0].file_name}#{i}" for i in range(1, 6))
     assert m.ground_truth == tuple(i // 5 for i in range(20))
-
-
-def test_build_score_matrix_missing_caption_record():
-    manifest, records, features, table, config, params = _problem()
-    with pytest.raises(RetrievalError, match="no caption record"):
-        build_score_matrix(config, params, manifest, records[:-1], features,
-                           word_table=table)
+    # rows follow item order, then caption_index; columns follow item order
+    embedder = TextEmbedder(config, params, word_table=table)
+    text = np.stack([embedder.embed(r)[0] for item in manifest.items for r in item.captions])
+    audio = np.stack([encode_audio(features[item.file_name], config, params)
+                      for item in manifest.items])
+    assert np.allclose(m.scores, text.astype(np.float64) @ audio.astype(np.float64).T)
 
 
 def test_evaluate_retrieval_smoke():
-    manifest, records, features, table, config, params = _problem()
+    manifest, features, table, config, params = _problem()
     ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
                     best_validation_map10=0.0)
-    report = evaluate_retrieval(ck, manifest, records, features, word_table=table)
+    report = evaluate_retrieval(ck, manifest, features, word_table=table)
     assert report.queries == 20 and report.audio == 4
     assert 0.0 <= report.map10 <= 1.0
 
 
 def test_evaluate_retrieval_scorer_override_changes_scores():
-    manifest, records, features, table, config, params = _problem()
-    m_dot = build_score_matrix(config, params, manifest, records, features,
+    manifest, features, table, config, params = _problem()
+    m_dot = build_score_matrix(config, params, manifest, features,
                                word_table=table, scorer="dot")
-    m_exp = build_score_matrix(config, params, manifest, records, features,
+    m_exp = build_score_matrix(config, params, manifest, features,
                                word_table=table, scorer="exp_neg_euclid")
     assert not np.allclose(m_dot.scores, m_exp.scores)
     assert (m_exp.scores <= 1.0).all()
 
 
 def test_rank_query_single_clip():
-    manifest, records, features, table, config, params = _problem(n_clips=1)
+    manifest, features, table, config, params = _problem(n_clips=1)
     ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
                     best_validation_map10=0.0)
     ranked = rank_query(ck, "w0 w1", manifest, features, top_k=1, word_table=table)
@@ -282,7 +257,7 @@ def test_rank_query_single_clip():
 
 
 def test_rank_query_orders_by_score():
-    manifest, records, features, table, config, params = _problem()
+    manifest, features, table, config, params = _problem()
     ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
                     best_validation_map10=0.0)
     ranked = rank_query(ck, "w0 w1 w2", manifest, features, top_k=4, word_table=table)
@@ -296,10 +271,9 @@ def test_rank_query_orders_by_score():
 
 def test_rank_query_exp_scorer_perfect_match_scores_one():
     # a query vector equal to a clip's embedding has distance 0 to it
-    manifest, records, features, _, _, _ = _problem()
+    manifest, features, _, _, _ = _problem()
     config = small_config(loss="bce_expdist", text_mode="sentence_table")
     params = init_params(config, seed=0)
-    from audiotext.nnet import encode_audio
 
     target = manifest.items[2].file_name
     qvec = encode_audio(features[target], config, params)
@@ -311,7 +285,7 @@ def test_rank_query_exp_scorer_perfect_match_scores_one():
 
 
 def test_rank_query_errors():
-    manifest, records, features, table, config, params = _problem()
+    manifest, features, table, config, params = _problem()
     ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
                     best_validation_map10=0.0)
     with pytest.raises(RetrievalError, match="top_k"):
