@@ -28,6 +28,7 @@ from .corpus import (
     load_caption_embeddings,
     load_captions,
     load_word_embeddings,
+    open_text,
     write_fmat,
 )
 from .dsp import DspError, log_mel_features, read_wav
@@ -82,7 +83,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         return q if q.is_absolute() else base / q
 
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open_text(path, RunConfigError) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as e:
         raise RunConfigError(f"{path}: not valid structured text: {e}") from e
     if not isinstance(raw, dict):

@@ -136,6 +136,17 @@ def normalize_caption(raw: str) -> list[str]:
     return cleaned.split()
 
 
+@contextmanager
+def open_text(path: str | Path, error: type[Exception] = CorpusError, newline=None):
+    """Open a UTF-8 text file for reading; a byte sequence that does not
+    decode raises ``error`` naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as e:
+            raise error(f"{path}: {e}") from e
+
+
 def load_captions(csv_path: str | Path) -> list[CaptionRecord]:
     """Parse a five-captions-per-clip CSV into 5 records per data row.
 
@@ -146,7 +157,7 @@ def load_captions(csv_path: str | Path) -> list[CaptionRecord]:
     path = Path(csv_path)
     records: list[CaptionRecord] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -270,7 +281,7 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
     """
     path = Path(path)
     rows: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise CorpusError(f"{path}: header must be 'count dim', got {header!r}")
@@ -372,7 +383,10 @@ def load_caption_embeddings(path: str | Path) -> CaptionEmbeddingTable:
         offset += 2
         if offset + key_len + 4 * dim > len(data):
             raise CorpusError(f"{path}: truncated at record {i}")
-        key = data[offset : offset + key_len].decode("utf-8")
+        try:
+            key = data[offset : offset + key_len].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorpusError(f"{path}: record {i}: {e}") from e
         offset += key_len
         _check_caption_key(key, f"{path}: record {i}")
         if key in entries:

@@ -30,7 +30,6 @@ from .model import (
     TextEmbedder,
     encode_audio,
 )
-from .gradcheck import finite_difference_check
 from .checkpoint import Checkpoint, save_checkpoint, load_checkpoint
 
 __all__ = [
@@ -41,6 +40,5 @@ __all__ = [
     "LayerSpec", "ProjectionSpec", "ModelConfig", "default_tower",
     "init_params", "parameter_shapes", "AudioTower", "TextEmbedder",
     "encode_audio",
-    "finite_difference_check",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
 ]

@@ -159,8 +159,12 @@ class MaxPoolTime:
         padded = np.full((t_out * self.stride, h), -np.inf, dtype=x.dtype)
         padded[:t] = x
         windows = padded.reshape(t_out, self.stride, h)
-        idx = windows.argmax(axis=1)  # first maximum: the earliest frame
-        y = np.take_along_axis(windows, idx[:, None, :], axis=1)[:, 0, :]
+        y = windows[:, 0].copy()
+        idx = np.zeros((t_out, h), dtype=np.intp)
+        for j in range(1, self.stride):
+            # only a strictly greater frame moves the index: ties keep the earliest
+            idx[windows[:, j] > y] = j
+            np.maximum(y, windows[:, j], out=y)
         argmax = idx + self.stride * np.arange(t_out)[:, None]
         return y, (x.shape, argmax)
 
@@ -201,7 +205,7 @@ class MeanPoolTime:
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         t = cache
         if self.stride == 0:
-            return np.tile(dy / t, (t, 1))
+            return np.broadcast_to(dy / t, (t, dy.shape[0]))  # a read-only view
         lengths = self._window_lengths(t)
         return np.repeat(dy / lengths[:, None].astype(dy.dtype), self.stride, axis=0)[:t]
 
@@ -209,31 +213,84 @@ class MeanPoolTime:
 # ---------------------------------------------------------------------------
 # recurrent cells
 #
-# Both cells run fused sweeps (Appleyard et al. 2016, arXiv:1604.01946):
-# the per-gate weights are stacked in GATES order once per call, the input
-# projection of all T steps is one GEMM ahead of the time loop, the loop
-# does only the recurrent matvecs and the gate nonlinearities, and the
-# weight gradients are one GEMM each after the backward loop. The stacked
-# copies are rebuilt in sweep_backward rather than cached: parameters do
-# not change between a batch's forward and backward passes, and a training
-# batch keeps every clip's cache alive at once.
+# Both cells sweep a list of clips at once in the packed layout of
+# PyTorch's pack_padded_sequence (Packing), so each step's recurrent
+# product is one small GEMM over every running clip; one clip is a batch
+# of one. The input projection is one GEMM over all rows ahead of the
+# time loop and the input-weight gradient one GEMM after the backward
+# loop (Appleyard et al. 2016, arXiv:1604.01946). Step products take one
+# gate's (H, H) weights at a time, in the forward from a contiguous copy
+# of U^T: at a few rows OpenBLAS costs two to four times more per column
+# for one (H, G*H) product, and several times more for a transposed view.
+# The backward builds previous states, incoming gradients and gate
+# coefficients for _CHUNK_STEPS steps at a time, writes the pre-activation
+# gradients over the gate cache it has consumed and sums dU chunk by
+# chunk, so it needs little memory beyond the cache.
+
+_CHUNK_STEPS = 32
+
+
+class Packing:
+    """Rows of clips of the given lengths, packed without padding: clips
+    sorted longest first (stable, so ties keep their order), rows
+    step-major. steps[t] = (offs[t], active[t]): step t owns the rows from
+    offs[t], one per running clip, row offs[t] + j for the j-th longest.
+    rows[i] holds clip i's rows in time order."""
+
+    def __init__(self, lengths):
+        order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+        steps = np.arange(max(lengths, default=0))[:, None]
+        active = (np.array(lengths)[order] > steps).sum(axis=1)
+        self.offs = np.concatenate([[0], np.cumsum(active)])
+        self.steps = list(zip(self.offs[:-1].tolist(), active.tolist()))
+        self.rows = [None] * len(lengths)
+        for rank, i in enumerate(order):
+            self.rows[i] = self.offs[: lengths[i]] + rank
+
+    def gather(self, seqs, first: int = 0, stop: int | None = None) -> np.ndarray:
+        """Packed rows of steps first..stop-1 from per-clip (T_i, ...)
+        arrays in input order (any iterable, read once)."""
+        stop = len(self.steps) if stop is None else stop
+        base, out = self.offs[first], None
+        for rows, seq in zip(self.rows, seqs):
+            if out is None:
+                out = np.empty((self.offs[stop] - base, *seq.shape[1:]), dtype=seq.dtype)
+            out[rows[first:stop] - base] = seq[first:stop]
+        return out
+
+    def unpack(self, packed: np.ndarray) -> list[np.ndarray]:
+        return [packed[rows] for rows in self.rows]
+
+    def previous(self, packed: np.ndarray, first: int, stop: int) -> np.ndarray:
+        """Each row's predecessor in its clip for steps first..stop-1; zero
+        at step 0, the initial state."""
+        base = self.offs[first]
+        out = np.zeros((self.offs[stop] - base, packed.shape[1]), dtype=packed.dtype)
+        for t in range(max(first, 1), stop):
+            (lo, n), prev = self.steps[t], self.steps[t - 1][0]
+            out[lo - base : lo - base + n] = packed[prev : prev + n]
+        return out
 
 
 def _stack(p: dict[str, Tensor], kind: str, gates) -> np.ndarray:
     return np.concatenate([p[f"{kind}_{gate}"].data for gate in gates])
 
 
-def _accumulate_gates(p: dict[str, Tensor], kind: str, gates, grad: np.ndarray) -> None:
-    """Split a stacked (G*H, ...) gradient into its per-gate tensors."""
-    for gate, part in zip(gates, np.split(grad, len(gates))):
-        p[f"{kind}_{gate}"].accumulate(part)
+def _sweep_start(p: dict[str, Tensor], gates, seqs):
+    """Packing, packed inputs, their projections W x + b, contiguous U^T."""
+    pack = Packing([x.shape[0] for x in seqs])
+    xs = pack.gather(seqs)
+    projected = xs @ _stack(p, "w", gates).T
+    projected += _stack(p, "b", gates)
+    return pack, xs, projected, np.ascontiguousarray(_stack(p, "u", gates).T)
 
 
-def _previous(seq: np.ndarray) -> np.ndarray:
-    """Row t holds seq[t-1]; row 0 is the zero initial state."""
-    prev = np.zeros_like(seq)
-    prev[1:] = seq[:-1]
-    return prev
+def _sweep_finish(p: dict[str, Tensor], gates, pack, xs, dpre, du) -> list[np.ndarray]:
+    """Accumulate the W, U and b gradients of all clips; returns d(xs)."""
+    for kind, grad in (("w", dpre.T @ xs), ("u", du), ("b", dpre.sum(axis=0))):
+        for gate, part in zip(gates, np.split(grad, len(gates))):
+            p[f"{kind}_{gate}"].accumulate(part)
+    return pack.unpack(dpre @ _stack(p, "w", gates))
 
 
 class GRUCell:
@@ -250,57 +307,66 @@ class GRUCell:
     def __init__(self, p: dict[str, Tensor]):
         self.p = p  # keys: w_z,u_z,b_z,w_r,u_r,b_r,w_h,u_h,b_h
 
-    def sweep(self, xs: np.ndarray):
-        """Run over a (T, in) sequence from h0 = 0; returns (T, H) states."""
-        w, u = _stack(self.p, "w", self.GATES), _stack(self.p, "u", self.GATES)
-        hidden = u.shape[1]
-        u_zr, u_h = u[: 2 * hidden], u[2 * hidden :]
-        # (T, 3H) pre-activations, overwritten step by step with z, r, h~
-        gates = xs @ w.T + _stack(self.p, "b", self.GATES)
-        states = np.empty((xs.shape[0], hidden), dtype=xs.dtype)
-        h = np.zeros(hidden, dtype=gates.dtype)
-        for t in range(xs.shape[0]):
-            zr = gates[t, : 2 * hidden]
-            zr += u_zr @ h
+    def sweep(self, seqs):
+        """Run over a list of (T_i, in) sequences, each from h0 = 0; returns
+        the list of (T_i, H) states and the cache."""
+        # (N, 3H) pre-activations, overwritten step by step with z, r, h~
+        pack, xs, gates, ut = _sweep_start(self.p, self.GATES, seqs)
+        hidden = ut.shape[0]
+        ut_z, ut_r, ut_h = np.split(ut, 3, axis=1)
+        states = np.empty((gates.shape[0], hidden), dtype=gates.dtype)
+        h = np.zeros((len(seqs), hidden), dtype=gates.dtype)
+        for lo, n in pack.steps:
+            h_n, pre = h[:n], gates[lo : lo + n]
+            zr, h_tilde = pre[:, : 2 * hidden], pre[:, 2 * hidden :]
+            z, r = zr[:, :hidden], zr[:, hidden:]
+            z += h_n @ ut_z
+            r += h_n @ ut_r
             _sigmoid(zr, out=zr)
-            z, r = zr[:hidden], zr[hidden:]
-            h_tilde = gates[t, 2 * hidden :]
-            h_tilde += u_h @ (r * h)
+            h_tilde += (r * h_n) @ ut_h
             np.tanh(h_tilde, out=h_tilde)
-            h = (1.0 - z) * h + z * h_tilde
-            states[t] = h
-        return states, (xs, states, gates)
+            h_n[:] = (1.0 - z) * h_n + z * h_tilde
+            states[lo : lo + n] = h_n
+        return pack.unpack(states), (pack, xs, states, gates)
 
-    def sweep_backward(self, cache, dstates: np.ndarray) -> np.ndarray:
-        """Returns d(xs); accumulates all nine parameter gradients."""
-        xs, states, gates = cache
+    def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
+        """Takes the list of (T_i, H) state gradients and returns the list of
+        d(xs); accumulates all nine parameter gradients. Consumes the cache."""
+        pack, xs, states, gates = cache
         hidden = states.shape[1]
-        w, u = _stack(self.p, "w", self.GATES), _stack(self.p, "u", self.GATES)
-        u_zr, u_h = u[: 2 * hidden], u[2 * hidden :]
-        z, r, h_tilde = np.split(gates, 3, axis=1)
-        h_prev = _previous(states)
-        # gate-derivative coefficients that do not depend on the incoming gradient
-        coef_z = (h_tilde - h_prev) * z * (1.0 - z)
-        coef_h = z * (1.0 - h_tilde * h_tilde)
-        coef_keep = 1.0 - z
-        coef_r = h_prev * r * (1.0 - r)
-        # dpre[t] = (dz_pre, dr_pre, dh~_pre) at step t
-        dpre = np.empty((states.shape[0], 3 * hidden), dtype=dstates.dtype)
-        dh = np.zeros(hidden, dtype=dstates.dtype)
-        for t in range(states.shape[0] - 1, -1, -1):
-            dh_t = dstates[t] + dh
-            dz, dr, dht = dpre[t, :hidden], dpre[t, hidden : 2 * hidden], dpre[t, 2 * hidden :]
-            np.multiply(dh_t, coef_z[t], out=dz)
-            np.multiply(dh_t, coef_h[t], out=dht)
-            drh = dht @ u_h
-            np.multiply(drh, coef_r[t], out=dr)
-            dh = dh_t * coef_keep[t] + drh * r[t] + dpre[t, : 2 * hidden] @ u_zr
-        _accumulate_gates(self.p, "w", self.GATES, dpre.T @ xs)
-        du = np.concatenate([dpre[:, : 2 * hidden].T @ h_prev,
-                             dpre[:, 2 * hidden :].T @ (r * h_prev)])
-        _accumulate_gates(self.p, "u", self.GATES, du)
-        _accumulate_gates(self.p, "b", self.GATES, dpre.sum(axis=0))
-        return dpre @ w
+        u = _stack(self.p, "u", self.GATES)
+        u_z, u_r, u_h = np.split(u, 3)
+        du = np.zeros_like(u)
+        dh = np.zeros((len(pack.rows), hidden), dtype=states.dtype)
+        for stop in range(len(pack.steps), 0, -_CHUNK_STEPS):
+            first = max(stop - _CHUNK_STEPS, 0)
+            base = pack.offs[first]
+            # dpre rows (dz_pre, dr_pre, dh~_pre) replace the chunk's z, r, h~
+            dpre = gates[base : pack.offs[stop]]
+            z, r, h_tilde = np.split(dpre, 3, axis=1)
+            h_prev = pack.previous(states, first, stop)
+            # gate-derivative coefficients that do not depend on the incoming gradient
+            coef_z = (h_tilde - h_prev) * z * (1.0 - z)
+            coef_h = z * (1.0 - h_tilde * h_tilde)
+            coef_keep = 1.0 - z
+            r = r.copy()
+            rh_prev = r * h_prev
+            coef_r = rh_prev * (1.0 - r)
+            dst = pack.gather(dstates, first, stop)
+            for t in range(stop - 1, first - 1, -1):
+                lo, n = pack.steps[t]
+                at = slice(lo - base, lo - base + n)
+                dh_t = dst[at] + dh[:n]
+                d = dpre[at]
+                dz, dr, dht = d[:, :hidden], d[:, hidden : 2 * hidden], d[:, 2 * hidden :]
+                np.multiply(dh_t, coef_z[at], out=dz)
+                np.multiply(dh_t, coef_h[at], out=dht)
+                drh = dht @ u_h
+                np.multiply(drh, coef_r[at], out=dr)
+                dh[:n] = dh_t * coef_keep[at] + drh * r[at] + dz @ u_z + dr @ u_r
+            du[: 2 * hidden] += dpre[:, : 2 * hidden].T @ h_prev
+            du[2 * hidden :] += dpre[:, 2 * hidden :].T @ rh_prev
+        return _sweep_finish(self.p, self.GATES, pack, xs, gates, du)
 
 
 class LSTMCell:
@@ -317,56 +383,71 @@ class LSTMCell:
     def __init__(self, p: dict[str, Tensor]):
         self.p = p  # keys: w_i,u_i,b_i,...,w_g,u_g,b_g
 
-    def sweep(self, xs: np.ndarray):
-        """Run over a (T, in) sequence from h0 = c0 = 0; returns (T, H) states."""
-        u = _stack(self.p, "u", self.GATES)
-        hidden = u.shape[1]
-        # (T, 4H) pre-activations, overwritten step by step with i, f, o, g
-        gates = xs @ _stack(self.p, "w", self.GATES).T + _stack(self.p, "b", self.GATES)
-        states = np.empty((xs.shape[0], hidden), dtype=xs.dtype)
-        cells = np.empty((xs.shape[0], hidden), dtype=gates.dtype)
-        h = np.zeros(hidden, dtype=gates.dtype)
-        c = np.zeros(hidden, dtype=gates.dtype)
-        for t in range(xs.shape[0]):
-            pre = gates[t]
-            pre += u @ h
-            ifo, g = pre[: 3 * hidden], pre[3 * hidden :]
+    def sweep(self, seqs):
+        """Run over a list of (T_i, in) sequences, each from h0 = c0 = 0;
+        returns the list of (T_i, H) states and the cache."""
+        # (N, 4H) pre-activations, overwritten step by step with i, f, o, g
+        pack, xs, gates, ut = _sweep_start(self.p, self.GATES, seqs)
+        hidden = ut.shape[0]
+        states = np.empty((gates.shape[0], hidden), dtype=gates.dtype)
+        cells = np.empty_like(states)
+        h = np.zeros((len(seqs), hidden), dtype=gates.dtype)
+        c = np.zeros_like(h)
+        for lo, n in pack.steps:
+            pre = gates[lo : lo + n]
+            if n == 1:  # one (1, H) @ (H, 4H) product beats four per-gate ones
+                pre += h[:1] @ ut
+            else:
+                for gate in (slice(k, k + hidden) for k in range(0, 4 * hidden, hidden)):
+                    pre[:, gate] += h[:n] @ ut[:, gate]
+            ifo, g = pre[:, : 3 * hidden], pre[:, 3 * hidden :]
             _sigmoid(ifo, out=ifo)
             np.tanh(g, out=g)
-            c = ifo[hidden : 2 * hidden] * c + ifo[:hidden] * g
-            h = ifo[2 * hidden :] * np.tanh(c)
-            cells[t] = c
-            states[t] = h
-        return states, (xs, states, cells, gates)
+            c[:n] = ifo[:, hidden : 2 * hidden] * c[:n] + ifo[:, :hidden] * g
+            h[:n] = ifo[:, 2 * hidden :] * np.tanh(c[:n])
+            cells[lo : lo + n] = c[:n]
+            states[lo : lo + n] = h[:n]
+        return pack.unpack(states), (pack, xs, states, cells, gates)
 
-    def sweep_backward(self, cache, dstates: np.ndarray) -> np.ndarray:
-        """Returns d(xs); accumulates all twelve parameter gradients."""
-        xs, states, cells, gates = cache
-        steps, hidden = states.shape
-        w, u = _stack(self.p, "w", self.GATES), _stack(self.p, "u", self.GATES)
-        i, f, o, g = np.split(gates, 4, axis=1)
-        tanh_c = np.tanh(cells)
-        # gate-derivative coefficients that do not depend on the incoming
-        # gradient: dpre = coef * (dc, dc, dh, dc) gate by gate, dc += dh * coef_c
-        coef = np.concatenate([g * i * (1.0 - i), _previous(cells) * f * (1.0 - f),
-                               tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-        coef = coef.reshape(steps, 4, hidden)
-        coef_c = o * (1.0 - tanh_c * tanh_c)
-        dpre = np.empty((steps, 4, hidden), dtype=dstates.dtype)
-        dh = np.zeros(hidden, dtype=dstates.dtype)
-        dc = np.zeros(hidden, dtype=dstates.dtype)
-        for t in range(steps - 1, -1, -1):
-            dh_t = dstates[t] + dh
-            dc = dc + dh_t * coef_c[t]
-            np.multiply(coef[t], dc, out=dpre[t])
-            np.multiply(coef[t, 2], dh_t, out=dpre[t, 2])
-            dc = dc * f[t]
-            dh = dpre[t].reshape(-1) @ u
-        dpre = dpre.reshape(steps, 4 * hidden)
-        _accumulate_gates(self.p, "w", self.GATES, dpre.T @ xs)
-        _accumulate_gates(self.p, "u", self.GATES, dpre.T @ _previous(states))
-        _accumulate_gates(self.p, "b", self.GATES, dpre.sum(axis=0))
-        return dpre @ w
+    def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
+        """Takes the list of (T_i, H) state gradients and returns the list of
+        d(xs); accumulates all twelve parameter gradients. Consumes the cache."""
+        pack, xs, states, cells, gates = cache
+        hidden = states.shape[1]
+        u = _stack(self.p, "u", self.GATES)
+        u_i, u_f, u_o, u_g = np.split(u, 4)
+        du = np.zeros_like(u)
+        dh = np.zeros((len(pack.rows), hidden), dtype=states.dtype)
+        dc = np.zeros_like(dh)
+        for stop in range(len(pack.steps), 0, -_CHUNK_STEPS):
+            first = max(stop - _CHUNK_STEPS, 0)
+            base, end = pack.offs[first], pack.offs[stop]
+            # dpre rows replace the chunk's i, f, o, g
+            dpre = gates[base:end]
+            i, f, o, g = np.split(dpre, 4, axis=1)
+            tanh_c = np.tanh(cells[base:end])
+            # gate-derivative coefficients that do not depend on the incoming
+            # gradient: dpre = coef * (dc, dc, dh, dc) gate by gate, dc += dh * coef_c
+            coef = np.concatenate([g * i * (1.0 - i),
+                                   pack.previous(cells, first, stop) * f * (1.0 - f),
+                                   tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+            coef = coef.reshape(end - base, 4, hidden)
+            coef_c = o * (1.0 - tanh_c * tanh_c)
+            f = f.copy()
+            dst = pack.gather(dstates, first, stop)
+            dpre_gates = dpre.reshape(end - base, 4, hidden)
+            for t in range(stop - 1, first - 1, -1):
+                lo, n = pack.steps[t]
+                at = slice(lo - base, lo - base + n)
+                dh_t = dst[at] + dh[:n]
+                dc[:n] += dh_t * coef_c[at]
+                np.multiply(coef[at], dc[:n, None], out=dpre_gates[at])
+                np.multiply(coef[at, 2], dh_t, out=dpre_gates[at, 2])
+                dc[:n] *= f[at]
+                d_i, d_f, d_o, d_g = dpre_gates[at].transpose(1, 0, 2)
+                dh[:n] = d_i @ u_i + d_f @ u_f + d_o @ u_o + d_g @ u_g
+            du += dpre.T @ pack.previous(states, first, stop)
+        return _sweep_finish(self.p, self.GATES, pack, xs, gates, du)
 
 
 # ---------------------------------------------------------------------------

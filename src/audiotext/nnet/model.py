@@ -8,7 +8,7 @@ trainable projection) or a frozen caption-level vector used verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 import numpy as np
@@ -128,10 +128,15 @@ class ModelConfig:
             raise NnetError(f"text_mode must be word_average|sentence_table, got {self.text_mode!r}")
         if self.loss not in ("triplet", "bce_expdist"):
             raise NnetError(f"loss must be triplet|bce_expdist, got {self.loss!r}")
-        if self.margin <= 0:
+        if not self.margin > 0:  # NaN fails too
             raise NnetError(f"margin must be positive, got {self.margin}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise NnetError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise NnetError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise NnetError(f"adam_eps must be positive, got {self.adam_eps}")
 
         cur = self.feature_dim
         for i, spec in enumerate(self.audio_tower):
@@ -183,29 +188,14 @@ class ModelConfig:
         return cur
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "audio_tower": [s.to_dict() for s in self.audio_tower],
-            "recurrent_cell": self.recurrent_cell,
-            "embed_dim": self.embed_dim,
-            "projection": self.projection.to_dict() if self.projection else None,
-            "text_mode": self.text_mode,
-            "loss": self.loss,
-            "margin": self.margin,
-            "seed": self.seed,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["audio_tower"] = [s.to_dict() for s in self.audio_tower]
+        d["projection"] = self.projection.to_dict() if self.projection else None
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        allowed = {
-            "feature_dim", "audio_tower", "recurrent_cell", "embed_dim", "projection",
-            "text_mode", "loss", "margin", "seed", "lr", "beta1", "beta2", "adam_eps",
-        }
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise NnetError(f"unknown ModelConfig keys {sorted(unknown)}")
         if "feature_dim" not in d:
@@ -310,6 +300,8 @@ class AudioTower:
 
     def __init__(self, config: ModelConfig, params: Params):
         self.config = config
+        # the compute dtype follows the parameters (all one dtype)
+        self.dtype = next((t.dtype for t in params.values()), np.float32)
         self.layers = []
         for i, spec in enumerate(config.audio_tower):
             if spec.kind == "conv1d":
@@ -324,77 +316,71 @@ class AudioTower:
                 self.layers.append(MeanPoolTime(spec.pool_stride))
             else:  # pragma: no cover - kinds checked in validate()
                 raise NnetError(f"unknown tower kind {spec.kind!r}")
-        if config.recurrent_cell == "gru":
-            self.cell = GRUCell({k: params[f"gru.{k}"] for k in _cell_keys(GRUCell.GATES)})
-        elif config.recurrent_cell == "lstm":
-            self.cell = LSTMCell({k: params[f"lstm.{k}"] for k in _cell_keys(LSTMCell.GATES)})
-        else:
-            self.cell = None
+        self.cell = None
+        if config.recurrent_cell != "none":
+            prefix = f"{config.recurrent_cell}."
+            cell_params = {k[len(prefix):]: t for k, t in params.items() if k.startswith(prefix)}
+            self.cell = {"gru": GRUCell, "lstm": LSTMCell}[config.recurrent_cell](cell_params)
         self.pool = MeanPoolTime(0)
+        self.proj = None
         if config.projection is not None:
-            self.proj = Projection(
-                params["proj_audio.w"], params["proj_audio.b"], config.projection.activation
-            )
-        else:
-            self.proj = None
+            self.proj = Projection(params["proj_audio.w"], params["proj_audio.b"],
+                                   config.projection.activation)
 
     def forward(self, frames: np.ndarray):
-        """frames (T, F) -> (embedding (scoring_dim,), cache)."""
-        x = np.asarray(frames)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise NnetError(f"expected a nonempty (T, F) feature matrix, got shape {x.shape}")
-        if x.shape[1] != self.config.feature_dim:
-            raise NnetError(
-                f"feature dim {x.shape[1]} does not match config feature_dim "
-                f"{self.config.feature_dim}"
-            )
-        dtype = self.compute_dtype()
-        x = x.astype(dtype, copy=False)
-        layer_caches = []
-        for layer in self.layers:
-            x, cache = layer.forward(x)
-            layer_caches.append(cache)
-        if self.cell is not None:
-            x, cell_caches = self.cell.sweep(x)
-        else:
-            cell_caches = None
-        pooled, pool_cache = self.pool.forward(x)
-        if self.proj is not None:
-            out, proj_cache = self.proj.forward(pooled)
-        else:
-            out, proj_cache = pooled, None
-        return out, (layer_caches, cell_caches, pool_cache, proj_cache)
+        """frames (T, F) -> (embedding (scoring_dim,), cache): a batch of one."""
+        outs, cache = self.forward_batch([frames])
+        return outs[0], cache
 
     def backward(self, cache, dout: np.ndarray) -> None:
         """Accumulate parameter gradients for one forward's cache."""
-        layer_caches, cell_caches, pool_cache, proj_cache = cache
-        if self.proj is not None:
-            dout = self.proj.backward(proj_cache, dout)
-        dx = self.pool.backward(pool_cache, dout)
+        self.backward_batch(cache, [dout])
+
+    def forward_batch(self, clips):
+        """A list of (T_i, F) feature matrices -> (list of embeddings, cache):
+        conv and pool layers clip by clip, one recurrent sweep over every
+        clip, then each clip's mean pool and projection."""
+        xs, layer_caches = [], []
+        for frames in clips:
+            x = np.asarray(frames)
+            if x.ndim != 2 or x.shape[0] < 1:
+                raise NnetError(f"expected a nonempty (T, F) feature matrix, got shape {x.shape}")
+            if x.shape[1] != self.config.feature_dim:
+                raise NnetError(f"feature dim {x.shape[1]} does not match config feature_dim "
+                                f"{self.config.feature_dim}")
+            x = x.astype(self.dtype, copy=False)
+            caches = []
+            for layer in self.layers:
+                x, cache = layer.forward(x)
+                caches.append(cache)
+            xs.append(x)
+            layer_caches.append(caches)
+        cell_cache = None
         if self.cell is not None:
-            dx = self.cell.sweep_backward(cell_caches, dx)
-        for layer, lcache in zip(reversed(self.layers), reversed(layer_caches)):
-            dx = layer.backward(lcache, dx)
+            xs, cell_cache = self.cell.sweep(xs)
+        outs, head_caches = [], []
+        for x in xs:
+            pooled, pool_cache = self.pool.forward(x)
+            out, proj_cache = pooled, None
+            if self.proj is not None:
+                out, proj_cache = self.proj.forward(pooled)
+            outs.append(out)
+            head_caches.append((pool_cache, proj_cache))
+        return outs, (layer_caches, cell_cache, head_caches)
 
-    def compute_dtype(self):
-        # compute dtype follows the parameters; fall back to float32
-        for layer in self.layers:
-            if isinstance(layer, Conv1d):
-                return layer.kernels.dtype
-            if isinstance(layer, Dense):
-                return layer.w.dtype
+    def backward_batch(self, cache, douts) -> None:
+        """Accumulate parameter gradients, given one gradient per clip."""
+        layer_caches, cell_cache, head_caches = cache
+        dxs = []
+        for (pool_cache, proj_cache), dout in zip(head_caches, douts):
+            if self.proj is not None:
+                dout = self.proj.backward(proj_cache, dout)
+            dxs.append(self.pool.backward(pool_cache, dout))
         if self.cell is not None:
-            return next(iter(self.cell.p.values())).dtype
-        if self.proj is not None:
-            return self.proj.dense.w.dtype
-        return np.float32
-
-
-def _cell_keys(gates) -> list[str]:
-    keys = []
-    for gate in gates:
-        keys.extend((f"w_{gate}", f"u_{gate}", f"b_{gate}"))
-    return keys
+            dxs = self.cell.sweep_backward(cell_cache, dxs)
+        for caches, dx in zip(layer_caches, dxs):
+            for layer, lcache in zip(reversed(self.layers), reversed(caches)):
+                dx = layer.backward(lcache, dx)
 
 
 def encode_audio(features: FeatureSequence | np.ndarray, config: ModelConfig, params: Params) -> np.ndarray:

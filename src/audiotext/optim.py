@@ -67,7 +67,7 @@ class TrainConfig:
             raise OptimError(f"plateau_factor must be in (0,1), got {self.plateau_factor}")
         if self.plateau_patience < 1:
             raise OptimError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        if self.min_lr <= 0.0:
+        if not self.min_lr > 0.0:  # NaN fails too
             raise OptimError(f"min_lr must be positive, got {self.min_lr}")
 
     def to_dict(self) -> dict:
@@ -218,25 +218,25 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
     """Forward/backward over one batch; accumulates gradients in place.
 
     Every batch item is an anchor once. Gradients are scaled by 1/B so
-    the objective is the mean per-anchor loss. Each distinct clip runs the
-    tower once, backward with the summed gradient of every pair using it.
+    the objective is the mean per-anchor loss. The tower runs once over
+    the distinct clips, backward with each clip's summed pair gradients.
     """
     size = len(batch)
     slot_of: dict[str, int] = {}
     clip = [slot_of.setdefault(name, len(slot_of)) for name, _ in batch]
-    audio = [tower.forward(features[name].frames) for name in slot_of]
+    audio, tower_cache = tower.forward_batch([features[name].frames for name in slot_of])
     texts = [embedder.embed(record) for _, record in batch]
     keyed = [(name, record.key) for name, record in batch]
-    d_audio = [np.zeros_like(emb) for emb, _ in audio]
+    d_audio = [np.zeros_like(emb) for emb in audio]
     d_text = [np.zeros_like(emb) for emb, _ in texts]
     total = 0.0
     for i in range(size):
         text_imp, audio_imp = sample_imposters(keyed, i, rng)
-        a_i = audio[clip[i]][0]
+        a_i = audio[clip[i]]
         t_i = texts[i][0]
         if config.loss == "triplet":
             t_neg = texts[text_imp][0]
-            a_neg = audio[clip[audio_imp]][0]
+            a_neg = audio[clip[audio_imp]]
             s_pos = dot_score(a_i, t_i)
             s_neg_text = dot_score(a_i, t_neg)
             s_neg_audio = dot_score(a_neg, t_i)
@@ -265,8 +265,8 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
             d_audio[clip[i]] += ga
             d_text[text_imp] += gt
     scale = 1.0 / size
-    for (emb, cache), grad in zip(audio, d_audio):
-        tower.backward(cache, (grad * scale).astype(emb.dtype))
+    tower.backward_batch(tower_cache, [(grad * scale).astype(emb.dtype)
+                                       for emb, grad in zip(audio, d_audio)])
     for (_, cache), grad in zip(texts, d_text):
         embedder.backward(cache, grad * scale)
     return total * scale

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .corpus import load_captions, normalize_caption
+from .corpus import load_captions, normalize_caption, open_text
 
 _CANDIDATE_HEADER = ["file_name", "caption"]
 
@@ -323,7 +323,7 @@ def cider_d(eval_set: CaptionEvalSet, max_n: int = 4, sigma: float = 6.0) -> flo
 
 def load_spice_file(path) -> dict[str, float]:
     """JSON object mapping item keys to SPICE values in [0,1]."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open_text(path, MetricError) as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as e:
@@ -361,7 +361,7 @@ def load_candidates(path) -> dict[str, tuple[str, ...]]:
     normalizes to nothing is kept as an empty candidate (it scores 0,
     it does not crash).
     """
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_text(path, MetricError, newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

@@ -11,7 +11,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .tensor import Params
+from audiotext.nnet.tensor import Params
 
 
 def finite_difference_check(

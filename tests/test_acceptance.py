@@ -39,12 +39,10 @@ from audiotext.nnet import (
     ProjectionSpec,
     Tensor,
     default_tower,
-    finite_difference_check,
     init_params,
     save_checkpoint,
     zero_grads,
 )
-from audiotext.nnet.gradcheck import collect_grads
 from audiotext.optim import TrainConfig, train, write_epoch_log
 from audiotext.retrieval import (
     ScoreMatrix,
@@ -64,6 +62,7 @@ from audiotext.textmetrics import (
     spider_combine,
 )
 
+from gradcheck import collect_grads, finite_difference_check
 from helpers import (
     VOCAB10,
     caption_table_for,
@@ -161,13 +160,13 @@ def _sweep_err(cell_cls, seed, steps=3):
     params = dict(p, x=xt)
 
     def loss_fn():
-        states, _ = cell.sweep(xt.data)
+        (states,), _ = cell.sweep([xt.data])
         return float((states * d).sum())
 
     def grad_fn():
         zero_grads(params)
-        _, cache = cell.sweep(xt.data)
-        xt.accumulate(cell.sweep_backward(cache, d))
+        _, cache = cell.sweep([xt.data])
+        xt.accumulate(cell.sweep_backward(cache, [d])[0])
         return collect_grads(params)
 
     return finite_difference_check(loss_fn, grad_fn, params)

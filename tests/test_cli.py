@@ -224,6 +224,13 @@ BAD_CONFIG_CASES = [
     ("int_projection", "model: projection: must be an object with an out_dim, got 5"),
     ("int_data_path", "data.train_captions: must be a path string, got 5"),
     ("int_out_path", "out.checkpoint: must be a path string, got 5"),
+    ("big_beta1", "model: beta1 must be in [0, 1), got 5.0"),
+    ("one_beta1", "model: beta1 must be in [0, 1), got 1.0"),
+    ("negative_beta2", "model: beta2 must be in [0, 1), got -1.0"),
+    ("zero_adam_eps", "model: adam_eps must be positive, got 0.0"),
+    ("nan_lr", "model: lr must be positive, got nan"),
+    ("nan_margin", "model: margin must be positive, got nan"),
+    ("nan_min_lr", "train: min_lr must be positive, got nan"),
 ]
 
 # case -> (section, key, value) for the wrong-type cases above
@@ -238,6 +245,17 @@ _WRONG_TYPES = {
     "int_projection": ("model", "projection", 5),
     "int_data_path": ("data", "train_captions", 5),
     "int_out_path": ("out", "checkpoint", 5),
+}
+
+# case -> (section, key, value) for the out-of-range settings above
+_OUT_OF_RANGE = {
+    "big_beta1": ("model", "beta1", 5.0),
+    "one_beta1": ("model", "beta1", 1.0),
+    "negative_beta2": ("model", "beta2", -1.0),
+    "zero_adam_eps": ("model", "adam_eps", 0.0),
+    "nan_lr": ("model", "lr", float("nan")),
+    "nan_margin": ("model", "margin", float("nan")),
+    "nan_min_lr": ("train", "min_lr", float("nan")),
 }
 
 
@@ -267,8 +285,8 @@ def test_train_rejects_bad_configs(tmp_path, case, needle):
         cfg["data"]["clips"] = "x"
     elif case == "missing_model":
         del cfg["model"]
-    elif case in _WRONG_TYPES:
-        section, key, value = _WRONG_TYPES[case]
+    elif case in _WRONG_TYPES or case in _OUT_OF_RANGE:
+        section, key, value = {**_WRONG_TYPES, **_OUT_OF_RANGE}[case]
         cfg[section][key] = value
     path = write_config(tmp_path / "run.json", cfg)
 
@@ -277,7 +295,7 @@ def test_train_rejects_bad_configs(tmp_path, case, needle):
     assert out == ""
     assert err.startswith("error:")
     assert needle in err
-    if case in _WRONG_TYPES:
+    if case in _WRONG_TYPES or case in _OUT_OF_RANGE:
         assert err == f"error: {path}: {needle}\n"
 
 
@@ -709,7 +727,7 @@ def test_non_utf8_input_is_an_error(tmp_path, bad_input):
     code, out, err = run_cli(argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "can't decode" in err
+    assert err.startswith(f"error: {bad}: ") and "can't decode" in err
     assert err.count("\n") == 1
 
 

@@ -354,6 +354,17 @@ def test_evec_non_finite_values_rejected(tmp_path):
             load_caption_embeddings(p)
 
 
+def test_evec_non_utf8_key_names_file_and_record(tmp_path):
+    table = CaptionEmbeddingTable(dim=2, entries={"x.wav#1": np.ones(2, dtype=np.float32)})
+    p = tmp_path / "bad.evec"
+    write_caption_embeddings(p, table)
+    data = bytearray(p.read_bytes())
+    data[14] = 0xFF  # first byte of record 0's key
+    p.write_bytes(bytes(data))
+    with pytest.raises(CorpusError, match=r"bad\.evec: record 0: 'utf-8' codec can't decode"):
+        load_caption_embeddings(p)
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

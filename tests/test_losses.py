@@ -14,9 +14,10 @@ from audiotext.losses import (
     triplet_margin_grads,
     triplet_margin_loss,
 )
-from audiotext.nnet.gradcheck import finite_difference_check
 from audiotext.nnet.tensor import Tensor
 from audiotext.rng import SplitMix64
+
+from gradcheck import finite_difference_check
 
 
 # ---------------------------------------------------------------- scorers

@@ -9,7 +9,6 @@ from audiotext.nnet.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from audiotext.nnet.gradcheck import collect_grads, finite_difference_check
 from audiotext.nnet.layers import (
     Activation,
     Conv1d,
@@ -19,6 +18,7 @@ from audiotext.nnet.layers import (
     MaxPoolTime,
     MeanPoolTime,
     NnetError,
+    Packing,
     Projection,
 )
 from audiotext.nnet.model import (
@@ -34,6 +34,7 @@ from audiotext.nnet.model import (
 )
 from audiotext.nnet.tensor import Tensor, clone_params, zero_grads
 
+from gradcheck import collect_grads, finite_difference_check
 from helpers import random_word_table, small_config, small_tower
 from oracles import (
     GRUCellReference,
@@ -182,9 +183,10 @@ def _zero_gru(in_dim=1, hidden=1):
 
 
 def _sweep(cell_cls, params, xs):
-    """Fused sweep on plain float64 arrays; returns (states, cache)."""
+    """Sweep of one float64 clip; returns (states, cache)."""
     cell = cell_cls({k: Tensor(np.asarray(v, dtype=np.float64)) for k, v in params.items()})
-    return cell.sweep(np.asarray(xs, dtype=np.float64))
+    states, cache = cell.sweep([np.asarray(xs, dtype=np.float64)])
+    return states[0], cache
 
 
 def test_gru_step_zero_params_halves_state():
@@ -218,8 +220,9 @@ def _zero_lstm(in_dim=1, hidden=1):
 
 
 def _lstm_cells(p, xs):
-    """(states, cell states) of a fused LSTM sweep."""
-    states, (_, _, cells, _) = _sweep(LSTMCell, p, xs)
+    """(states, cell states) of an LSTM sweep over one clip, whose packed
+    rows are its time steps."""
+    states, (_, _, _, cells, _) = _sweep(LSTMCell, p, xs)
     return states, cells
 
 
@@ -263,8 +266,12 @@ def test_fused_sweep_matches_per_step_oracle(fused_cls, reference_cls, steps):
     for cls in (fused_cls, reference_cls):
         params = {k: Tensor(t.data.copy()) for k, t in raw.items()}
         cell = cls(params)
-        states, cache = cell.sweep(xs)
-        dxs = cell.sweep_backward(cache, dstates.copy())
+        if cls is fused_cls:
+            (states,), cache = cell.sweep([xs])
+            (dxs,) = cell.sweep_backward(cache, [dstates.copy()])
+        else:
+            states, cache = cell.sweep(xs)
+            dxs = cell.sweep_backward(cache, dstates.copy())
         results.append((states, dxs, {k: t.grad for k, t in params.items()}))
     (states, dxs, grads), (ref_states, ref_dxs, ref_grads) = results
     assert len(grads) == 3 * len(fused_cls.GATES)
@@ -273,6 +280,60 @@ def test_fused_sweep_matches_per_step_oracle(fused_cls, reference_cls, steps):
     for name in raw:
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=1e-12,
                                    err_msg=name)
+
+
+def test_packing_layout_is_longest_first_step_major():
+    # clips 1 and 2 tie at 3 steps and keep their order, then clip 0, then 3
+    pack = Packing([2, 3, 3, 1])
+    assert pack.steps == [(0, 4), (4, 3), (7, 2)]
+    assert [r.tolist() for r in pack.rows] == [[2, 6], [0, 4, 7], [1, 5, 8], [3]]
+    seqs = [np.full((t, 1), float(i)) for i, t in enumerate([2, 3, 3, 1])]
+    packed = pack.gather(seqs)
+    assert packed[:, 0].tolist() == [1, 2, 0, 3, 1, 2, 0, 1, 2]
+    assert all((a == b).all() for a, b in zip(pack.unpack(packed), seqs))
+    # each row's previous state is its own clip's row one step earlier
+    assert pack.previous(packed, 1, 3)[:, 0].tolist() == [1, 2, 0, 1, 2]
+    assert (pack.previous(packed, 0, 1) == 0.0).all()
+
+
+# lengths of the clips in one packed sweep (a single clip is the test
+# above); 70 and 33 span more than one backward chunk of 32 steps
+_PACKED_LENGTHS = {
+    "mixed_with_t1": [5, 1, 9, 3],
+    "ties": [4, 7, 4, 7, 2],
+    "shortest_first": [1, 2, 3, 5, 8],
+    "across_chunks": [33, 70, 1, 32, 64],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PACKED_LENGTHS))
+@pytest.mark.parametrize("packed_cls, reference_cls", [(GRUCell, GRUCellReference),
+                                                       (LSTMCell, LSTMCellReference)],
+                         ids=["gru", "lstm"])
+def test_packed_sweep_matches_per_step_oracle_clip_by_clip(packed_cls, reference_cls, case):
+    lengths = _PACKED_LENGTHS[case]
+    rng = np.random.default_rng(len(lengths) * 100 + sum(lengths))
+    raw = _random_cell_params(rng, packed_cls.GATES, 4, 5)
+    xs = [rng.normal(size=(t, 4)) for t in lengths]
+    dstates = [rng.normal(size=(t, 5)) for t in lengths]
+    params = {k: Tensor(t.data.copy()) for k, t in raw.items()}
+    cell = packed_cls(params)
+    states, cache = cell.sweep(xs)
+    dxs = cell.sweep_backward(cache, dstates)
+    # the oracle sweeps clip by clip; its parameter gradients sum over clips
+    ref_params = {k: Tensor(t.data.copy()) for k, t in raw.items()}
+    reference = reference_cls(ref_params)
+    for i, (x, d) in enumerate(zip(xs, dstates)):
+        ref_states, ref_cache = reference.sweep(x)
+        ref_dxs = reference.sweep_backward(ref_cache, d)
+        assert states[i].shape == ref_states.shape and dxs[i].shape == ref_dxs.shape
+        np.testing.assert_allclose(states[i], ref_states, rtol=1e-12, atol=1e-12,
+                                   err_msg=f"clip {i}")
+        np.testing.assert_allclose(dxs[i], ref_dxs, rtol=1e-12, atol=1e-12,
+                                   err_msg=f"clip {i}")
+    for name in raw:
+        np.testing.assert_allclose(params[name].grad, ref_params[name].grad,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 _POOL_CASES = {
@@ -463,12 +524,12 @@ def test_gru_sweep_gradients():
     params = {**cell_params, "x": xt}
 
     def loss_fn():
-        return float((cell.sweep(xt.data)[0] * direction).sum())
+        return float((cell.sweep([xt.data])[0][0] * direction).sum())
 
     def grad_fn():
         zero_grads(params)
-        _, caches = cell.sweep(xt.data)
-        xt.accumulate(cell.sweep_backward(caches, direction.copy()))
+        _, caches = cell.sweep([xt.data])
+        xt.accumulate(cell.sweep_backward(caches, [direction.copy()])[0])
         return collect_grads(params)
 
     _fd(loss_fn, grad_fn, params)
@@ -483,12 +544,36 @@ def test_lstm_sweep_gradients():
     params = {**cell_params, "x": xt}
 
     def loss_fn():
-        return float((cell.sweep(xt.data)[0] * direction).sum())
+        return float((cell.sweep([xt.data])[0][0] * direction).sum())
 
     def grad_fn():
         zero_grads(params)
-        _, caches = cell.sweep(xt.data)
-        xt.accumulate(cell.sweep_backward(caches, direction.copy()))
+        _, caches = cell.sweep([xt.data])
+        xt.accumulate(cell.sweep_backward(caches, [direction.copy()])[0])
+        return collect_grads(params)
+
+    _fd(loss_fn, grad_fn, params)
+
+
+@pytest.mark.parametrize("cell_cls", [GRUCell, LSTMCell], ids=["gru", "lstm"])
+def test_packed_sweep_gradients(cell_cls):
+    rng = np.random.default_rng(14)
+    cell_params = _random_cell_params(rng, cell_cls.GATES, 3, 2)
+    cell = cell_cls(cell_params)
+    lengths = [3, 1, 4, 3]
+    xts = [Tensor(rng.normal(size=(t, 3))) for t in lengths]
+    directions = [rng.normal(size=(t, 2)) for t in lengths]
+    params = {**cell_params, **{f"x{i}": xt for i, xt in enumerate(xts)}}
+
+    def loss_fn():
+        states, _ = cell.sweep([xt.data for xt in xts])
+        return float(sum((s * d).sum() for s, d in zip(states, directions)))
+
+    def grad_fn():
+        zero_grads(params)
+        _, cache = cell.sweep([xt.data for xt in xts])
+        for xt, dx in zip(xts, cell.sweep_backward(cache, [d.copy() for d in directions])):
+            xt.accumulate(dx)
         return collect_grads(params)
 
     _fd(loss_fn, grad_fn, params)
@@ -534,6 +619,29 @@ def test_composed_tower_gradients(cell_kind):
         return collect_grads(params)
 
     _fd(loss_fn, grad_fn, params)
+
+
+@pytest.mark.parametrize("cell_kind", ["gru", "lstm", "none"])
+def test_tower_batch_matches_one_clip_passes(cell_kind):
+    overrides = {"recurrent_cell": cell_kind, "projection": ProjectionSpec(out_dim=5)}
+    if cell_kind == "none":
+        overrides["embed_dim"] = small_config().tower_output_dim()
+    config = small_config(**overrides)
+    rng = np.random.default_rng(8)
+    clips = [rng.normal(size=(t, config.feature_dim)) for t in (7, 2, 11, 7)]
+    douts = [rng.normal(size=config.scoring_dim) for _ in clips]
+    params = init_params(config, seed=4, dtype=np.float64)
+    tower = AudioTower(config, params)
+    outs, cache = tower.forward_batch(clips)
+    tower.backward_batch(cache, douts)
+    grads = collect_grads(params)
+    zero_grads(params)
+    for frames, dout, out in zip(clips, douts, outs):
+        one, one_cache = tower.forward(frames)
+        np.testing.assert_allclose(out, one, rtol=1e-12, atol=1e-12)
+        tower.backward(one_cache, dout)
+    for name, grad in collect_grads(params).items():
+        np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_text_projection_gradients():

@@ -5,7 +5,6 @@ import pytest
 
 from audiotext.losses import LossError
 from audiotext.nnet import AudioTower, ProjectionSpec, TextEmbedder, init_params
-from audiotext.nnet.gradcheck import collect_grads
 from audiotext.nnet.tensor import Tensor, zero_grads
 from audiotext.optim import (
     EPOCH_LOG_HEADER,
@@ -23,6 +22,7 @@ from audiotext.optim import (
 )
 from audiotext.rng import SplitMix64
 
+from gradcheck import collect_grads
 from helpers import (
     VOCAB10,
     caption_table_for,
@@ -381,13 +381,14 @@ def test_batch_step_matches_per_pair_oracle(mode):
 def test_batch_step_encodes_each_distinct_clip_once(monkeypatch):
     pairs, features, config, params, tower, embedder = _batch_setup("triplet_word_projection")
     encoded = []
-    forward = AudioTower.forward
+    forward_batch = AudioTower.forward_batch
 
-    def counting_forward(self, frames):
-        encoded.append(next(name for name, f in features.items() if f.frames is frames))
-        return forward(self, frames)
+    def counting_forward_batch(self, clips):
+        encoded.extend(next(name for name, f in features.items() if f.frames is frames)
+                       for frames in clips)
+        return forward_batch(self, clips)
 
-    monkeypatch.setattr(AudioTower, "forward", counting_forward)
+    monkeypatch.setattr(AudioTower, "forward_batch", counting_forward_batch)
     for batch in _batches(pairs).values():
         encoded.clear()
         _batch_step(batch, features, tower, embedder, config, SplitMix64(9))
