@@ -218,14 +218,17 @@ class MeanPoolTime:
 # product is one small GEMM over every running clip; one clip is a batch
 # of one. The input projection is one GEMM over all rows ahead of the
 # time loop and the input-weight gradient one GEMM after the backward
-# loop (Appleyard et al. 2016, arXiv:1604.01946). Step products take one
-# gate's (H, H) weights at a time, in the forward from a contiguous copy
-# of U^T: at a few rows OpenBLAS costs two to four times more per column
-# for one (H, G*H) product, and several times more for a transposed view.
+# loop (Appleyard et al. 2016, arXiv:1604.01946). The forward multiplies
+# by a contiguous copy of U^T: a transposed view costs several times more
+# at a few rows. The GRU, which trains on the benchmark's batches, takes
+# one gate's (H, H) block per product: at a few rows OpenBLAS costs two
+# to four times more per column for one (H, 3H) product. The LSTM runs
+# one (H, 4H) product per step, the form its one-clip encodes measure.
 # The backward builds previous states, incoming gradients and gate
 # coefficients for _CHUNK_STEPS steps at a time, writes the pre-activation
 # gradients over the gate cache it has consumed and sums dU chunk by
-# chunk, so it needs little memory beyond the cache.
+# chunk, so it needs little memory beyond the cache. A sweep cache
+# therefore serves one backward; a second one raises NnetError.
 
 _CHUNK_STEPS = 32
 
@@ -285,6 +288,16 @@ def _sweep_start(p: dict[str, Tensor], gates, seqs):
     return pack, xs, projected, np.ascontiguousarray(_stack(p, "u", gates).T)
 
 
+def _consume(cache: list) -> list:
+    """The parts of a sweep cache, which is then marked spent: the backward
+    writes its gradients over the gate cache (the last part)."""
+    if cache[-1] is None:
+        raise NnetError("sweep cache already consumed by a backward pass")
+    parts = list(cache)
+    cache[-1] = None
+    return parts
+
+
 def _sweep_finish(p: dict[str, Tensor], gates, pack, xs, dpre, du) -> list[np.ndarray]:
     """Accumulate the W, U and b gradients of all clips; returns d(xs)."""
     for kind, grad in (("w", dpre.T @ xs), ("u", du), ("b", dpre.sum(axis=0))):
@@ -327,12 +340,12 @@ class GRUCell:
             np.tanh(h_tilde, out=h_tilde)
             h_n[:] = (1.0 - z) * h_n + z * h_tilde
             states[lo : lo + n] = h_n
-        return pack.unpack(states), (pack, xs, states, gates)
+        return pack.unpack(states), [pack, xs, states, gates]
 
     def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
         """Takes the list of (T_i, H) state gradients and returns the list of
-        d(xs); accumulates all nine parameter gradients. Consumes the cache."""
-        pack, xs, states, gates = cache
+        d(xs); accumulates all nine parameter gradients. Spends the cache."""
+        pack, xs, states, gates = _consume(cache)
         hidden = states.shape[1]
         u = _stack(self.p, "u", self.GATES)
         u_z, u_r, u_h = np.split(u, 3)
@@ -395,11 +408,7 @@ class LSTMCell:
         c = np.zeros_like(h)
         for lo, n in pack.steps:
             pre = gates[lo : lo + n]
-            if n == 1:  # one (1, H) @ (H, 4H) product beats four per-gate ones
-                pre += h[:1] @ ut
-            else:
-                for gate in (slice(k, k + hidden) for k in range(0, 4 * hidden, hidden)):
-                    pre[:, gate] += h[:n] @ ut[:, gate]
+            pre += h[:n] @ ut
             ifo, g = pre[:, : 3 * hidden], pre[:, 3 * hidden :]
             _sigmoid(ifo, out=ifo)
             np.tanh(g, out=g)
@@ -407,15 +416,14 @@ class LSTMCell:
             h[:n] = ifo[:, 2 * hidden :] * np.tanh(c[:n])
             cells[lo : lo + n] = c[:n]
             states[lo : lo + n] = h[:n]
-        return pack.unpack(states), (pack, xs, states, cells, gates)
+        return pack.unpack(states), [pack, xs, states, cells, gates]
 
     def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
         """Takes the list of (T_i, H) state gradients and returns the list of
-        d(xs); accumulates all twelve parameter gradients. Consumes the cache."""
-        pack, xs, states, cells, gates = cache
+        d(xs); accumulates all twelve parameter gradients. Spends the cache."""
+        pack, xs, states, cells, gates = _consume(cache)
         hidden = states.shape[1]
         u = _stack(self.p, "u", self.GATES)
-        u_i, u_f, u_o, u_g = np.split(u, 4)
         du = np.zeros_like(u)
         dh = np.zeros((len(pack.rows), hidden), dtype=states.dtype)
         dc = np.zeros_like(dh)
@@ -444,8 +452,7 @@ class LSTMCell:
                 np.multiply(coef[at], dc[:n, None], out=dpre_gates[at])
                 np.multiply(coef[at, 2], dh_t, out=dpre_gates[at, 2])
                 dc[:n] *= f[at]
-                d_i, d_f, d_o, d_g = dpre_gates[at].transpose(1, 0, 2)
-                dh[:n] = d_i @ u_i + d_f @ u_f + d_o @ u_o + d_g @ u_g
+                dh[:n] = dpre[at] @ u
             du += dpre.T @ pack.previous(states, first, stop)
         return _sweep_finish(self.p, self.GATES, pack, xs, gates, du)
 

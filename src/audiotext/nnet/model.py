@@ -188,10 +188,21 @@ class ModelConfig:
         return cur
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["audio_tower"] = [s.to_dict() for s in self.audio_tower]
-        d["projection"] = self.projection.to_dict() if self.projection else None
-        return d
+        return {
+            "feature_dim": self.feature_dim,
+            "audio_tower": [s.to_dict() for s in self.audio_tower],
+            "recurrent_cell": self.recurrent_cell,
+            "embed_dim": self.embed_dim,
+            "projection": self.projection.to_dict() if self.projection else None,
+            "text_mode": self.text_mode,
+            "loss": self.loss,
+            "margin": self.margin,
+            "seed": self.seed,
+            "lr": self.lr,
+            "beta1": self.beta1,
+            "beta2": self.beta2,
+            "adam_eps": self.adam_eps,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -300,8 +311,6 @@ class AudioTower:
 
     def __init__(self, config: ModelConfig, params: Params):
         self.config = config
-        # the compute dtype follows the parameters (all one dtype)
-        self.dtype = next((t.dtype for t in params.values()), np.float32)
         self.layers = []
         for i, spec in enumerate(config.audio_tower):
             if spec.kind == "conv1d":
@@ -316,16 +325,19 @@ class AudioTower:
                 self.layers.append(MeanPoolTime(spec.pool_stride))
             else:  # pragma: no cover - kinds checked in validate()
                 raise NnetError(f"unknown tower kind {spec.kind!r}")
-        self.cell = None
-        if config.recurrent_cell != "none":
-            prefix = f"{config.recurrent_cell}."
-            cell_params = {k[len(prefix):]: t for k, t in params.items() if k.startswith(prefix)}
-            self.cell = {"gru": GRUCell, "lstm": LSTMCell}[config.recurrent_cell](cell_params)
+        if config.recurrent_cell == "gru":
+            self.cell = GRUCell({k: params[f"gru.{k}"] for k in _cell_keys(GRUCell.GATES)})
+        elif config.recurrent_cell == "lstm":
+            self.cell = LSTMCell({k: params[f"lstm.{k}"] for k in _cell_keys(LSTMCell.GATES)})
+        else:
+            self.cell = None
         self.pool = MeanPoolTime(0)
-        self.proj = None
         if config.projection is not None:
-            self.proj = Projection(params["proj_audio.w"], params["proj_audio.b"],
-                                   config.projection.activation)
+            self.proj = Projection(
+                params["proj_audio.w"], params["proj_audio.b"], config.projection.activation
+            )
+        else:
+            self.proj = None
 
     def forward(self, frames: np.ndarray):
         """frames (T, F) -> (embedding (scoring_dim,), cache): a batch of one."""
@@ -333,13 +345,15 @@ class AudioTower:
         return outs[0], cache
 
     def backward(self, cache, dout: np.ndarray) -> None:
-        """Accumulate parameter gradients for one forward's cache."""
+        """Accumulate parameter gradients for one forward's cache. A cache
+        serves one backward; with a recurrent cell a second raises NnetError."""
         self.backward_batch(cache, [dout])
 
     def forward_batch(self, clips):
         """A list of (T_i, F) feature matrices -> (list of embeddings, cache):
         conv and pool layers clip by clip, one recurrent sweep over every
         clip, then each clip's mean pool and projection."""
+        dtype = self.compute_dtype()
         xs, layer_caches = [], []
         for frames in clips:
             x = np.asarray(frames)
@@ -348,7 +362,7 @@ class AudioTower:
             if x.shape[1] != self.config.feature_dim:
                 raise NnetError(f"feature dim {x.shape[1]} does not match config feature_dim "
                                 f"{self.config.feature_dim}")
-            x = x.astype(self.dtype, copy=False)
+            x = x.astype(dtype, copy=False)
             caches = []
             for layer in self.layers:
                 x, cache = layer.forward(x)
@@ -369,7 +383,8 @@ class AudioTower:
         return outs, (layer_caches, cell_cache, head_caches)
 
     def backward_batch(self, cache, douts) -> None:
-        """Accumulate parameter gradients, given one gradient per clip."""
+        """Accumulate parameter gradients, given one gradient per clip. A cache
+        serves one backward; with a recurrent cell a second raises NnetError."""
         layer_caches, cell_cache, head_caches = cache
         dxs = []
         for (pool_cache, proj_cache), dout in zip(head_caches, douts):
@@ -381,6 +396,26 @@ class AudioTower:
         for caches, dx in zip(layer_caches, dxs):
             for layer, lcache in zip(reversed(self.layers), reversed(caches)):
                 dx = layer.backward(lcache, dx)
+
+    def compute_dtype(self):
+        # compute dtype follows the parameters; fall back to float32
+        for layer in self.layers:
+            if isinstance(layer, Conv1d):
+                return layer.kernels.dtype
+            if isinstance(layer, Dense):
+                return layer.w.dtype
+        if self.cell is not None:
+            return next(iter(self.cell.p.values())).dtype
+        if self.proj is not None:
+            return self.proj.dense.w.dtype
+        return np.float32
+
+
+def _cell_keys(gates) -> list[str]:
+    keys = []
+    for gate in gates:
+        keys.extend((f"w_{gate}", f"u_{gate}", f"b_{gate}"))
+    return keys
 
 
 def encode_audio(features: FeatureSequence | np.ndarray, config: ModelConfig, params: Params) -> np.ndarray:

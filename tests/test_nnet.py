@@ -644,6 +644,19 @@ def test_tower_batch_matches_one_clip_passes(cell_kind):
         np.testing.assert_allclose(grads[name], grad, rtol=1e-12, atol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
+def test_tower_cache_serves_one_backward(cell_kind):
+    # the sweep backward writes its gradients over the gate cache, so a
+    # second backward on the same cache must fail, not return wrong gradients
+    config = small_config(recurrent_cell=cell_kind)
+    tower = AudioTower(config, init_params(config, seed=2, dtype=np.float64))
+    rng = np.random.default_rng(9)
+    out, cache = tower.forward(rng.normal(size=(6, config.feature_dim)))
+    tower.backward(cache, np.ones_like(out))
+    with pytest.raises(NnetError, match="consumed"):
+        tower.backward(cache, np.ones_like(out))
+
+
 def test_text_projection_gradients():
     config = small_config(projection=ProjectionSpec(out_dim=5))
     params = init_params(config, seed=4, dtype=np.float64)
