@@ -77,36 +77,30 @@ class FeatureSequence:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Word -> vector table of fixed dimension."""
+    """Key -> vector table: row ``index[key]`` of one float32 ``(N, D)`` matrix.
 
-    dim: int
-    entries: dict[str, np.ndarray]
+    The loaders number the rows in file order.
+    """
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
+    index: dict[str, int]
+    matrix: np.ndarray  # float32, shape (len(index), dim)
 
-    def __getitem__(self, word: str) -> np.ndarray:
-        return self.entries[word]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class CaptionEmbeddingTable:
-    """Frozen caption-level vectors keyed ``file_name#caption_index``."""
-
-    dim: int
-    entries: dict[str, np.ndarray]
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
     def __contains__(self, key: str) -> bool:
-        return key in self.entries
+        return key in self.index
 
     def __getitem__(self, key: str) -> np.ndarray:
-        return self.entries[key]
+        return self.matrix[self.index[key]]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
+
+
+class CaptionEmbeddingTable(EmbeddingTable):
+    """Frozen caption-level vectors keyed ``file_name#caption_index``."""
 
 
 @dataclass(frozen=True)
@@ -198,23 +192,6 @@ def load_captions(csv_path: str | Path) -> list[CaptionRecord]:
     return records
 
 
-def write_captions(records: list[CaptionRecord], csv_path: str | Path) -> None:
-    """Write records (5 per file_name, indices 1-5) back to the CSV layout."""
-    by_file: dict[str, dict[int, CaptionRecord]] = {}
-    for rec in records:
-        by_file.setdefault(rec.file_name, {})[rec.caption_index] = rec
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for file_name in by_file:  # preserve first-seen order
-            per = by_file[file_name]
-            if sorted(per) != list(range(1, CAPTIONS_PER_AUDIO + 1)):
-                raise CorpusError(
-                    f"{file_name!r}: need caption indices 1..5, got {sorted(per)}"
-                )
-            writer.writerow([file_name] + [per[i].raw_text for i in range(1, 6)])
-
-
 @contextmanager
 def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
     """Write ``path`` through a temp file beside it, which replaces ``path``
@@ -276,8 +253,7 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a word2vec-style text table; header line is ``count dim``.
     Every value must be finite in float32.
 
-    Lines are parsed in chunks into one float32 matrix whose rows are
-    the table's vectors.
+    Lines are parsed in chunks into the table's one float32 matrix.
     """
     path = Path(path)
     rows: dict[str, int] = {}
@@ -308,7 +284,7 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
             _add_word_rows(path, chunk, rows, matrix, dim)
     if len(rows) != count:
         raise CorpusError(f"{path}: header declares {count} words, found {len(rows)}")
-    return EmbeddingTable(dim=dim, entries={word: matrix[i] for word, i in rows.items()})
+    return EmbeddingTable(index=rows, matrix=matrix)
 
 
 def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str, int],
@@ -374,7 +350,10 @@ def load_caption_embeddings(path: str | Path) -> CaptionEmbeddingTable:
     count, dim = struct.unpack_from("<II", data, 4)
     if dim == 0:
         raise CorpusError(f"{path}: zero dimension")
-    entries: dict[str, np.ndarray] = {}
+    # a record takes at least 2 + 4*dim bytes, so an overstated count
+    # allocates no more than the file can hold
+    matrix = np.empty((min(count, (len(data) - 12) // (2 + 4 * dim)), dim), dtype=np.float32)
+    index: dict[str, int] = {}
     offset = 12
     for i in range(count):
         if offset + 2 > len(data):
@@ -389,33 +368,31 @@ def load_caption_embeddings(path: str | Path) -> CaptionEmbeddingTable:
             raise CorpusError(f"{path}: record {i}: {e}") from e
         offset += key_len
         _check_caption_key(key, f"{path}: record {i}")
-        if key in entries:
+        if key in index:
             raise CorpusError(f"{path}: record {i}: duplicate key {key!r}")
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
-        if not np.isfinite(vec).all():
+        matrix[i] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+        if not np.isfinite(matrix[i]).all():
             raise CorpusError(f"{path}: record {i}: non-finite value")
         offset += 4 * dim
-        entries[key] = vec
+        index[key] = i
     if offset != len(data):
         raise CorpusError(f"{path}: {len(data) - offset} trailing bytes")
-    return CaptionEmbeddingTable(dim=dim, entries=entries)
+    return CaptionEmbeddingTable(index=index, matrix=matrix)
 
 
 def write_caption_embeddings(path: str | Path, table: CaptionEmbeddingTable) -> None:
-    """Write an EVEC file (records in insertion order of the table)."""
-    with open(path, "wb") as fh:
+    """Write an EVEC file (records in the order of the table's index)."""
+    with atomic_write(path, "wb") as fh:
         fh.write(EVEC_MAGIC)
-        fh.write(struct.pack("<II", len(table.entries), table.dim))
-        for key, vec in table.entries.items():
+        fh.write(struct.pack("<II", len(table), table.dim))
+        for key, row in table.index.items():
             _check_caption_key(key, "write_caption_embeddings")
             raw = key.encode("utf-8")
             if len(raw) > 0xFFFF:
                 raise CorpusError(f"key too long: {key!r}")
-            if vec.shape != (table.dim,):
-                raise CorpusError(f"{key!r}: vector length {vec.shape}, expected ({table.dim},)")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+            fh.write(table.matrix[row].astype("<f4").tobytes())
 
 
 class FeatureDirectory:

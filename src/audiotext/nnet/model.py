@@ -474,14 +474,11 @@ class TextEmbedder:
         """Mean word vector for a token list (word_average mode only)."""
         if self.config.text_mode != "word_average":
             raise NnetError("embed_tokens is only valid in word_average mode")
-        vecs = []
-        for tok in tokens:
-            if tok in self.word_table:
-                vecs.append(self.word_table[tok])
-            else:
-                self.oov_tokens += 1
-        if vecs:
-            mean = np.mean(np.stack(vecs), axis=0).astype(self.dtype)
+        index = self.word_table.index
+        rows = [index[tok] for tok in tokens if tok in index]
+        self.oov_tokens += len(tokens) - len(rows)
+        if rows:
+            mean = self.word_table.matrix[rows].mean(axis=0).astype(self.dtype)
         else:
             self.oov_captions += 1
             mean = np.zeros(self.config.embed_dim, dtype=self.dtype)

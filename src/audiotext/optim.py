@@ -12,7 +12,7 @@ different order when split across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -70,22 +70,9 @@ class TrainConfig:
         if not self.min_lr > 0.0:  # NaN fails too
             raise OptimError(f"min_lr must be positive, got {self.min_lr}")
 
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "early_stop_patience": self.early_stop_patience,
-            "plateau_factor": self.plateau_factor,
-            "plateau_patience": self.plateau_patience,
-            "min_lr": self.min_lr,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
-        known = {"epochs", "batch_size", "seed", "early_stop_patience",
-                 "plateau_factor", "plateau_patience", "min_lr"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise OptimError(f"unknown training config keys: {sorted(unknown)}")
         check_field_types(d, ints=("epochs", "batch_size", "seed", "early_stop_patience",

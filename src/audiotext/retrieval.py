@@ -115,12 +115,12 @@ def rank_row(row: np.ndarray) -> np.ndarray:
 
 
 def _ground_truth_ranks(matrix: ScoreMatrix) -> np.ndarray:
-    """1-based rank of each query's ground-truth clip under rank_row order."""
-    ranks = np.empty(matrix.num_queries, dtype=np.int64)
-    for qi in range(matrix.num_queries):
-        perm = rank_row(matrix.scores[qi])
-        ranks[qi] = int(np.nonzero(perm == matrix.ground_truth[qi])[0][0]) + 1
-    return ranks
+    """1-based rank of each query's ground-truth clip under rank_row order:
+    one plus the clips scored higher plus the tied clips at a lower index."""
+    gt = np.asarray(matrix.ground_truth, dtype=np.int64)[:, None]
+    gt_score = np.take_along_axis(matrix.scores, gt, axis=1)
+    tied_before = (matrix.scores == gt_score) & (np.arange(matrix.num_audio) < gt)
+    return 1 + (matrix.scores > gt_score).sum(axis=1) + tied_before.sum(axis=1)
 
 
 def report_from_matrix(matrix: ScoreMatrix) -> RetrievalReport:

@@ -63,10 +63,18 @@ def write_word_embeddings(path, entries):
     return Path(path)
 
 
+def embedding_table(entries, dim=None, cls=EmbeddingTable):
+    """A table holding ``entries`` (dict key -> vector) in dict order; ``dim``
+    gives the width of an empty table."""
+    vectors = [np.asarray(v, dtype=np.float32) for v in entries.values()]
+    matrix = np.empty((0, dim), dtype=np.float32) if not vectors else np.stack(vectors)
+    return cls(index={key: row for row, key in enumerate(entries)}, matrix=matrix)
+
+
 def random_word_table(vocab, dim, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     entries = {w: (scale * rng.standard_normal(dim)).astype(np.float32) for w in vocab}
-    return EmbeddingTable(dim=dim, entries=entries)
+    return embedding_table(entries)
 
 
 def small_tower(feature_dim, channels=(6, 6)):
@@ -128,7 +136,7 @@ def synthetic_dataset(n_clips, feature_shape=(12, 8), captions_per_clip=5,
 def caption_table_for(records, dim, seed):
     rng = np.random.default_rng(seed)
     entries = {r.key: rng.standard_normal(dim).astype(np.float32) for r in records}
-    return CaptionEmbeddingTable(dim=dim, entries=entries)
+    return embedding_table(entries, dim, CaptionEmbeddingTable)
 
 
 def toy_metric_corpus(rng, n_items=4, n_refs=5, vocab=VOCAB10, max_len=8):

@@ -20,7 +20,6 @@ import audiotext
 from audiotext.corpus import (
     CaptionRecord,
     DatasetManifest,
-    EmbeddingTable,
     FeatureSequence,
     ManifestItem,
 )
@@ -66,6 +65,7 @@ from gradcheck import collect_grads, finite_difference_check
 from helpers import (
     VOCAB10,
     caption_table_for,
+    embedding_table,
     random_word_table,
     small_config,
     small_tower,
@@ -420,7 +420,7 @@ def test_overfit_tiny_corpus():
                             raw_text=f"w{i}", tokens=(f"w{i}",))
         items.append(ManifestItem(file_name=name, captions=(rec,)))
     manifest = DatasetManifest(split="development", items=tuple(items))
-    table = EmbeddingTable(dim=16, entries={f"w{i}": eye[i] for i in range(8)})
+    table = embedding_table({f"w{i}": eye[i] for i in range(8)})
 
     config = ModelConfig(feature_dim=64, audio_tower=default_tower(64, (32, 32)),
                          recurrent_cell="gru", embed_dim=16, loss="triplet",

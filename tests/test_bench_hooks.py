@@ -15,7 +15,12 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+
+from audiotext.corpus import CaptionRecord
+from audiotext.nnet import AudioTower, TextEmbedder, init_params
+from helpers import random_word_table, small_config
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = BENCH / "tracing.py"
@@ -59,3 +64,30 @@ def test_benchmark_module_imports(name, tmp_path, monkeypatch):
         for added in set(sys.modules) - before:
             if str(getattr(sys.modules[added], "__file__", "")).startswith(str(BENCH)):
                 del sys.modules[added]
+
+
+def test_tracer_hooks_read_call_arguments():
+    # two hooks read arguments, not just names: the clip counter hashes
+    # AudioTower.forward's frames and the OOV counter tests each token of
+    # TextEmbedder.embed's record against the embedder's word table
+    config = small_config()
+    params = init_params(config, seed=0)
+    embedder = TextEmbedder(config, params,
+                            word_table=random_word_table(("dog", "barks"), 6, seed=1))
+    tokens = ("dog", "zzz", "barks", "qqq", "dog")
+    record = CaptionRecord("a.wav", 1, " ".join(tokens), tokens)
+    frames = np.random.default_rng(0).standard_normal((12, 8)).astype(np.float32)
+    tracer = _TRACING.Tracer()
+    tracer.install()
+    try:
+        with tracer.command("probe"):
+            embedder.embed(record)
+            AudioTower(config, params).forward(frames)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.per_layer(0.0)
+    assert metrics["nnet.model.TextEmbedder.embed.calls"] == 1
+    assert metrics["nnet.model.TextEmbedder.embed.oov_tokens"] == 2
+    assert metrics["nnet.model.AudioTower.forward.calls"] == 1
+    assert metrics["nnet.model.AudioTower.forward.per_clip"] == 1.0
+    assert embedder.oov_tokens == 2  # the embedder's own counter agrees

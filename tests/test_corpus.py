@@ -20,14 +20,13 @@ from audiotext.corpus import (
     load_word_embeddings,
     normalize_caption,
     read_fmat,
-    write_captions,
     write_caption_embeddings,
     write_fmat,
 )
 from audiotext.nnet.checkpoint import save_checkpoint
 from audiotext.nnet.tensor import Tensor
 from audiotext.optim import EpochLog, write_epoch_log
-from helpers import write_caption_csv
+from helpers import embedding_table, write_caption_csv
 from oracles import load_word_embeddings_reference
 
 FIVE = ["a dog barks", "rain falls hard", "a man speaks", "birds chirp", "wind blows"]
@@ -101,15 +100,6 @@ def test_load_captions_empty_and_tokenless_cells(tmp_path):
     path = write_caption_csv(tmp_path / "b.csv", [("x.wav", ["a", "b", "!!!", "d", "e"])])
     with pytest.raises(CorpusError, match="caption_3 normalizes to no tokens"):
         load_captions(path)
-
-
-def test_caption_round_trip(tmp_path):
-    rows = [("b.wav", FIVE), ("a.wav", ["one word", "two words here", "x y", "q r s", "end cap"])]
-    src = write_caption_csv(tmp_path / "src.csv", rows)
-    records = load_captions(src)
-    out = tmp_path / "out.csv"
-    write_captions(records, out)
-    assert load_captions(out) == records
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +208,8 @@ def _assert_loads_like_reference(path):
     dim, entries = want
     assert not isinstance(got, str), got
     assert got.dim == dim
-    assert list(got.entries) == list(entries)
+    assert list(got.index) == list(entries)
+    assert got.matrix.dtype == np.float32 and got.matrix.shape == (len(entries), dim)
     for word, vec in entries.items():
         assert got[word].dtype == np.float32 and got[word].shape == (dim,)
         assert got[word].tobytes() == vec.tobytes(), word
@@ -249,7 +240,7 @@ def test_load_word_embeddings_reads_a_pipe():
         table = load_word_embeddings(f"/dev/fd/{read_fd}")
     finally:
         os.close(read_fd)
-    assert list(table.entries) == ["w0", "w1", "w2"]
+    assert list(table.index) == ["w0", "w1", "w2"]
     assert table["w2"].shape == (2,)
 
 
@@ -302,35 +293,43 @@ def test_load_word_embeddings_errors_match_line_reference(tmp_path):
 # caption embeddings (EVEC)
 
 
+def _caption_table(entries, dim=None):
+    return embedding_table(entries, dim, CaptionEmbeddingTable)
+
+
 def test_evec_round_trip(tmp_path):
-    table = CaptionEmbeddingTable(dim=4, entries={
-        "x.wav#1": np.array([1, 2, 3, 4], dtype=np.float32),
+    table = _caption_table({
         "y.wav#5": np.array([-1, 0, 1, 2], dtype=np.float32),
+        "x.wav#1": np.array([1, 2, 3, 4], dtype=np.float32),
     })
     p = tmp_path / "caps.evec"
     write_caption_embeddings(p, table)
     loaded = load_caption_embeddings(p)
+    assert isinstance(loaded, CaptionEmbeddingTable)
     assert loaded.dim == 4
-    assert set(loaded.entries) == set(table.entries)
-    for key in table.entries:
+    assert list(loaded.index) == list(table.index)  # file order is index order
+    assert loaded.matrix.dtype == np.float32 and loaded.matrix.shape == (2, 4)
+    for key in table.index:
         assert np.array_equal(loaded[key], table[key])
 
 
 def test_evec_empty_table_ok(tmp_path):
     p = tmp_path / "empty.evec"
-    write_caption_embeddings(p, CaptionEmbeddingTable(dim=4, entries={}))
-    assert len(load_caption_embeddings(p)) == 0
+    write_caption_embeddings(p, _caption_table({}, dim=4))
+    loaded = load_caption_embeddings(p)
+    assert len(loaded) == 0
+    assert loaded.dim == 4  # an empty table keeps its width
 
 
 def test_evec_malformed_keys_rejected(tmp_path):
     for key in ("x.wav", "x.wav#0", "x.wav#6", "#3"):
-        table = CaptionEmbeddingTable(dim=2, entries={key: np.zeros(2, dtype=np.float32)})
+        table = _caption_table({key: np.zeros(2, dtype=np.float32)})
         with pytest.raises(CorpusError, match="malformed key"):
             write_caption_embeddings(tmp_path / "bad.evec", table)
 
 
 def test_evec_truncation_and_trailing_bytes(tmp_path):
-    table = CaptionEmbeddingTable(dim=2, entries={"x.wav#1": np.ones(2, dtype=np.float32)})
+    table = _caption_table({"x.wav#1": np.ones(2, dtype=np.float32)})
     p = tmp_path / "t.evec"
     write_caption_embeddings(p, table)
     data = p.read_bytes()
@@ -340,11 +339,15 @@ def test_evec_truncation_and_trailing_bytes(tmp_path):
     p.write_bytes(data + b"\x00")
     with pytest.raises(CorpusError, match="trailing"):
         load_caption_embeddings(p)
+    for count in (2, 2**32 - 1):  # an overstated count, the largest too, sizes no allocation
+        p.write_bytes(data[:4] + struct.pack("<I", count) + data[8:])
+        with pytest.raises(CorpusError, match="truncated at record 1"):
+            load_caption_embeddings(p)
 
 
 def test_evec_non_finite_values_rejected(tmp_path):
     for bad in (np.nan, np.inf, -np.inf):
-        table = CaptionEmbeddingTable(dim=2, entries={
+        table = _caption_table({
             "x.wav#1": np.ones(2, dtype=np.float32),
             "x.wav#2": np.array([1.0, bad], dtype=np.float32),
         })
@@ -355,7 +358,7 @@ def test_evec_non_finite_values_rejected(tmp_path):
 
 
 def test_evec_non_utf8_key_names_file_and_record(tmp_path):
-    table = CaptionEmbeddingTable(dim=2, entries={"x.wav#1": np.ones(2, dtype=np.float32)})
+    table = _caption_table({"x.wav#1": np.ones(2, dtype=np.float32)})
     p = tmp_path / "bad.evec"
     write_caption_embeddings(p, table)
     data = bytearray(p.read_bytes())
@@ -474,7 +477,15 @@ def _fail_report(path, monkeypatch):
         cli_module._emit("R1 \ud800", str(path))  # a lone surrogate has no UTF-8 form
 
 
-@pytest.mark.parametrize("fail", [_fail_fmat, _fail_checkpoint, _fail_epoch_log, _fail_report])
+def _fail_evec(path, monkeypatch):
+    table = _caption_table({"x.wav#1": np.ones(2, dtype=np.float32),
+                            "x.wav#6": np.ones(2, dtype=np.float32)})
+    with pytest.raises(CorpusError, match="malformed key"):  # after the header and record 0
+        write_caption_embeddings(path, table)
+
+
+@pytest.mark.parametrize("fail", [_fail_fmat, _fail_checkpoint, _fail_epoch_log, _fail_report,
+                                  _fail_evec])
 def test_failed_write_keeps_existing_output(tmp_path, monkeypatch, fail):
     target = tmp_path / "output"
     target.write_bytes(b"previous run")

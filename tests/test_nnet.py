@@ -35,7 +35,7 @@ from audiotext.nnet.model import (
 from audiotext.nnet.tensor import Tensor, clone_params, zero_grads
 
 from gradcheck import collect_grads, finite_difference_check
-from helpers import random_word_table, small_config, small_tower
+from helpers import embedding_table, random_word_table, small_config, small_tower
 from oracles import (
     GRUCellReference,
     LSTMCellReference,
@@ -967,7 +967,7 @@ def test_text_embedder_sentence_table_verbatim():
     config = small_config(text_mode="sentence_table")
     params = init_params(config, seed=0)
     vec = np.arange(6, dtype=np.float32)
-    table = CaptionEmbeddingTable(dim=6, entries={"a.wav#1": vec})
+    table = embedding_table({"a.wav#1": vec}, cls=CaptionEmbeddingTable)
     embedder = TextEmbedder(config, params, caption_table=table)
     out, cache = embedder.embed(_record(["whatever"]))
     assert cache is None
@@ -990,7 +990,7 @@ def test_text_embedder_table_requirements():
         TextEmbedder(sent, params)
     with pytest.raises(NnetError, match="scoring dim"):
         TextEmbedder(
-            sent, params, caption_table=CaptionEmbeddingTable(dim=5, entries={})
+            sent, params, caption_table=embedding_table({}, 5, CaptionEmbeddingTable)
         )
 
 

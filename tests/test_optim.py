@@ -1,5 +1,7 @@
 """Optimizer, scheduler, early stopping, and training loop tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ def test_write_epoch_log_round_trips_through_float(tmp_path):
 def test_train_config_round_trip():
     cfg = TrainConfig(epochs=7, batch_size=4, seed=2, early_stop_patience=3,
                       plateau_factor=0.25, plateau_patience=2, min_lr=1e-5)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_train_config_rejects_bad_values():
@@ -336,8 +338,8 @@ _BATCH_MODES = {
 }
 
 
-def _batch_setup(mode):
-    manifest, records, features = synthetic_dataset(6, seed=4)
+def _batch_setup(mode, dataset_seed=4):
+    manifest, records, features = synthetic_dataset(6, seed=dataset_seed)
     config = small_config(**_BATCH_MODES[mode])
     params = init_params(config, seed=5, dtype=np.float64)
     if config.text_mode == "sentence_table":
@@ -360,22 +362,33 @@ def _batches(pairs):
 
 @pytest.mark.parametrize("mode", sorted(_BATCH_MODES))
 def test_batch_step_matches_per_pair_oracle(mode):
-    pairs, features, config, params, tower, embedder = _batch_setup(mode)
-    for label, batch in _batches(pairs).items():
-        results = []
-        for step in (_batch_step, batch_step_reference):
-            zero_grads(params)
-            rng = SplitMix64(9)
-            loss = step(batch, features, tower, embedder, config, rng)
-            results.append((loss, collect_grads(params), rng.state))
-        (loss, grads, state), (ref_loss, ref_grads, ref_state) = results
-        assert loss == ref_loss, label
-        assert state == ref_state, label
-        assert list(grads) == list(ref_grads)
-        for name in grads:
-            assert grads[name].dtype == np.float64
-            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
-                                       err_msg=f"{label}: {name}")
+    """The batch step draws the same imposters and gives the oracle's loss
+    within 4 ulps and its gradients within 1e-12.
+
+    The loss is not compared bit for bit: the packed sweep multiplies all
+    running clips per step in one GEMM, while the oracle's one-clip
+    forwards multiply a single row, and the two products round
+    differently. At dataset seed 11 the losses differ by one ulp (with
+    OpenBLAS on x86-64); seed 4 is the original fixture.
+    """
+    for dataset_seed in (4, 11):
+        pairs, features, config, params, tower, embedder = _batch_setup(mode, dataset_seed)
+        for label, batch in _batches(pairs).items():
+            label = f"seed {dataset_seed} {label}"
+            results = []
+            for step in (_batch_step, batch_step_reference):
+                zero_grads(params)
+                rng = SplitMix64(9)
+                loss = step(batch, features, tower, embedder, config, rng)
+                results.append((loss, collect_grads(params), rng.state))
+            (loss, grads, state), (ref_loss, ref_grads, ref_state) = results
+            assert abs(loss - ref_loss) <= 4 * np.spacing(abs(ref_loss)), label
+            assert state == ref_state, label
+            assert list(grads) == list(ref_grads)
+            for name in grads:
+                assert grads[name].dtype == np.float64
+                np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12,
+                                           err_msg=f"{label}: {name}")
 
 
 def test_batch_step_encodes_each_distinct_clip_once(monkeypatch):
