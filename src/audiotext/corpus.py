@@ -425,10 +425,13 @@ def build_manifest(
 
     Items are ordered by file_name ascending (byte order) and each item's
     captions by caption_index, so two builds from the same inputs are
-    equal. Missing feature files are reported all at once.
+    equal. Missing feature files are reported all at once. A split without
+    clips is an error, as no command can use one.
     """
     if split not in ("development", "validation", "evaluation"):
         raise CorpusError(f"unknown split {split!r}")
+    if not captions:
+        raise CorpusError(f"no clips in the {split} split")
     feature_dir = Path(feature_dir)
     by_file: dict[str, list[CaptionRecord]] = {}
     for rec in captions:

@@ -213,17 +213,18 @@ class MeanPoolTime:
 # ---------------------------------------------------------------------------
 # recurrent cells
 #
-# Both cells sweep a list of clips at once in the packed layout of
-# PyTorch's pack_padded_sequence (Packing), so each step's recurrent
-# product is one small GEMM over every running clip; one clip is a batch
-# of one. The input projection is one GEMM over all rows ahead of the
-# time loop and the input-weight gradient one GEMM after the backward
-# loop (Appleyard et al. 2016, arXiv:1604.01946). The forward multiplies
-# by a contiguous copy of U^T: a transposed view costs several times more
-# at a few rows. The GRU, which trains on the benchmark's batches, takes
-# one gate's (H, H) block per product: at a few rows OpenBLAS costs two
-# to four times more per column for one (H, 3H) product. The LSTM runs
-# one (H, 4H) product per step, the form its one-clip encodes measure.
+# Both cells run a list of clips at once in the packed layout of PyTorch's
+# pack_padded_sequence (Packing), so each step's recurrent products are
+# small GEMMs over every running clip. One step per cell holds the gate
+# equations; two time loops run it (_Cell). sweep keeps gates and states as
+# the cache of sweep_backward, projecting the inputs in one GEMM ahead of
+# the loop (Appleyard et al. 2016, arXiv:1604.01946). mean_states, for
+# inference, projects _CHUNK_STEPS steps at a time and keeps only the
+# running state and a per-clip state sum, so no (rows, gates*H) buffer of a
+# whole split is alive. Each product takes one gate's (H, H) block of a
+# contiguous U^T: a transposed view costs several times more at a few rows,
+# and at 5 to 10 rows one (H, 4H) product takes up to twice as long as four
+# (H, H) ones (at 1 and 32 rows it is about 10% faster).
 # The backward builds previous states, incoming gradients and gate
 # coefficients for _CHUNK_STEPS steps at a time, writes the pre-activation
 # gradients over the gate cache it has consumed and sums dU chunk by
@@ -238,7 +239,7 @@ class Packing:
     sorted longest first (stable, so ties keep their order), rows
     step-major. steps[t] = (offs[t], active[t]): step t owns the rows from
     offs[t], one per running clip, row offs[t] + j for the j-th longest.
-    rows[i] holds clip i's rows in time order."""
+    rows[i] holds clip i's rows in time order; rank[i] is j for clip i."""
 
     def __init__(self, lengths):
         order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
@@ -246,9 +247,9 @@ class Packing:
         active = (np.array(lengths)[order] > steps).sum(axis=1)
         self.offs = np.concatenate([[0], np.cumsum(active)])
         self.steps = list(zip(self.offs[:-1].tolist(), active.tolist()))
-        self.rows = [None] * len(lengths)
-        for rank, i in enumerate(order):
-            self.rows[i] = self.offs[: lengths[i]] + rank
+        self.rank = np.empty(len(lengths), dtype=np.intp)
+        self.rank[order] = np.arange(len(lengths))
+        self.rows = [self.offs[:t] + j for t, j in zip(lengths, self.rank)]
 
     def gather(self, seqs, first: int = 0, stop: int | None = None) -> np.ndarray:
         """Packed rows of steps first..stop-1 from per-clip (T_i, ...)
@@ -279,15 +280,6 @@ def _stack(p: dict[str, Tensor], kind: str, gates) -> np.ndarray:
     return np.concatenate([p[f"{kind}_{gate}"].data for gate in gates])
 
 
-def _sweep_start(p: dict[str, Tensor], gates, seqs):
-    """Packing, packed inputs, their projections W x + b, contiguous U^T."""
-    pack = Packing([x.shape[0] for x in seqs])
-    xs = pack.gather(seqs)
-    projected = xs @ _stack(p, "w", gates).T
-    projected += _stack(p, "b", gates)
-    return pack, xs, projected, np.ascontiguousarray(_stack(p, "u", gates).T)
-
-
 def _consume(cache: list) -> list:
     """The parts of a sweep cache, which is then marked spent: the backward
     writes its gradients over the gate cache (the last part)."""
@@ -306,7 +298,69 @@ def _sweep_finish(p: dict[str, Tensor], gates, pack, xs, dpre, du) -> list[np.nd
     return pack.unpack(dpre @ _stack(p, "w", gates))
 
 
-class GRUCell:
+class _Cell:
+    """The time loops around a subclass's step(pre, *states, uts): one step
+    of n running clips, which overwrites pre, their (n, gates*H) projections
+    W x + b, with the gates and updates the (n, H) rows of each of STATES
+    (STATES[0] is the output h) in place; uts are U^T's per-gate blocks."""
+
+    def __init__(self, p: dict[str, Tensor]):
+        self.p = p  # keys: w_<gate>, u_<gate>, b_<gate> for each gate
+
+    def _start(self, batch: int):
+        """Stacked W^T and b, the per-gate blocks of a contiguous U^T, and a
+        zero state for a batch of clips."""
+        ut = np.ascontiguousarray(_stack(self.p, "u", self.GATES).T)
+        state = [np.zeros((batch, ut.shape[0]), dtype=ut.dtype) for _ in self.STATES]
+        return (_stack(self.p, "w", self.GATES).T, _stack(self.p, "b", self.GATES),
+                np.split(ut, len(self.GATES), axis=1), state)
+
+    def sweep(self, seqs):
+        """Run over a list of (T_i, in) sequences, each from a zero state;
+        returns the list of (T_i, H) output states and the cache."""
+        pack = Packing([x.shape[0] for x in seqs])
+        xs = pack.gather(seqs)
+        w_t, b, uts, state = self._start(len(seqs))
+        # (N, len(GATES)*H) pre-activations, overwritten step by step with the gates
+        gates = xs @ w_t
+        gates += b
+        kept = [np.empty((gates.shape[0], s.shape[1]), dtype=gates.dtype) for s in state]
+        for lo, n in pack.steps:
+            rows = [s[:n] for s in state]
+            self.step(gates[lo : lo + n], *rows, uts)
+            for k, r in zip(kept, rows):
+                k[lo : lo + n] = r
+        return pack.unpack(kept[0]), [pack, xs, *kept, gates]
+
+    def mean_states(self, seqs) -> np.ndarray:
+        """(B, H) mean output state of each of B >= 1 (T_i, in) sequences,
+        rows in input order; forward only, so it keeps no cache. The state
+        sums are float64."""
+        # a zero sequence as long as the longest gives every product two rows
+        # or more: a one-row product rounds unlike a row of a larger one, and
+        # a sequence's result would depend on the sequences run with it
+        pad = np.zeros((max(x.shape[0] for x in seqs), seqs[0].shape[1]), dtype=seqs[0].dtype)
+        seqs = [pad, *seqs]
+        pack = Packing([x.shape[0] for x in seqs])
+        w_t, b, uts, state = self._start(len(seqs))
+        total = np.zeros(state[0].shape)
+        # one buffer for every chunk's projections: the first chunk has the most rows
+        buf = np.empty((pack.offs[min(_CHUNK_STEPS, len(pack.steps))], b.size), b.dtype)
+        for first in range(0, len(pack.steps), _CHUNK_STEPS):
+            stop = min(first + _CHUNK_STEPS, len(pack.steps))
+            base = pack.offs[first]
+            pre = np.matmul(pack.gather(seqs, first, stop), w_t,
+                            out=buf[: pack.offs[stop] - base])
+            pre += b
+            for lo, n in pack.steps[first:stop]:
+                rows = [s[:n] for s in state]
+                self.step(pre[lo - base : lo - base + n], *rows, uts)
+                total[:n] += rows[0]
+        lengths = np.array([x.shape[0] for x in seqs])
+        return (total[pack.rank] / lengths[:, None]).astype(state[0].dtype)[1:]
+
+
+class GRUCell(_Cell):
     """Gated recurrent unit.
 
     z = sigmoid(Wz x + Uz h + bz)
@@ -316,31 +370,21 @@ class GRUCell:
     """
 
     GATES = ("z", "r", "h")
+    STATES = ("h",)
+    sweep = _Cell.sweep  # an own attribute: the benchmark's tracer patches it per class
 
-    def __init__(self, p: dict[str, Tensor]):
-        self.p = p  # keys: w_z,u_z,b_z,w_r,u_r,b_r,w_h,u_h,b_h
-
-    def sweep(self, seqs):
-        """Run over a list of (T_i, in) sequences, each from h0 = 0; returns
-        the list of (T_i, H) states and the cache."""
-        # (N, 3H) pre-activations, overwritten step by step with z, r, h~
-        pack, xs, gates, ut = _sweep_start(self.p, self.GATES, seqs)
-        hidden = ut.shape[0]
-        ut_z, ut_r, ut_h = np.split(ut, 3, axis=1)
-        states = np.empty((gates.shape[0], hidden), dtype=gates.dtype)
-        h = np.zeros((len(seqs), hidden), dtype=gates.dtype)
-        for lo, n in pack.steps:
-            h_n, pre = h[:n], gates[lo : lo + n]
-            zr, h_tilde = pre[:, : 2 * hidden], pre[:, 2 * hidden :]
-            z, r = zr[:, :hidden], zr[:, hidden:]
-            z += h_n @ ut_z
-            r += h_n @ ut_r
-            _sigmoid(zr, out=zr)
-            h_tilde += (r * h_n) @ ut_h
-            np.tanh(h_tilde, out=h_tilde)
-            h_n[:] = (1.0 - z) * h_n + z * h_tilde
-            states[lo : lo + n] = h_n
-        return pack.unpack(states), [pack, xs, states, gates]
+    @staticmethod
+    def step(pre, h, uts) -> None:
+        hidden = h.shape[1]
+        ut_z, ut_r, ut_h = uts
+        zr, h_tilde = pre[:, : 2 * hidden], pre[:, 2 * hidden :]
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        z += h @ ut_z
+        r += h @ ut_r
+        _sigmoid(zr, out=zr)
+        h_tilde += (r * h) @ ut_h
+        np.tanh(h_tilde, out=h_tilde)
+        h[:] = (1.0 - z) * h + z * h_tilde
 
     def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
         """Takes the list of (T_i, H) state gradients and returns the list of
@@ -382,7 +426,7 @@ class GRUCell:
         return _sweep_finish(self.p, self.GATES, pack, xs, gates, du)
 
 
-class LSTMCell:
+class LSTMCell(_Cell):
     """Long short-term memory cell.
 
     i, f, o = sigmoid(W x + U h + b)   (input, forget, output gates)
@@ -392,31 +436,19 @@ class LSTMCell:
     """
 
     GATES = ("i", "f", "o", "g")
+    STATES = ("h", "c")
+    sweep = _Cell.sweep  # an own attribute: the benchmark's tracer patches it per class
 
-    def __init__(self, p: dict[str, Tensor]):
-        self.p = p  # keys: w_i,u_i,b_i,...,w_g,u_g,b_g
-
-    def sweep(self, seqs):
-        """Run over a list of (T_i, in) sequences, each from h0 = c0 = 0;
-        returns the list of (T_i, H) states and the cache."""
-        # (N, 4H) pre-activations, overwritten step by step with i, f, o, g
-        pack, xs, gates, ut = _sweep_start(self.p, self.GATES, seqs)
-        hidden = ut.shape[0]
-        states = np.empty((gates.shape[0], hidden), dtype=gates.dtype)
-        cells = np.empty_like(states)
-        h = np.zeros((len(seqs), hidden), dtype=gates.dtype)
-        c = np.zeros_like(h)
-        for lo, n in pack.steps:
-            pre = gates[lo : lo + n]
-            pre += h[:n] @ ut
-            ifo, g = pre[:, : 3 * hidden], pre[:, 3 * hidden :]
-            _sigmoid(ifo, out=ifo)
-            np.tanh(g, out=g)
-            c[:n] = ifo[:, hidden : 2 * hidden] * c[:n] + ifo[:, :hidden] * g
-            h[:n] = ifo[:, 2 * hidden :] * np.tanh(c[:n])
-            cells[lo : lo + n] = c[:n]
-            states[lo : lo + n] = h[:n]
-        return pack.unpack(states), [pack, xs, states, cells, gates]
+    @staticmethod
+    def step(pre, h, c, uts) -> None:
+        hidden = h.shape[1]
+        for k, ut in enumerate(uts):
+            pre[:, k * hidden : (k + 1) * hidden] += h @ ut
+        ifo, g = pre[:, : 3 * hidden], pre[:, 3 * hidden :]
+        _sigmoid(ifo, out=ifo)
+        np.tanh(g, out=g)
+        c[:] = ifo[:, hidden : 2 * hidden] * c + ifo[:, :hidden] * g
+        h[:] = ifo[:, 2 * hidden :] * np.tanh(c)
 
     def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
         """Takes the list of (T_i, H) state gradients and returns the list of

@@ -150,9 +150,8 @@ def build_score_matrix(config: ModelConfig, params: Params, manifest: DatasetMan
     them; queries follow item order, then caption_index."""
     if scorer is None:
         scorer = default_scorer(config)
-    tower = AudioTower(config, params)
-    audio_embs = np.stack([tower.forward(features[item.file_name].frames)[0]
-                           for item in manifest.items]).astype(np.float64)
+    audio_embs = AudioTower(config, params).encode(
+        [features[item.file_name].frames for item in manifest.items]).astype(np.float64)
     embedder = TextEmbedder(config, params, word_table=word_table,
                             caption_table=caption_table)
     queries = [(idx, record) for idx, item in enumerate(manifest.items)
@@ -213,8 +212,7 @@ def rank_query(checkpoint: Checkpoint, query_text: str, manifest: DatasetManifes
         emb, _ = embedder.embed_tokens(tokens)
         qvec = np.asarray(emb, dtype=np.float64)
 
-    tower = AudioTower(config, params)
-    audio_embs = np.stack([tower.forward(features[name].frames)[0] for name in audio_ids])
+    audio_embs = AudioTower(config, params).encode([features[name].frames for name in audio_ids])
     scores = score_all(qvec[None, :], audio_embs, scorer).scores[0]
     order = rank_row(scores)
     return [(audio_ids[j], float(scores[j])) for j in order[:top_k]]

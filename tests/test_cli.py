@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from audiotext import cli
 from audiotext.cli import load_run_config, main
 from audiotext.corpus import (
     load_captions,
@@ -21,7 +22,7 @@ from audiotext.corpus import (
     write_fmat,
 )
 from audiotext.dsp import log_mel_features, read_wav
-from audiotext.nnet import Tensor, init_params, load_checkpoint, save_checkpoint
+from audiotext.nnet import AudioTower, Tensor, init_params, load_checkpoint, save_checkpoint
 from audiotext.optim import EPOCH_LOG_HEADER
 
 from helpers import (
@@ -680,6 +681,39 @@ def test_rank_query_with_no_tokens_fails(tmp_path):
     ])
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["train", "eval-retrieval", "rank"])
+def test_header_only_split_is_an_error(tmp_path, monkeypatch, command):
+    # a caption CSV with a header and no rows makes an empty split, which
+    # must fail before anything is trained or encoded
+    ds = make_dataset(tmp_path)
+    empty = write_caption_csv(tmp_path / "empty.csv", [])
+    out_dir = tmp_path / "run"
+
+    def never(*args, **kwargs):
+        raise AssertionError("an empty split reached training or encoding")
+
+    monkeypatch.setattr(cli, "train", never)
+    monkeypatch.setattr(AudioTower, "encode", never)
+    if command == "train":
+        cfg = base_config_dict(ds, out_dir)
+        cfg["data"]["val_captions"] = str(empty)
+        argv = ["train", "--config", str(write_config(tmp_path / "run.json", cfg))]
+        split, written = "validation", out_dir / "model.ckpt"
+    else:
+        ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+        argv = [command, "--checkpoint", str(ckpt), "--captions", str(empty),
+                "--features-dir", str(ds["feats"]), "--feature-kind", "external",
+                "--word-embeddings", str(ds["words"]), "--out", str(out_dir / "out.txt")]
+        if command == "rank":
+            argv += ["--query", "w0", "--top-k", "1"]
+        split, written = "evaluation", out_dir / "out.txt"
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: no clips in the {split} split\n"
+    assert not written.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "rank"])

@@ -1,5 +1,7 @@
 """Network tests: layer math, gradients, configuration, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from audiotext.nnet.layers import (
     Projection,
 )
 from audiotext.nnet.model import (
+    _ENCODE_GROUP,
     AudioTower,
     LayerSpec,
     ModelConfig,
@@ -882,10 +885,7 @@ def test_audio_tower_without_recurrence_is_pooled_stack():
     assert np.allclose(out, manual, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "variant", ["gru", "lstm", "none", "projection", "mixed"]
-)
-def test_encode_audio_matches_reference(variant):
+def _tower_variant(variant):
     if variant == "none":
         config = small_config(
             audio_tower=(LayerSpec("dense", in_dim=8, out_dim=6), LayerSpec("tanh_act")),
@@ -906,11 +906,72 @@ def test_encode_audio_matches_reference(variant):
         )
     else:
         config = small_config(recurrent_cell=variant)
+    return config
+
+
+_TOWER_VARIANTS = ["gru", "lstm", "none", "projection", "mixed"]
+
+
+@pytest.mark.parametrize("variant", _TOWER_VARIANTS)
+def test_encode_audio_matches_reference(variant):
+    config = _tower_variant(variant)
     params = init_params(config, seed=7, dtype=np.float64)
     frames = np.random.default_rng(7).normal(size=(9, 8))
     got = encode_audio(frames, config, params)
     ref = encode_audio_reference(frames, config, params)
     assert np.allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", _TOWER_VARIANTS)
+def test_encode_matches_forward_batch(variant):
+    # more clips than one encode group, in no length order, among them
+    # clips of 1 step after pooling (1 and 4 frames), equal-length ties
+    # (two of 300 frames; 5 and 7 frames pool alike) and clips of more
+    # steps than one _CHUNK_STEPS chunk
+    config = _tower_variant(variant)
+    tower = AudioTower(config, init_params(config, seed=5, dtype=np.float64))
+    rng = np.random.default_rng(5)
+    lengths = [9, 1, 300, 4, 300, 5, 7, 170, *rng.integers(1, 150, _ENCODE_GROUP).tolist()]
+    clips = [rng.normal(size=(t, config.feature_dim)) for t in lengths]
+    embs = tower.encode(clips)
+    outs, _ = tower.forward_batch(clips)
+    assert embs.shape == (len(clips), config.scoring_dim) and embs.dtype == np.float64
+    np.testing.assert_allclose(embs, np.stack(outs), rtol=1e-12, atol=1e-12)
+    assert tower.encode([]).shape == (0, config.scoring_dim)
+
+
+@pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
+def test_encode_is_bitwise_independent_of_the_other_clips(cell_kind):
+    # float32 at paper-like widths: a clip encoded alone and in a group gets
+    # the same bits, so rank's printed scores do not depend on the rest of
+    # the split. This rests on the BLAS rounding each row of a product of
+    # two rows or more alike, as OpenBLAS on x86-64 does at these shapes.
+    config = ModelConfig(feature_dim=64, audio_tower=default_tower(64),
+                         recurrent_cell=cell_kind, embed_dim=300,
+                         projection=ProjectionSpec(out_dim=300))
+    tower = AudioTower(config, init_params(config, seed=1))
+    rng = np.random.default_rng(3)
+    clips = [rng.normal(size=(t, 64)).astype(np.float32) for t in (130, 7, 300, 130, 61)]
+    for clip, emb in zip(clips, tower.encode(clips)):
+        assert np.array_equal(tower.encode([clip])[0], emb)
+
+
+def test_encode_peak_memory_is_below_one_gate_buffer():
+    # a cached batch forward over these clips would hold a (sum T, 4H) LSTM
+    # gate buffer; the cache-free encode must peak below that buffer alone
+    hidden, lengths = 300, [400 + i for i in range(12)]
+    config = small_config(audio_tower=(), recurrent_cell="lstm", embed_dim=hidden)
+    tower = AudioTower(config, init_params(config, seed=0))
+    clips = [np.ones((t, config.feature_dim), dtype=np.float32) for t in lengths]
+    bound = sum(lengths) * 4 * hidden * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        embs = tower.encode(clips)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert embs.shape == (len(clips), hidden)
+    assert peak < bound, (peak, bound)
 
 
 # ---------------------------------------------------------------- text side
