@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import stat
 import struct
 from contextlib import contextmanager
@@ -31,7 +32,9 @@ import numpy as np
 
 CAPTIONS_PER_AUDIO = 5
 _CSV_HEADER = ["file_name"] + [f"caption_{i}" for i in range(1, 6)]
-_TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789'")
+# ASCII classes only: \d and \w would also match digits and letters of
+# other scripts (e.g. "\u0663")
+_TOKEN_RUN = re.compile("[a-z0-9']+")
 
 FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
@@ -120,14 +123,13 @@ class DatasetManifest:
 
 
 def normalize_caption(raw: str) -> list[str]:
-    """Lowercase, replace every char outside [a-z0-9'] with space, split.
+    """Lowercase, then the maximal runs of [a-z0-9']: every other char,
+    as if replaced with a space, separates tokens.
 
     Idempotent; may return an empty list (caller decides whether that
     is an error).
     """
-    lowered = raw.lower()
-    cleaned = "".join(ch if ch in _TOKEN_CHARS else " " for ch in lowered)
-    return cleaned.split()
+    return _TOKEN_RUN.findall(raw.lower())
 
 
 @contextmanager

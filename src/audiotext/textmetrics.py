@@ -16,7 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .corpus import load_captions, normalize_caption, open_text
 
@@ -79,13 +79,18 @@ class CorpusScores:
         return "{" + ",".join(parts) + "}"
 
 
+def _grams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    """The contiguous n-tuples of ``tokens`` in order, built by ``zip`` in C
+    (a Counter of them keeps first-occurrence order)."""
+    return zip(*(tokens[k:] for k in range(n)))
+
+
 def ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
     """All contiguous n-tuples with multiplicity; empty if the sequence
     is shorter than n."""
     if n < 1:
         raise MetricError(f"n-gram order must be >= 1, got {n}")
-    counts = Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-    return NGramCounts(n=n, counts=dict(counts))
+    return NGramCounts(n=n, counts=dict(Counter(_grams(tokens, n))))
 
 
 def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
@@ -105,18 +110,11 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
         cand_len_sum += c
         ref_len_sum += min((len(r) for r in item.references),
                            key=lambda length: (abs(length - c), length))
-        for n in range(1, max_n + 1):
-            cand_counts = ngrams(item.candidate, n).counts
-            if not cand_counts:
-                continue
-            max_ref: dict[tuple[str, ...], int] = {}
-            for ref in item.references:
-                for gram, count in ngrams(ref, n).counts.items():
-                    if count > max_ref.get(gram, 0):
-                        max_ref[gram] = count
-            clipped[n - 1] += sum(min(count, max_ref.get(gram, 0))
-                                  for gram, count in cand_counts.items())
-            totals[n - 1] += sum(cand_counts.values())
+        for n in range(1, min(c, max_n) + 1):
+            ref_counts = [Counter(_grams(ref, n)) for ref in item.references]
+            clipped[n - 1] += sum(min(count, max(r.get(gram, 0) for r in ref_counts))
+                                  for gram, count in Counter(_grams(item.candidate, n)).items())
+            totals[n - 1] += c - n + 1
     if cand_len_sum == 0:
         return (0.0,) * max_n
     bp = min(1.0, math.exp(1.0 - ref_len_sum / cand_len_sum))
@@ -132,18 +130,17 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyro 2004): bit j of
+    ``v`` is 0 where the LCS row steps up at b[j]; one add per token of a."""
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for tok in a:
-        cur = [0] * (len(b) + 1)
-        for j, other in enumerate(b, start=1):
-            if tok == other:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[len(b)]
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -178,71 +175,60 @@ def _alignment_stats(candidate: Sequence[str], reference: Sequence[str]) -> tupl
     The alignment is one-to-one, maximizes the match count (forced to
     sum of per-word min counts), and among maximal alignments
     minimizes the number of chunks (runs contiguous in both
-    sentences). Search is memoized and pruned; it is linear when
-    tokens are distinct and worst-case exponential only under heavy
-    token repetition.
+    sentences). Search is memoized over the candidate positions whose
+    word can match; a word is matched only while its quota is open and
+    skipped only when a later occurrence can still fill it, so every
+    path reaches the quota. It is linear when tokens are distinct and
+    worst-case exponential only under heavy token repetition.
     """
-    cand_counts = Counter(candidate)
     ref_counts = Counter(reference)
-    quota = {w: min(cand_counts[w], ref_counts[w])
-             for w in cand_counts if w in ref_counts}
+    quota = {w: min(count, ref_counts[w])
+             for w, count in Counter(candidate).items() if w in ref_counts}
     m = sum(quota.values())
     if m == 0:
         return 0, 0
     positions = {w: tuple(j for j, t in enumerate(reference) if t == w)
                  for w in quota}
-    word_mask = {w: sum(1 << j for j in js) for w, js in positions.items()}
-    lc = len(candidate)
-    # suffix_counts[i][w]: occurrences of w in candidate[i:]
-    suffix_counts: list[dict[str, int]] = [dict() for _ in range(lc + 1)]
-    for i in range(lc - 1, -1, -1):
-        cur = dict(suffix_counts[i + 1])
+    # per matchable candidate position: its word's reference positions,
+    # their mask and quota, the word's occurrences from here on, and
+    # whether the next matchable position is the adjacent one
+    steps = []
+    left: Counter = Counter()
+    after = None
+    for i in range(len(candidate) - 1, -1, -1):
         w = candidate[i]
         if w in quota:
-            cur[w] = cur.get(w, 0) + 1
-        suffix_counts[i] = cur
-    infinity = m + 1
+            left[w] += 1
+            js = positions[w]
+            steps.append((js, sum(1 << j for j in js), quota[w], left[w], after == i + 1))
+            after = i
+    steps.reverse()
     memo: dict[tuple[int, int, int], int] = {}
 
-    def rec(i: int, used: int, prev: int) -> int:
-        if i == lc:
-            return 0 if used.bit_count() == m else infinity
-        key = (i, used, prev)
+    def rec(k: int, used: int, extend: int) -> int:
+        # min chunks of steps[k:], where reference position ``extend``
+        # (-1: none) continues the chunk of the previous match
+        if k == len(steps):
+            return 0
+        key = (k, used, extend)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        matched = used.bit_count()
-        possible = matched
-        for w, q in quota.items():
-            possible += min(suffix_counts[i].get(w, 0),
-                            q - (used & word_mask[w]).bit_count())
-        if possible < m:
-            memo[key] = infinity
-            return infinity
-        w = candidate[i]
-        best = infinity
-        if w in quota:
-            for j in positions[w]:
-                if used & (1 << j):
-                    continue
-                cost = 0 if j == prev + 1 and prev >= 0 else 1
-                sub = rec(i + 1, used | (1 << j), j)
-                if cost + sub < best:
-                    best = cost + sub
-            # skipping is allowed only when this word has surplus
-            # occurrences beyond its remaining quota
-            need = quota[w] - (used & word_mask[w]).bit_count()
-            if suffix_counts[i].get(w, 0) - 1 >= need:
-                best = min(best, rec(i + 1, used, -1))
-        else:
-            best = rec(i + 1, used, -1)
+        js, mask, q, occurrences, adjacent = steps[k]
+        need = q - (used & mask).bit_count()
+        # m + 1 chunks: more than any alignment has, so any match beats it
+        best = rec(k + 1, used, -1) if occurrences > need else m + 1
+        if need:
+            for j in js:
+                bit = 1 << j
+                if not used & bit:
+                    sub = rec(k + 1, used | bit, j + 1 if adjacent else -1) + (j != extend)
+                    if sub < best:
+                        best = sub
         memo[key] = best
         return best
 
-    chunks = rec(0, 0, -1)
-    if chunks > m:
-        raise MetricError("alignment search failed to reach the match quota")
-    return m, chunks
+    return m, rec(0, 0, -1)
 
 
 def meteor_lite_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -283,15 +269,15 @@ def cider_d_per_item(eval_set: CaptionEvalSet, max_n: int = 4,
     df: list[Counter] = [Counter() for _ in range(max_n)]
     for item in eval_set.items:
         for n in range(1, max_n + 1):
-            seen: set[tuple[str, ...]] = set()
-            for ref in item.references:
-                seen.update(ngrams(ref, n).counts)
-            for gram in seen:
-                df[n - 1][gram] += 1
+            df[n - 1].update(set().union(*(_grams(ref, n) for ref in item.references)))
+    # idf by document frequency: one log per possible df, and no float
+    # object per n-gram (df of an unseen n-gram floored at 1)
+    idf = [0.0] + [math.log(num_items / k) for k in range(1, num_items + 1)]
 
     def weights(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], float]:
-        return {gram: count * math.log(num_items / max(1, df[n - 1][gram]))
-                for gram, count in ngrams(tokens, n).counts.items()}
+        table = df[n - 1]
+        return {gram: count * idf[table.get(gram, 1)]
+                for gram, count in Counter(_grams(tokens, n)).items()}
 
     scores = []
     for item in eval_set.items:
@@ -332,7 +318,8 @@ def load_spice_file(path) -> dict[str, float]:
         raise MetricError(f"{path}: expected an object of key -> SPICE value")
     out = {}
     for key, value in raw.items():
-        if not isinstance(value, (int, float)) or not (0.0 <= value <= 1.0):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 <= value <= 1.0):
             raise MetricError(f"{path}: SPICE value for {key!r} outside [0,1]: {value!r}")
         out[str(key)] = float(value)
     return out
@@ -412,9 +399,9 @@ def evaluate_captions(candidates_csv, references_csv,
     for record in records:
         references.setdefault(record.file_name, []).append(record.tokens)
     eval_set = build_eval_set(candidates, references)
+    spice_values = load_spice_file(spice_file) if spice_file is not None else None
     bleu = bleu_corpus(eval_set)
     cider = cider_d(eval_set)
-    spice_values = load_spice_file(spice_file) if spice_file is not None else None
     spice, spider = spider_combine(cider, spice_values, eval_set.keys())
     return CorpusScores(
         bleu=bleu,

@@ -586,3 +586,14 @@ def load_word_embeddings_reference(path):
     if len(entries) != count:
         raise CorpusError(f"{path}: header declares {count} words, found {len(entries)}")
     return dim, entries
+
+
+# ---------------------------------------------------------------------------
+# caption text, one character at a time
+
+
+def normalize_caption_reference(raw):
+    """The rule `audiotext.corpus.normalize_caption` implements: lowercase,
+    replace every char outside [a-z0-9'] with a space, split on whitespace."""
+    token_chars = set("abcdefghijklmnopqrstuvwxyz0123456789'")
+    return "".join(ch if ch in token_chars else " " for ch in raw.lower()).split()

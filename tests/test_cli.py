@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiotext import cli
+from audiotext import cli, textmetrics
 from audiotext.cli import load_run_config, main
 from audiotext.corpus import (
     load_captions,
@@ -560,6 +560,31 @@ def test_eval_captions_rejects_uncovered_candidates(tmp_path):
                             "--references", str(refs_csv)])
     assert code == 1
     assert "unknown file_names" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"a.wav": true, "b.wav": false}', "SPICE value for 'a.wav' outside [0,1]: True"),
+    ('{"a.wav": 0.5, "b.wav": 1.5}', "SPICE value for 'b.wav' outside [0,1]: 1.5"),
+    ('[0.5, 0.25]', "expected an object of key -> SPICE value"),
+], ids=["bool", "out_of_range", "not_object"])
+def test_bad_spice_file_is_an_error_before_scoring(tmp_path, monkeypatch, content, message):
+    # a JSON boolean is not a SPICE score, and the file is checked before
+    # any metric runs over the corpus
+    def never(*args, **kwargs):
+        raise AssertionError("a bad SPICE file reached scoring")
+
+    monkeypatch.setattr(textmetrics, "bleu_corpus", never)
+    refs_csv = write_caption_csv(tmp_path / "refs.csv",
+                                 [(n, ["w0 w1", "w2 w3", "w4 w5", "w6 w7", "w8 w9"])
+                                  for n in ("a.wav", "b.wav")])
+    cand_csv = write_candidates_csv(tmp_path / "cands.csv", [("a.wav", "w0"), ("b.wav", "w2")])
+    spice = tmp_path / "spice.json"
+    spice.write_text(content, encoding="utf-8")
+    code, out, err = run_cli(["eval-captions", "--candidates", str(cand_csv),
+                              "--references", str(refs_csv), "--spice", str(spice)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {spice}: {message}\n"
 
 
 def test_rank_outputs_topk_lines(tmp_path):

@@ -27,7 +27,7 @@ from audiotext.nnet.checkpoint import save_checkpoint
 from audiotext.nnet.tensor import Tensor
 from audiotext.optim import EpochLog, write_epoch_log
 from helpers import embedding_table, write_caption_csv
-from oracles import load_word_embeddings_reference
+from oracles import load_word_embeddings_reference, normalize_caption_reference
 
 FIVE = ["a dog barks", "rain falls hard", "a man speaks", "birds chirp", "wind blows"]
 
@@ -49,6 +49,21 @@ def test_normalize_degenerate_and_idempotent():
     for raw in ("A man, laughing.", "it's 3 o'clock", "  Tabs\tand\nnewlines "):
         once = normalize_caption(raw)
         assert normalize_caption(" ".join(once)) == once
+
+
+def test_normalize_matches_per_character_reference():
+    # "\u0130".lower() is two characters ("i" and a combining dot), "\u00df"
+    # lowercases to itself, "\u0663" is a digit and "\u00a0"/"\u2028" are
+    # whitespace outside ASCII: none of them may join or split a token
+    # differently from the per-character rule
+    special = ["\u0130", "\u00df", "\u0663", "\u00a0", "\u2028", "\u212a", "\u00c9"]
+    alphabet = list("aZz09'- .,\t\n") + special
+    for raw in ["\u0130stanbul stra\u00dfe \u0663 o'clock\u00a0dog\u2028cat", *special]:
+        assert normalize_caption(raw) == normalize_caption_reference(raw), repr(raw)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        raw = "".join(rng.choice(alphabet, size=int(rng.integers(0, 16))))
+        assert normalize_caption(raw) == normalize_caption_reference(raw), repr(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from audiotext.textmetrics import (
     CaptionEvalSet,
     CorpusScores,
     MetricError,
+    _alignment_stats,
+    _lcs_length,
     bleu_corpus,
     build_eval_set,
     cider_d,
@@ -27,6 +29,8 @@ from audiotext.textmetrics import (
 
 from helpers import toy_metric_corpus, write_caption_csv
 from oracles import (
+    _lcs_recursive,
+    alignment_reference,
     bleu_reference,
     cider_d_reference,
     meteor_reference,
@@ -148,6 +152,24 @@ def test_rouge_l_duplicate_reference_never_decreases():
         assert extended >= base - 1e-15
 
 
+def _random_tokens(rng, vocab, lo, hi):
+    return [f"w{k}" for k in rng.integers(0, vocab, size=int(rng.integers(lo, hi + 1)))]
+
+
+def test_lcs_length_matches_recursive_reference():
+    # the bit-parallel LCS must be exact, also past one 64-bit word
+    rng = np.random.default_rng(7)
+    long_a = _random_tokens(rng, 5, 70, 70)
+    long_b = _random_tokens(rng, 5, 90, 90)
+    pairs = [([], []), ([], ["a"]), (["a"], []), (long_a, long_b), (long_b, long_a),
+             (long_a, long_a), (long_a, []), (["x"] * 80, ["x"] * 65)]
+    for _ in range(300):
+        vocab = int(rng.integers(1, 8))
+        pairs.append((_random_tokens(rng, vocab, 0, 20), _random_tokens(rng, vocab, 0, 80)))
+    for a, b in pairs:
+        assert _lcs_length(a, b) == _lcs_recursive(tuple(a), tuple(b)), (a, b)
+
+
 def test_rouge_l_requires_references():
     with pytest.raises(MetricError):
         rouge_l_item(["a"], [])
@@ -199,6 +221,21 @@ def test_meteor_duplicate_reference_never_decreases():
         base = meteor_lite_item(cand, refs)
         extended = meteor_lite_item(cand, list(refs) + [refs[-1]])
         assert extended >= base - 1e-15
+
+
+def test_alignment_stats_matches_exhaustive_reference():
+    # 1-4 word vocabularies make tokens repeat, so the search has to choose
+    rng = np.random.default_rng(8)
+    for _ in range(400):
+        vocab = int(rng.integers(1, 5))
+        cand = _random_tokens(rng, vocab, 0, 7)
+        ref = _random_tokens(rng, vocab, 0, 7)
+        assert _alignment_stats(cand, ref) == alignment_reference(cand, ref), (cand, ref)
+
+
+def test_alignment_stats_matches_repeated_word_crosswise():
+    # "w a" and "w b" are each one chunk only with the two w's swapped
+    assert _alignment_stats(["w", "a", "w", "b"], ["w", "b", "x", "w", "a"]) == (4, 2)
 
 
 def test_meteor_requires_references():
