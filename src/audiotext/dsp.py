@@ -7,10 +7,16 @@ they matter for reproducibility: HTK mel scale 2595*log10(1+f/700),
 symmetric Hann window, FFT size = smallest power of two >= window length,
 no pre-emphasis, no per-clip normalization. Stereo input is averaged to
 mono; clips are processed at their native sample rate.
+
+Frames are windowed and transformed in fixed chunks through one reused
+zero-padded buffer, so transient memory does not grow with clip length;
+the mel product and log run once over the whole power matrix. The
+output is bitwise the same as transforming every frame at once.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +26,13 @@ import numpy as np
 from .corpus import FeatureSequence
 
 LOG_FLOOR = 1e-10
+
+# Values in the zero-padded frame buffer: 128 frames at n_fft = 2048
+# (44.1 kHz defaults). In a probe on a 30 s clip (1 BLAS thread), 16-512
+# frames per chunk took the same time within 2% and all 1,499 frames at
+# once about 25% longer. Sizing by values, not frames, keeps the buffer
+# bounded for long windows.
+_FRAME_BUFFER_VALUES = 128 * 2048
 
 
 class DspError(ValueError):
@@ -68,7 +81,7 @@ def read_wav(path: str | Path) -> WaveForm:
     Stereo is averaged to mono; sample s maps to s/32768.
     """
     path = Path(path)
-    data = path.read_bytes()
+    data = memoryview(path.read_bytes())
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DspError(f"{path}: not a RIFF/WAVE file")
 
@@ -76,7 +89,7 @@ def read_wav(path: str | Path) -> WaveForm:
     payload = None
     offset = 12
     while offset + 8 <= len(data):
-        chunk_id = data[offset : offset + 4]
+        chunk_id = bytes(data[offset : offset + 4])
         (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
         body_start = offset + 8
         if body_start + chunk_size > len(data):
@@ -104,10 +117,10 @@ def read_wav(path: str | Path) -> WaveForm:
     if len(payload) % frame_bytes != 0:
         raise DspError(f"{path}: truncated chunk b'data'")
 
-    raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(payload, dtype="<i2") / 32768.0
     if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    return WaveForm(samples=raw, sample_rate=sample_rate)
+        samples = (samples[0::2] + samples[1::2]) * 0.5
+    return WaveForm(samples=samples, sample_rate=sample_rate)
 
 
 def mel_filterbank(
@@ -171,8 +184,10 @@ def log_mel_features(
     log(1e-10) matrix.
     """
     sr = wave.sample_rate
-    win = int(round(sr * win_ms / 1000.0))
-    hop = int(round(sr * hop_ms / 1000.0))
+    win_len, hop_len = sr * win_ms / 1000.0, sr * hop_ms / 1000.0
+    if not (math.isfinite(win_len) and math.isfinite(hop_len)):
+        raise DspError(f"window/hop not finite at sr={sr}: win_ms={win_ms} hop_ms={hop_ms}")
+    win, hop = int(round(win_len)), int(round(hop_len))
     if win < 2 or hop < 1:
         raise DspError(f"window/hop too short at sr={sr}: win={win} hop={hop}")
     n = len(wave.samples)
@@ -184,11 +199,21 @@ def log_mel_features(
     fb = mel_filterbank(sr, n_fft, n_mels, f_min, f_max)
 
     window = np.hanning(win)
-    frames = np.lib.stride_tricks.sliding_window_view(wave.samples, win)[::hop][:t_frames]
-    spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
-    power = spectrum.real**2 + spectrum.imag**2
+    frames = np.lib.stride_tricks.sliding_window_view(wave.samples, win)[::hop]
+    chunk = min(t_frames, max(1, _FRAME_BUFFER_VALUES // n_fft))
+    padded = np.zeros((chunk, n_fft))  # columns from win on stay zero
+    power = np.empty((t_frames, n_fft // 2 + 1))
+    for start in range(0, t_frames, chunk):
+        rows = power[start : start + chunk]
+        m = len(rows)
+        np.multiply(frames[start : start + m], window, out=padded[:m, :win])
+        spectrum = np.fft.rfft(padded[:m], axis=1).view(np.float64)
+        np.square(spectrum, out=spectrum)
+        np.add(spectrum[:, 0::2], spectrum[:, 1::2], out=rows)  # re*re + im*im
+        del spectrum  # free it before the next chunk's spectrum is allocated
     mel = power @ fb.weights.T
-    logmel = np.log(mel + LOG_FLOOR)
+    mel += LOG_FLOOR
+    np.log(mel, out=mel)
     return FeatureSequence(
-        frames=logmel.astype(np.float32), feature_kind="log_mel_64", source_file=source
+        frames=mel.astype(np.float32), feature_kind="log_mel_64", source_file=source
     )

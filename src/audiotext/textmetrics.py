@@ -325,6 +325,13 @@ def load_spice_file(path) -> dict[str, float]:
     return out
 
 
+def check_spice_coverage(spice_values: Mapping[str, float], item_keys: Sequence[str]) -> None:
+    """Raise MetricError unless every scored key has a SPICE value."""
+    missing = [k for k in item_keys if k not in spice_values]
+    if missing:
+        raise MetricError(f"SPICE values missing for items: {missing}")
+
+
 def spider_combine(cider: float, spice_values: Optional[Mapping[str, float]],
                    item_keys: Sequence[str]) -> tuple[Optional[float], Optional[float]]:
     """(SPICE, SPIDEr) for the scored items; (None, None) without SPICE data.
@@ -334,9 +341,7 @@ def spider_combine(cider: float, spice_values: Optional[Mapping[str, float]],
     """
     if spice_values is None:
         return None, None
-    missing = [k for k in item_keys if k not in spice_values]
-    if missing:
-        raise MetricError(f"SPICE values missing for items: {missing}")
+    check_spice_coverage(spice_values, item_keys)
     spice = sum(spice_values[k] for k in item_keys) / len(item_keys)
     return spice, (spice + cider) / 2.0
 
@@ -399,7 +404,10 @@ def evaluate_captions(candidates_csv, references_csv,
     for record in records:
         references.setdefault(record.file_name, []).append(record.tokens)
     eval_set = build_eval_set(candidates, references)
-    spice_values = load_spice_file(spice_file) if spice_file is not None else None
+    spice_values = None
+    if spice_file is not None:
+        spice_values = load_spice_file(spice_file)
+        check_spice_coverage(spice_values, eval_set.keys())
     bleu = bleu_corpus(eval_set)
     cider = cider_d(eval_set)
     spice, spider = spider_combine(cider, spice_values, eval_set.keys())

@@ -597,3 +597,31 @@ def normalize_caption_reference(raw):
     replace every char outside [a-z0-9'] with a space, split on whitespace."""
     token_chars = set("abcdefghijklmnopqrstuvwxyz0123456789'")
     return "".join(ch if ch in token_chars else " " for ch in raw.lower()).split()
+
+
+# ---------------------------------------------------------------------------
+# audio frontend, whole clip at once
+
+
+def decode_pcm16_reference(payload, channels):
+    """The decode `audiotext.dsp.read_wav` replaced: 16-bit little-endian
+    PCM to float64 s/32768, stereo averaged with a per-frame mean."""
+    raw = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+    if channels == 2:
+        raw = raw.reshape(-1, 2).mean(axis=1)
+    return raw
+
+
+def log_mel_reference(samples, sample_rate, weights, win_ms=40.0, hop_ms=20.0):
+    """The body `audiotext.dsp.log_mel_features` replaced: every frame
+    windowed and transformed in one call. ``weights`` is the
+    (n_mels, n_fft // 2 + 1) filterbank; returns float32 log(mel + 1e-10)."""
+    win = int(round(sample_rate * win_ms / 1000.0))
+    hop = int(round(sample_rate * hop_ms / 1000.0))
+    n_fft = 2 * (weights.shape[1] - 1)
+    t_frames = (len(samples) - win) // hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop][:t_frames]
+    spectrum = np.fft.rfft(frames * np.hanning(win), n=n_fft, axis=1)
+    power = spectrum.real**2 + spectrum.imag**2
+    mel = power @ weights.T
+    return np.log(mel + 1e-10).astype(np.float32)

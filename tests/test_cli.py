@@ -176,6 +176,28 @@ def test_features_reports_corrupt_file_and_continues(tmp_path):
     assert not (out_dir / "bad.wav.fmat").exists()
 
 
+@pytest.mark.parametrize("flag, value, shown", [
+    ("--win-ms", "nan", "win_ms=nan hop_ms=20.0"),
+    ("--win-ms", "inf", "win_ms=inf hop_ms=20.0"),
+    ("--hop-ms", "nan", "win_ms=40.0 hop_ms=nan"),
+    ("--hop-ms", "-inf", "win_ms=40.0 hop_ms=-inf"),
+])
+def test_features_non_finite_window_is_an_error(tmp_path, flag, value, shown):
+    in_dir = tmp_path / "wav"
+    in_dir.mkdir()
+    sine_wav(in_dir / "a.wav", 440.0, 16000)
+    sine_wav(in_dir / "b.wav", 1000.0, 16000)
+    out_dir = tmp_path / "fmat"
+
+    code, out, err = run_cli(["features", "--in-dir", str(in_dir),
+                              "--out-dir", str(out_dir), f"{flag}={value}"])
+    assert code == 1
+    assert out == "files=0, frames_total=0\n"
+    assert err == (f"error: a.wav: window/hop not finite at sr=16000: {shown}\n"
+                   f"error: b.wav: window/hop not finite at sr=16000: {shown}\n")
+    assert list(out_dir.iterdir()) == []
+
+
 def test_features_empty_dir_fails(tmp_path):
     in_dir = tmp_path / "wav"
     in_dir.mkdir()
@@ -585,6 +607,25 @@ def test_bad_spice_file_is_an_error_before_scoring(tmp_path, monkeypatch, conten
     assert code == 1
     assert out == ""
     assert err == f"error: {spice}: {message}\n"
+
+
+def test_spice_file_missing_items_is_an_error_before_scoring(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a SPICE file missing scored items reached scoring")
+
+    monkeypatch.setattr(textmetrics, "bleu_corpus", never)
+    refs_csv = write_caption_csv(tmp_path / "refs.csv",
+                                 [(n, ["w0 w1", "w2 w3", "w4 w5", "w6 w7", "w8 w9"])
+                                  for n in ("a.wav", "b.wav", "c.wav")])
+    cand_csv = write_candidates_csv(tmp_path / "cands.csv",
+                                    [("a.wav", "w0"), ("b.wav", "w2"), ("c.wav", "w4")])
+    spice = tmp_path / "spice.json"
+    spice.write_text('{"b.wav": 0.5, "d.wav": 0.25}', encoding="utf-8")
+    code, out, err = run_cli(["eval-captions", "--candidates", str(cand_csv),
+                              "--references", str(refs_csv), "--spice", str(spice)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: SPICE values missing for items: ['a.wav', 'c.wav']\n"
 
 
 def test_rank_outputs_topk_lines(tmp_path):

@@ -1,10 +1,13 @@
 """Audio frontend tests: WAV decoding, mel filterbank, log-mel features."""
 
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from audiotext import dsp
 from audiotext.dsp import (
     LOG_FLOOR,
     DspError,
@@ -19,6 +22,7 @@ from audiotext.dsp import (
 )
 
 from helpers import sine_wav, write_wav
+from oracles import decode_pcm16_reference, log_mel_reference
 
 
 # ---------------------------------------------------------------- mel scale
@@ -89,6 +93,20 @@ def test_read_wav_stereo_averages_to_mono(tmp_path):
     assert wave.samples.shape == (2,)
     assert wave.samples[0] == 0.0
     assert wave.samples[1] == 0.5
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_read_wav_matches_reference_decode(tmp_path, channels):
+    extremes = np.array([32767, -32767, -32768, 0, 1, -1], dtype=np.int16)
+    if channels == 2:  # every (left, right) pair of extremes
+        extremes = np.array(list(itertools.product(extremes, repeat=2)), dtype=np.int16)
+    noise = np.random.default_rng(21).integers(-32768, 32768, size=4000 * channels)
+    silence = np.zeros(500 * channels)
+    pcm = np.concatenate([extremes.ravel(), noise, silence]).astype("<i2")
+    p = write_wav(tmp_path / "pcm.wav", pcm.reshape(-1, channels), 44100, channels=channels)
+    samples = read_wav(p).samples
+    assert samples.dtype == np.float64
+    assert np.array_equal(samples, decode_pcm16_reference(pcm.tobytes(), channels))
 
 
 def _wav_bytes(audio_format=1, channels=1, sample_rate=16000, bits=16, payload=b"\x00\x00"):
@@ -340,3 +358,103 @@ def test_log_mel_rejects_degenerate_rates():
     # win = round(20 * 0.04) = 1 < 2
     with pytest.raises(DspError, match="window/hop too short"):
         log_mel_features(wave)
+
+
+def test_log_mel_rejects_non_finite_window():
+    wave = WaveForm(samples=np.zeros(16000), sample_rate=16000)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DspError, match="window/hop not finite"):
+            log_mel_features(wave, win_ms=bad)
+        with pytest.raises(DspError, match="window/hop not finite"):
+            log_mel_features(wave, hop_ms=bad)
+    with pytest.raises(DspError, match="window/hop not finite"):
+        log_mel_features(wave, win_ms=1e308)  # finite, but not as a sample count
+
+
+# ------------------------------------------- log-mel against the whole-clip oracle
+
+# frames per chunk at the 44.1 kHz defaults (n_fft = 2048)
+CHUNK_44K = dsp._FRAME_BUFFER_VALUES // 2048
+
+
+def _noise(n_samples, seed):
+    return np.random.default_rng(seed).integers(-32768, 32768, n_samples) / 32768.0
+
+
+def _assert_log_mel_matches_reference(samples, sr, n_mels=64, win_ms=40.0, hop_ms=20.0,
+                                      f_min=0.0, f_max=None):
+    feats = log_mel_features(WaveForm(samples=samples, sample_rate=sr), n_mels=n_mels,
+                             win_ms=win_ms, hop_ms=hop_ms, f_min=f_min, f_max=f_max)
+    win = int(round(sr * win_ms / 1000.0))
+    n_fft = 1 << (win - 1).bit_length()
+    weights = mel_filterbank(sr, n_fft, n_mels, f_min, f_max).weights
+    expected = log_mel_reference(samples, sr, weights, win_ms=win_ms, hop_ms=hop_ms)
+    assert feats.frames.dtype == expected.dtype == np.float32
+    assert feats.frames.shape == expected.shape
+    assert np.array_equal(feats.frames, expected)
+    return feats
+
+
+@pytest.mark.parametrize("t_frames", [1, 2, CHUNK_44K - 1, CHUNK_44K, CHUNK_44K + 1,
+                                      2 * CHUNK_44K + 1])
+def test_log_mel_matches_reference_at_chunk_edges(t_frames):
+    assert CHUNK_44K > 2
+    win, hop = 1764, 882
+    n = win + (t_frames - 1) * hop + hop - 1  # the longest clip with t_frames frames
+    feats = _assert_log_mel_matches_reference(_noise(n, t_frames), 44100)
+    assert feats.frames.shape == (t_frames, 64)
+
+
+def test_log_mel_matches_reference_on_30s_stereo_clip(tmp_path):
+    rng = np.random.default_rng(22)
+    t = np.arange(30 * 44100) / 44100
+    tone = 8000.0 * np.sin(2 * np.pi * 440.0 * t)
+    pcm = np.stack([tone + rng.normal(0.0, 3000.0, t.size), -tone], axis=1)
+    pcm = np.clip(np.round(pcm), -32768, 32767).astype("<i2")
+    wave = read_wav(write_wav(tmp_path / "long.wav", pcm, 44100, channels=2))
+    assert np.array_equal(wave.samples, decode_pcm16_reference(pcm.tobytes(), 2))
+    feats = _assert_log_mel_matches_reference(wave.samples, 44100)
+    assert feats.frames.shape == (1499, 64)
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+def test_log_mel_matches_reference_across_sample_rates(sr):
+    _assert_log_mel_matches_reference(_noise(int(1.5 * sr), sr), sr)
+
+
+@pytest.mark.parametrize("params", [
+    dict(n_mels=24),
+    dict(n_mels=40, win_ms=25.0, hop_ms=10.0),
+    dict(n_mels=80, win_ms=50.0, hop_ms=12.5, f_min=50.0),
+    dict(n_mels=32, f_min=300.0, f_max=7000.0),
+    dict(win_ms=1000.0, hop_ms=20.0),  # n_fft = 16384: a few frames per chunk
+], ids=["mels", "short_window", "fmin", "band", "long_window"])
+def test_log_mel_matches_reference_with_custom_parameters(params):
+    _assert_log_mel_matches_reference(_noise(3 * 16000, 7), 16000, **params)
+
+
+@pytest.mark.parametrize("sr, win_ms, seconds", [(44100, 40.0, 30), (16000, 1000.0, 5)],
+                         ids=["30s_44k", "long_window"])
+def test_log_mel_peak_memory_is_bounded_by_its_buffers(sr, win_ms, seconds):
+    # the whole-clip transform holds (T, win) windowed frames and a (T, n_bins)
+    # complex spectrum at once; framing in chunks must peak below the power
+    # matrix, the output, two chunk buffers and the filterbank
+    win, hop = int(round(sr * win_ms / 1000.0)), int(round(sr * 0.02))
+    n_fft = 1 << (win - 1).bit_length()
+    n_bins = n_fft // 2 + 1
+    wave = WaveForm(samples=_noise(seconds * sr, 23), sample_rate=sr)
+    t_frames = frame_count(len(wave.samples), win, hop)
+    chunk = min(t_frames, dsp._FRAME_BUFFER_VALUES // n_fft)
+    power = t_frames * n_bins * 8
+    output = t_frames * 64 * (8 + 4)  # float64 log-mel and its float32 copy
+    chunk_buffers = 2 * chunk * (n_fft + 2) * 8  # padded frames, their spectrum
+    filterbank = 64 * n_bins * 8
+    bound = power + output + chunk_buffers + filterbank
+    tracemalloc.start()
+    try:
+        feats = log_mel_features(wave, win_ms=win_ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feats.frames.shape == (t_frames, 64)
+    assert peak < bound, (peak, bound)
