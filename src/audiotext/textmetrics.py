@@ -14,9 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from itertools import chain
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .corpus import load_captions, normalize_caption, open_text
 
@@ -25,14 +29,6 @@ _CANDIDATE_HEADER = ["file_name", "caption"]
 
 class MetricError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class NGramCounts:
-    """Multiset of the n-grams of one token sequence."""
-
-    n: int
-    counts: Mapping[tuple[str, ...], int]
 
 
 @dataclass(frozen=True)
@@ -57,6 +53,67 @@ class CaptionEvalSet:
     def keys(self) -> tuple[str, ...]:
         return tuple(item.key for item in self.items)
 
+    @cached_property
+    def grams(self) -> NGramTables:
+        """The n-gram tables of BLEU and CIDEr-D, kept by this set alone."""
+        return NGramTables(self.items)
+
+
+# One n-gram order of an eval set. Rows (sentence, count, df) run sentence by
+# sentence, first occurrence first within one; df counts the items whose
+# references hold the row's gram. pair_ref/pair_cand join each reference row
+# to its item's candidate row of the same gram, by candidate row, then count.
+GramTable = namedtuple("GramTable", "sent count df pair_ref pair_cand")
+
+
+class NGramTables:
+    """An eval set's sentences as interned token ids: sentence i is item i's
+    candidate, then come each item's references. Order n's table is built once,
+    on first use; its gram ids number the distinct (next token id, order n-1 id)
+    pairs. Token ids follow first occurrence; no float sum runs in gram-id order."""
+
+    def __init__(self, items: Sequence[CaptionEvalItem]):
+        sentences = [i.candidate for i in items] + [r for i in items for r in i.references]
+        tokens = list(chain.from_iterable(sentences))
+        vocab = {tok: k for k, tok in enumerate(dict.fromkeys(tokens))}
+        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        self.num_items = len(items)
+        self.ref_item = np.repeat(np.arange(len(items)), [len(i.references) for i in items])
+        self.tables: list[GramTable] = []
+        self.item = np.concatenate([np.arange(len(items)), self.ref_item])
+        self._tokens = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+        self._sent = np.repeat(np.arange(len(sentences)), lengths)
+        self._ends = np.cumsum(lengths)[self._sent]
+        self._starts, self._ids, self._size = np.arange(len(tokens)), self._tokens, len(vocab)
+
+    def table(self, n: int) -> GramTable:
+        while len(self.tables) < n:
+            self.tables.append(self._build(len(self.tables) + 1))
+        return self.tables[n - 1]
+
+    def _build(self, n: int) -> GramTable:
+        if n > 1:
+            keep = self._starts + n <= self._ends[self._starts]
+            self._starts = self._starts[keep]
+            pairs = self._tokens[self._starts + n - 1] * self._size + self._ids[keep]
+            uniq, self._ids = np.unique(pairs, return_inverse=True)
+            self._size = len(uniq)
+        size, sent = self._size, self._sent[self._starts]
+        _, first, inverse, count = np.unique(sent * size + self._ids, return_index=True,
+                                             return_inverse=True, return_counts=True)
+        first = np.sort(first)
+        sent, gram, count = sent[first], self._ids[first], count[inverse[first]]
+        # (item, gram) groups, each headed by its first row: the candidate's, if any
+        keys, head, group = np.unique(self.item[sent] * size + gram, return_index=True,
+                                      return_inverse=True)
+        ref = sent >= self.num_items
+        held = np.bincount(group[ref], minlength=len(keys)) > 0  # groups with a reference row
+        pair_ref = np.flatnonzero(ref & (sent[head[group]] < self.num_items))
+        pair_cand = head[group[pair_ref]]
+        order = np.lexsort((count[pair_ref], pair_cand))
+        df = np.bincount(keys[held] % size, minlength=size)[gram]
+        return GramTable(sent, count, df, pair_ref[order], pair_cand[order])
+
 
 @dataclass(frozen=True)
 class CorpusScores:
@@ -79,20 +136,6 @@ class CorpusScores:
         return "{" + ",".join(parts) + "}"
 
 
-def _grams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
-    """The contiguous n-tuples of ``tokens`` in order, built by ``zip`` in C
-    (a Counter of them keeps first-occurrence order)."""
-    return zip(*(tokens[k:] for k in range(n)))
-
-
-def ngrams(tokens: Sequence[str], n: int) -> NGramCounts:
-    """All contiguous n-tuples with multiplicity; empty if the sequence
-    is shorter than n."""
-    if n < 1:
-        raise MetricError(f"n-gram order must be >= 1, got {n}")
-    return NGramCounts(n=n, counts=dict(Counter(_grams(tokens, n))))
-
-
 def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
     """Corpus-level BLEU_1..BLEU_max_n with clipped counts.
 
@@ -101,25 +144,22 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
     uses, per item, the reference length closest to the candidate's
     (ties to the shorter); any p_n = 0 zeroes BLEU_k for all k >= n.
     """
-    clipped = [0] * max_n
-    totals = [0] * max_n
-    ref_len_sum = 0
-    cand_len_sum = 0
-    for item in eval_set.items:
-        c = len(item.candidate)
-        cand_len_sum += c
-        ref_len_sum += min((len(r) for r in item.references),
-                           key=lambda length: (abs(length - c), length))
-        for n in range(1, min(c, max_n) + 1):
-            ref_counts = [Counter(_grams(ref, n)) for ref in item.references]
-            clipped[n - 1] += sum(min(count, max(r.get(gram, 0) for r in ref_counts))
-                                  for gram, count in Counter(_grams(item.candidate, n)).items())
-            totals[n - 1] += c - n + 1
+    cand_lens = [len(item.candidate) for item in eval_set.items]
+    cand_len_sum = sum(cand_lens)
     if cand_len_sum == 0:
         return (0.0,) * max_n
+    ref_len_sum = sum(min((len(r) for r in item.references),
+                          key=lambda length: (abs(length - c), length))
+                      for item, c in zip(eval_set.items, cand_lens))
+    precisions = []
+    for n in range(1, max_n + 1):
+        t = eval_set.grams.table(n)
+        # the last pair of a candidate row holds its largest reference count
+        last = np.diff(t.pair_cand, append=-1) != 0
+        clipped = int(np.minimum(t.count[t.pair_cand[last]], t.count[t.pair_ref[last]]).sum())
+        total = sum(max(c - n + 1, 0) for c in cand_lens)
+        precisions.append(clipped / total if total > 0 else 0.0)
     bp = min(1.0, math.exp(1.0 - ref_len_sum / cand_len_sum))
-    precisions = [clipped[i] / totals[i] if totals[i] > 0 else 0.0
-                  for i in range(max_n)]
     scores = []
     for k in range(1, max_n + 1):
         if any(p == 0.0 for p in precisions[:k]):
@@ -266,40 +306,25 @@ def cider_d_per_item(eval_set: CaptionEvalSet, max_n: int = 4,
     num_items = len(eval_set.items)
     if num_items < 2:
         raise MetricError(f"CIDEr-D needs a corpus of >= 2 items, got {num_items}")
-    df: list[Counter] = [Counter() for _ in range(max_n)]
-    for item in eval_set.items:
-        for n in range(1, max_n + 1):
-            df[n - 1].update(set().union(*(_grams(ref, n) for ref in item.references)))
-    # idf by document frequency: one log per possible df, and no float
-    # object per n-gram (df of an unseen n-gram floored at 1)
-    idf = [0.0] + [math.log(num_items / k) for k in range(1, num_items + 1)]
-
-    def weights(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], float]:
-        table = df[n - 1]
-        return {gram: count * idf[table.get(gram, 1)]
-                for gram, count in Counter(_grams(tokens, n)).items()}
-
-    scores = []
-    for item in eval_set.items:
-        per_n = []
-        for n in range(1, max_n + 1):
-            w_cand = weights(item.candidate, n)
-            norm_cand = math.sqrt(sum(v * v for v in w_cand.values()))
-            ref_sims = []
-            for ref in item.references:
-                w_ref = weights(ref, n)
-                norm_ref = math.sqrt(sum(v * v for v in w_ref.values()))
-                if norm_cand == 0.0 or norm_ref == 0.0:
-                    ref_sims.append(0.0)
-                    continue
-                overlap = sum(min(v, w_ref[g]) * w_ref[g]
-                              for g, v in w_cand.items() if g in w_ref)
-                delta = len(item.candidate) - len(ref)
-                penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
-                ref_sims.append(overlap / (norm_cand * norm_ref) * penalty)
-            per_n.append(sum(ref_sims) / len(ref_sims))
-        scores.append(10.0 * sum(per_n) / max_n)
-    return scores
+    grams = eval_set.grams
+    idf = np.array([0.0] + [math.log(num_items / k) for k in range(1, num_items + 1)])
+    penalty = np.array([math.exp(-(d * d) / (2.0 * sigma * sigma)) for item in eval_set.items
+                        for d in (len(item.candidate) - len(r) for r in item.references)])
+    num_refs = np.bincount(grams.ref_item)
+    per_item = 0.0
+    for n in range(1, max_n + 1):
+        t = grams.table(n)
+        w = t.count * idf[np.maximum(t.df, 1)]
+        # sums run in each sentence's first-occurrence order, as over a dict
+        norm = np.sqrt(np.bincount(t.sent, weights=w * w, minlength=len(grams.item)))
+        overlap = np.bincount(t.sent[t.pair_ref], minlength=len(grams.item),
+                              weights=np.minimum(w[t.pair_cand], w[t.pair_ref]) * w[t.pair_ref])
+        norm_cand, norm_ref = norm[grams.ref_item], norm[num_items:]
+        # a zero norm scores 0.0: 0.0 overlap over an infinite denominator
+        denom = np.where((norm_cand == 0.0) | (norm_ref == 0.0), np.inf, norm_cand * norm_ref)
+        sims = overlap[num_items:] / denom * penalty
+        per_item = per_item + np.bincount(grams.ref_item, weights=sims) / num_refs
+    return (10.0 * per_item / max_n).tolist()
 
 
 def cider_d(eval_set: CaptionEvalSet, max_n: int = 4, sigma: float = 6.0) -> float:

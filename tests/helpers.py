@@ -53,6 +53,15 @@ def write_caption_csv(path, rows):
     return Path(path)
 
 
+def write_candidates_csv(path, rows):
+    """rows: list of (file_name, caption string)."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["file_name", "caption"])
+        writer.writerows(rows)
+    return Path(path)
+
+
 def write_word_embeddings(path, entries):
     """entries: dict word -> vector."""
     dim = len(next(iter(entries.values())))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -172,6 +174,115 @@ def cider_d_reference(items, max_n=4, sigma=6.0):
             acc.append(sum(sims) / len(sims))
         per_item.append(10.0 * sum(acc) / max_n)
     return per_item
+
+
+# ---------------------------------------------------------------------------
+# caption metrics over dicts of n-gram tuples: the BLEU and CIDEr-D bodies
+# the package replaced with its interned n-gram count tables, kept verbatim
+# as bitwise references. ``_grams`` above lists the same n-tuples in the
+# same order as the ``zip`` they were written against.
+
+
+@dataclass(frozen=True)
+class NGramCounts:
+    """Multiset of the n-grams of one token sequence."""
+
+    n: int
+    counts: dict
+
+
+def ngrams(tokens, n):
+    """All contiguous n-tuples with multiplicity; empty if the sequence
+    is shorter than n."""
+    from audiotext.textmetrics import MetricError
+
+    if n < 1:
+        raise MetricError(f"n-gram order must be >= 1, got {n}")
+    return NGramCounts(n=n, counts=dict(Counter(_grams(tokens, n))))
+
+
+def bleu_corpus_reference(eval_set, max_n=4):
+    """Corpus-level BLEU_1..BLEU_max_n with clipped counts.
+
+    Matches are clipped at the maximum reference count per n-gram and
+    summed over items before the ratio is taken. The brevity penalty
+    uses, per item, the reference length closest to the candidate's
+    (ties to the shorter); any p_n = 0 zeroes BLEU_k for all k >= n.
+    """
+    clipped = [0] * max_n
+    totals = [0] * max_n
+    ref_len_sum = 0
+    cand_len_sum = 0
+    for item in eval_set.items:
+        c = len(item.candidate)
+        cand_len_sum += c
+        ref_len_sum += min((len(r) for r in item.references),
+                           key=lambda length: (abs(length - c), length))
+        for n in range(1, min(c, max_n) + 1):
+            ref_counts = [Counter(_grams(ref, n)) for ref in item.references]
+            clipped[n - 1] += sum(min(count, max(r.get(gram, 0) for r in ref_counts))
+                                  for gram, count in Counter(_grams(item.candidate, n)).items())
+            totals[n - 1] += c - n + 1
+    if cand_len_sum == 0:
+        return (0.0,) * max_n
+    bp = min(1.0, math.exp(1.0 - ref_len_sum / cand_len_sum))
+    precisions = [clipped[i] / totals[i] if totals[i] > 0 else 0.0
+                  for i in range(max_n)]
+    scores = []
+    for k in range(1, max_n + 1):
+        if any(p == 0.0 for p in precisions[:k]):
+            scores.append(0.0)
+        else:
+            scores.append(bp * math.exp(sum(math.log(p) for p in precisions[:k]) / k))
+    return tuple(scores)
+
+
+def cider_d_per_item_reference(eval_set, max_n=4, sigma=6.0):
+    """CIDEr-D score of each item (the corpus score is their mean).
+
+    Document frequency of an n-gram counts the corpus items whose
+    references contain it, floored at 1 so candidate-only n-grams stay
+    defined; idf = ln(|I| / df).
+    """
+    from audiotext.textmetrics import MetricError
+
+    num_items = len(eval_set.items)
+    if num_items < 2:
+        raise MetricError(f"CIDEr-D needs a corpus of >= 2 items, got {num_items}")
+    df: list[Counter] = [Counter() for _ in range(max_n)]
+    for item in eval_set.items:
+        for n in range(1, max_n + 1):
+            df[n - 1].update(set().union(*(_grams(ref, n) for ref in item.references)))
+    # idf by document frequency: one log per possible df, and no float
+    # object per n-gram (df of an unseen n-gram floored at 1)
+    idf = [0.0] + [math.log(num_items / k) for k in range(1, num_items + 1)]
+
+    def weights(tokens: Sequence[str], n: int) -> dict[tuple[str, ...], float]:
+        table = df[n - 1]
+        return {gram: count * idf[table.get(gram, 1)]
+                for gram, count in Counter(_grams(tokens, n)).items()}
+
+    scores = []
+    for item in eval_set.items:
+        per_n = []
+        for n in range(1, max_n + 1):
+            w_cand = weights(item.candidate, n)
+            norm_cand = math.sqrt(sum(v * v for v in w_cand.values()))
+            ref_sims = []
+            for ref in item.references:
+                w_ref = weights(ref, n)
+                norm_ref = math.sqrt(sum(v * v for v in w_ref.values()))
+                if norm_cand == 0.0 or norm_ref == 0.0:
+                    ref_sims.append(0.0)
+                    continue
+                overlap = sum(min(v, w_ref[g]) * w_ref[g]
+                              for g, v in w_cand.items() if g in w_ref)
+                delta = len(item.candidate) - len(ref)
+                penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+                ref_sims.append(overlap / (norm_cand * norm_ref) * penalty)
+            per_n.append(sum(ref_sims) / len(ref_sims))
+        scores.append(10.0 * sum(per_n) / max_n)
+    return scores
 
 
 # ---------------------------------------------------------------------------

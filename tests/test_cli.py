@@ -5,7 +5,6 @@ capture fixture so the suite can run with output capture disabled.
 """
 
 import contextlib
-import csv
 import io
 import json
 from pathlib import Path
@@ -31,9 +30,12 @@ from helpers import (
     sine_wav,
     small_config,
     small_tower,
+    toy_metric_corpus,
     write_caption_csv,
+    write_candidates_csv,
     write_word_embeddings,
 )
+from oracles import bleu_corpus_reference, cider_d_per_item_reference
 
 
 def run_cli(argv):
@@ -101,14 +103,6 @@ def write_config(path, cfg):
 def make_checkpoint(path, config, seed=3, epoch=1, map10=0.0):
     save_checkpoint(path, config.to_dict(), init_params(config, seed=seed),
                     epoch, map10)
-    return Path(path)
-
-
-def write_candidates_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["file_name", "caption"])
-        writer.writerows(rows)
     return Path(path)
 
 
@@ -554,6 +548,29 @@ def test_eval_captions_cli(tmp_path):
     assert code == 0, err
     assert '"SPICE":0.3750' in out
     assert '"SPIDEr":' in out
+
+
+def test_eval_captions_prints_reference_scores_byte_for_byte(tmp_path):
+    # BLEU and CIDEr-D from the n-gram tables print exactly what the dict
+    # bodies they replaced print, on a corpus with empty candidates
+    rng = np.random.default_rng(21)
+    items = toy_metric_corpus(rng, n_items=320, max_len=12)
+    names = [f"clip{i:03d}.wav" for i in range(len(items))]
+    refs_csv = write_caption_csv(tmp_path / "refs.csv", [
+        (name, [" ".join(r) for r in refs]) for name, (_, refs) in zip(names, items)])
+    cand_csv = write_candidates_csv(tmp_path / "cands.csv", [
+        (name, " ".join(cand)) for name, (cand, _) in zip(names, items)])
+    eval_set = textmetrics.build_eval_set(
+        {name: cand for name, (cand, _) in zip(names, items)},
+        {name: refs for name, (_, refs) in zip(names, items)})
+    per_item = cider_d_per_item_reference(eval_set)
+    want = textmetrics.CorpusScores(
+        bleu=bleu_corpus_reference(eval_set), rouge_l=textmetrics.rouge_l(eval_set),
+        meteor=textmetrics.meteor_lite(eval_set), cider=sum(per_item) / len(per_item))
+    assert any(not cand for cand, _ in items)
+    code, out, err = run_cli(["eval-captions", "--candidates", str(cand_csv),
+                              "--references", str(refs_csv)])
+    assert (code, out, err) == (0, want.to_json() + "\n", "")
 
 
 def test_report_out_path_creates_parent_dirs(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from audiotext import textmetrics
 from audiotext.textmetrics import (
     CaptionEvalItem,
     CaptionEvalSet,
@@ -21,19 +22,21 @@ from audiotext.textmetrics import (
     load_spice_file,
     meteor_lite,
     meteor_lite_item,
-    ngrams,
     rouge_l,
     rouge_l_item,
     spider_combine,
 )
 
-from helpers import toy_metric_corpus, write_caption_csv
+from helpers import VOCAB10, toy_metric_corpus, write_caption_csv
 from oracles import (
     _lcs_recursive,
     alignment_reference,
+    bleu_corpus_reference,
     bleu_reference,
+    cider_d_per_item_reference,
     cider_d_reference,
     meteor_reference,
+    ngrams,
     rouge_l_reference,
 )
 
@@ -318,6 +321,58 @@ def test_metrics_match_reference_implementations():
         want_cider = cider_d_reference(items)
         for g, w in zip(got_cider, want_cider):
             assert g == pytest.approx(w, abs=1e-9)
+
+
+def _bitwise_cases():
+    """(items, max_n) corpora for the n-gram tables: empty candidates,
+    corpora whose candidates are all empty, one- and two-word vocabularies
+    that repeat heavily, references shorter than n, and max_n 1..6."""
+    rng = np.random.default_rng(12)
+    cases = [
+        ([((), (("a", "b"),)), ((), (("c",),))], 4),
+        ([((), (("a",),)), (("a", "a"), (("a",), ("a", "a", "a")))], 6),
+    ]
+    for k in range(330):
+        vocab = VOCAB10[:(1, 2, 3, 10)[k % 4]]
+        items = toy_metric_corpus(rng, n_items=int(rng.integers(2, 8)),
+                                  n_refs=int(rng.integers(1, 6)), vocab=vocab,
+                                  max_len=int(rng.integers(1, 13)))
+        if k % 11 == 0:
+            items = [((), refs) for _, refs in items]
+        cases.append((items, k % 6 + 1))
+    return cases
+
+
+def test_bleu_and_cider_bitwise_equal_to_dict_bodies():
+    for items, max_n in _bitwise_cases():
+        s = _set(*items)
+        assert bleu_corpus(s, max_n) == bleu_corpus_reference(s, max_n), (items, max_n)
+        assert cider_d_per_item(s, max_n) == cider_d_per_item_reference(s, max_n), (items, max_n)
+        # orders past max_n are built on demand from the same tables
+        assert bleu_corpus(s, 6) == bleu_corpus_reference(s, 6), items
+
+
+def test_evaluate_captions_builds_each_order_once_per_call(tmp_path, monkeypatch):
+    refs = tmp_path / "refs.csv"
+    write_caption_csv(refs, [("a.wav", FIVE), ("b.wav", FIVE[::-1])])
+    cands = tmp_path / "cands.csv"
+    cands.write_text(f"file_name,caption\na.wav,{FIVE[0]}\nb.wav,{FIVE[3]}\n")
+    built = []
+    build = textmetrics.NGramTables._build
+
+    def counting(self, n):
+        built.append(n)
+        return build(self, n)
+
+    monkeypatch.setattr(textmetrics.NGramTables, "_build", counting)
+    module_names = set(vars(textmetrics))
+    first = evaluate_captions(cands, refs)
+    assert built == [1, 2, 3, 4]
+    # nothing outlives a call: the second builds every order again
+    second = evaluate_captions(cands, refs)
+    assert built == [1, 2, 3, 4] * 2
+    assert first == second
+    assert set(vars(textmetrics)) == module_names
 
 
 # ---------------------------------------------------------------- spider
