@@ -135,11 +135,12 @@ def normalize_caption(raw: str) -> list[str]:
 @contextmanager
 def open_text(path: str | Path, error: type[Exception] = CorpusError, newline=None):
     """Open a UTF-8 text file for reading; a byte sequence that does not
-    decode raises ``error`` naming the file."""
+    decode, or a CSV the csv module cannot parse (such as a field over its
+    size limit), raises ``error`` naming the file."""
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
-        except UnicodeDecodeError as e:
+        except (UnicodeDecodeError, csv.Error) as e:
             raise error(f"{path}: {e}") from e
 
 

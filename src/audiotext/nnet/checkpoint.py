@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..corpus import atomic_write
-from .model import ModelConfig, parameter_shapes
+from .model import ModelConfig, check_field_types, parameter_shapes
 from .tensor import Params, Tensor
 
 _MAGIC = b"CKPT"
@@ -91,9 +91,13 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[8:8 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     for key in ("config", "parameters", "epoch", "best_validation_mAP10"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")
+    check_field_types(header, ints=("epoch",), numbers=("best_validation_mAP10",),
+                      error=lambda msg: CheckpointError(f"{path}: header {msg}"))
     params: Params = {}
     off = 8 + hlen
     for name, shape in _check_parameter_list(path, header):
@@ -109,6 +113,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         config=header["config"],
         params=params,
-        epoch=int(header["epoch"]),
+        epoch=header["epoch"],
         best_validation_map10=float(header["best_validation_mAP10"]),
     )

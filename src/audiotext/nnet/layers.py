@@ -215,21 +215,21 @@ class MeanPoolTime:
 #
 # Both cells run a list of clips at once in the packed layout of PyTorch's
 # pack_padded_sequence (Packing), so each step's recurrent products are
-# small GEMMs over every running clip. One step per cell holds the gate
-# equations; two time loops run it (_Cell). sweep keeps gates and states as
-# the cache of sweep_backward, projecting the inputs in one GEMM ahead of
-# the loop (Appleyard et al. 2016, arXiv:1604.01946). mean_states, for
+# small GEMMs over every running clip. Each cell holds only its gate
+# algebra; _Cell owns the time loops. sweep keeps gates and states as the
+# cache of sweep_backward, projecting the inputs in one GEMM ahead of the
+# loop (Appleyard et al. 2016, arXiv:1604.01946). mean_states, for
 # inference, projects _CHUNK_STEPS steps at a time and keeps only the
 # running state and a per-clip state sum, so no (rows, gates*H) buffer of a
 # whole split is alive. Each product takes one gate's (H, H) block of a
 # contiguous U^T: a transposed view costs several times more at a few rows,
 # and at 5 to 10 rows one (H, 4H) product takes up to twice as long as four
 # (H, H) ones (at 1 and 32 rows it is about 10% faster).
-# The backward builds previous states, incoming gradients and gate
-# coefficients for _CHUNK_STEPS steps at a time, writes the pre-activation
-# gradients over the gate cache it has consumed and sums dU chunk by
-# chunk, so it needs little memory beyond the cache. A sweep cache
-# therefore serves one backward; a second one raises NnetError.
+# sweep_backward walks the steps back _CHUNK_STEPS at a time; each step
+# writes its pre-activation gradients over the gate cache it has consumed
+# and dU is summed per chunk, so the backward needs little memory beyond
+# the cache. A sweep cache therefore serves one backward; a second one
+# raises NnetError.
 
 _CHUNK_STEPS = 32
 
@@ -280,29 +280,18 @@ def _stack(p: dict[str, Tensor], kind: str, gates) -> np.ndarray:
     return np.concatenate([p[f"{kind}_{gate}"].data for gate in gates])
 
 
-def _consume(cache: list) -> list:
-    """The parts of a sweep cache, which is then marked spent: the backward
-    writes its gradients over the gate cache (the last part)."""
-    if cache[-1] is None:
-        raise NnetError("sweep cache already consumed by a backward pass")
-    parts = list(cache)
-    cache[-1] = None
-    return parts
-
-
-def _sweep_finish(p: dict[str, Tensor], gates, pack, xs, dpre, du) -> list[np.ndarray]:
-    """Accumulate the W, U and b gradients of all clips; returns d(xs)."""
-    for kind, grad in (("w", dpre.T @ xs), ("u", du), ("b", dpre.sum(axis=0))):
-        for gate, part in zip(gates, np.split(grad, len(gates))):
-            p[f"{kind}_{gate}"].accumulate(part)
-    return pack.unpack(dpre @ _stack(p, "w", gates))
-
-
 class _Cell:
-    """The time loops around a subclass's step(pre, *states, uts): one step
-    of n running clips, which overwrites pre, their (n, gates*H) projections
+    """The time loops around a subclass's gate algebra, on n running clips.
+
+    step(pre, *states, uts) overwrites pre, the (n, gates*H) projections
     W x + b, with the gates and updates the (n, H) rows of each of STATES
-    (STATES[0] is the output h) in place; uts are U^T's per-gate blocks."""
+    (STATES[0] is the output h) in place; uts are U^T's per-gate blocks.
+    chunk_backward(gates, *states, *prevs) takes a chunk's rows of the gates,
+    of each state and of its predecessor; it returns the coefficients that
+    do not depend on the incoming gradient and the dU blocks as (rows of dU,
+    input) pairs. step_backward(d, dh_t, *dstates, coefs, u) overwrites d, a
+    step's gates, with the pre-activation gradients and the carried state
+    gradients with the previous step's."""
 
     def __init__(self, p: dict[str, Tensor]):
         self.p = p  # keys: w_<gate>, u_<gate>, b_<gate> for each gate
@@ -359,6 +348,37 @@ class _Cell:
         lengths = np.array([x.shape[0] for x in seqs])
         return (total[pack.rank] / lengths[:, None]).astype(state[0].dtype)[1:]
 
+    def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
+        """Takes the list of (T_i, H) output state gradients and returns the
+        list of d(xs); accumulates every W, U and b gradient. Spends the
+        cache: the pre-activation gradients are written over its gates."""
+        pack, xs, *kept, gates = cache
+        if gates is None:
+            raise NnetError("sweep cache already consumed by a backward pass")
+        cache[-1] = None
+        u = _stack(self.p, "u", self.GATES)
+        du = np.zeros_like(u)
+        carried = [np.zeros((len(pack.rows), u.shape[1]), dtype=gates.dtype) for _ in kept]
+        for stop in range(len(pack.steps), 0, -_CHUNK_STEPS):
+            first = max(stop - _CHUNK_STEPS, 0)
+            base, end = pack.offs[first], pack.offs[stop]
+            dpre = gates[base:end]
+            coefs, du_blocks = self.chunk_backward(
+                dpre, *[s[base:end] for s in kept], *[pack.previous(s, first, stop) for s in kept])
+            dst = pack.gather(dstates, first, stop)
+            for t in range(stop - 1, first - 1, -1):
+                lo, n = pack.steps[t]
+                at = slice(lo - base, lo - base + n)
+                rows = [c[:n] for c in carried]
+                self.step_backward(dpre[at], dst[at] + rows[0], *rows, [c[at] for c in coefs], u)
+            for block, prev in du_blocks:
+                du[block] += dpre[:, block].T @ prev
+            del coefs, du_blocks, prev  # freed before the next chunk builds its own
+        for kind, grad in (("w", gates.T @ xs), ("u", du), ("b", gates.sum(axis=0))):
+            for gate, part in zip(self.GATES, np.split(grad, len(self.GATES))):
+                self.p[f"{kind}_{gate}"].accumulate(part)
+        return pack.unpack(gates @ _stack(self.p, "w", self.GATES))
+
 
 class GRUCell(_Cell):
     """Gated recurrent unit.
@@ -371,7 +391,8 @@ class GRUCell(_Cell):
 
     GATES = ("z", "r", "h")
     STATES = ("h",)
-    sweep = _Cell.sweep  # an own attribute: the benchmark's tracer patches it per class
+    sweep = _Cell.sweep  # own attributes: the benchmark's tracer patches them per class
+    sweep_backward = _Cell.sweep_backward
 
     @staticmethod
     def step(pre, h, uts) -> None:
@@ -386,44 +407,26 @@ class GRUCell(_Cell):
         np.tanh(h_tilde, out=h_tilde)
         h[:] = (1.0 - z) * h + z * h_tilde
 
-    def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
-        """Takes the list of (T_i, H) state gradients and returns the list of
-        d(xs); accumulates all nine parameter gradients. Spends the cache."""
-        pack, xs, states, gates = _consume(cache)
-        hidden = states.shape[1]
-        u = _stack(self.p, "u", self.GATES)
-        u_z, u_r, u_h = np.split(u, 3)
-        du = np.zeros_like(u)
-        dh = np.zeros((len(pack.rows), hidden), dtype=states.dtype)
-        for stop in range(len(pack.steps), 0, -_CHUNK_STEPS):
-            first = max(stop - _CHUNK_STEPS, 0)
-            base = pack.offs[first]
-            # dpre rows (dz_pre, dr_pre, dh~_pre) replace the chunk's z, r, h~
-            dpre = gates[base : pack.offs[stop]]
-            z, r, h_tilde = np.split(dpre, 3, axis=1)
-            h_prev = pack.previous(states, first, stop)
-            # gate-derivative coefficients that do not depend on the incoming gradient
-            coef_z = (h_tilde - h_prev) * z * (1.0 - z)
-            coef_h = z * (1.0 - h_tilde * h_tilde)
-            coef_keep = 1.0 - z
-            r = r.copy()
-            rh_prev = r * h_prev
-            coef_r = rh_prev * (1.0 - r)
-            dst = pack.gather(dstates, first, stop)
-            for t in range(stop - 1, first - 1, -1):
-                lo, n = pack.steps[t]
-                at = slice(lo - base, lo - base + n)
-                dh_t = dst[at] + dh[:n]
-                d = dpre[at]
-                dz, dr, dht = d[:, :hidden], d[:, hidden : 2 * hidden], d[:, 2 * hidden :]
-                np.multiply(dh_t, coef_z[at], out=dz)
-                np.multiply(dh_t, coef_h[at], out=dht)
-                drh = dht @ u_h
-                np.multiply(drh, coef_r[at], out=dr)
-                dh[:n] = dh_t * coef_keep[at] + drh * r[at] + dz @ u_z + dr @ u_r
-            du[: 2 * hidden] += dpre[:, : 2 * hidden].T @ h_prev
-            du[2 * hidden :] += dpre[:, 2 * hidden :].T @ rh_prev
-        return _sweep_finish(self.p, self.GATES, pack, xs, gates, du)
+    @staticmethod
+    def chunk_backward(gates, h, h_prev):
+        z, r, h_tilde = np.split(gates, 3, axis=1)
+        r = r.copy()  # step_backward writes dr over r
+        rh_prev = r * h_prev
+        coefs = [(h_tilde - h_prev) * z * (1.0 - z), rh_prev * (1.0 - r),
+                 z * (1.0 - h_tilde * h_tilde), 1.0 - z, r]
+        zr = slice(0, 2 * z.shape[1])  # z|r against h_prev, h~ against r*h_prev
+        return coefs, [(zr, h_prev), (slice(zr.stop, None), rh_prev)]
+
+    @staticmethod
+    def step_backward(d, dh_t, dh, coefs, u) -> None:
+        hidden = dh.shape[1]
+        coef_z, coef_r, coef_h, coef_keep, r = coefs
+        dz, dr, dht = d[:, :hidden], d[:, hidden : 2 * hidden], d[:, 2 * hidden :]
+        np.multiply(dh_t, coef_z, out=dz)
+        np.multiply(dh_t, coef_h, out=dht)
+        drh = dht @ u[2 * hidden :]
+        np.multiply(drh, coef_r, out=dr)
+        dh[:] = dh_t * coef_keep + drh * r + dz @ u[:hidden] + dr @ u[hidden : 2 * hidden]
 
 
 class LSTMCell(_Cell):
@@ -450,43 +453,25 @@ class LSTMCell(_Cell):
         c[:] = ifo[:, hidden : 2 * hidden] * c + ifo[:, :hidden] * g
         h[:] = ifo[:, 2 * hidden :] * np.tanh(c)
 
-    def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
-        """Takes the list of (T_i, H) state gradients and returns the list of
-        d(xs); accumulates all twelve parameter gradients. Spends the cache."""
-        pack, xs, states, cells, gates = _consume(cache)
-        hidden = states.shape[1]
-        u = _stack(self.p, "u", self.GATES)
-        du = np.zeros_like(u)
-        dh = np.zeros((len(pack.rows), hidden), dtype=states.dtype)
-        dc = np.zeros_like(dh)
-        for stop in range(len(pack.steps), 0, -_CHUNK_STEPS):
-            first = max(stop - _CHUNK_STEPS, 0)
-            base, end = pack.offs[first], pack.offs[stop]
-            # dpre rows replace the chunk's i, f, o, g
-            dpre = gates[base:end]
-            i, f, o, g = np.split(dpre, 4, axis=1)
-            tanh_c = np.tanh(cells[base:end])
-            # gate-derivative coefficients that do not depend on the incoming
-            # gradient: dpre = coef * (dc, dc, dh, dc) gate by gate, dc += dh * coef_c
-            coef = np.concatenate([g * i * (1.0 - i),
-                                   pack.previous(cells, first, stop) * f * (1.0 - f),
-                                   tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-            coef = coef.reshape(end - base, 4, hidden)
-            coef_c = o * (1.0 - tanh_c * tanh_c)
-            f = f.copy()
-            dst = pack.gather(dstates, first, stop)
-            dpre_gates = dpre.reshape(end - base, 4, hidden)
-            for t in range(stop - 1, first - 1, -1):
-                lo, n = pack.steps[t]
-                at = slice(lo - base, lo - base + n)
-                dh_t = dst[at] + dh[:n]
-                dc[:n] += dh_t * coef_c[at]
-                np.multiply(coef[at], dc[:n, None], out=dpre_gates[at])
-                np.multiply(coef[at, 2], dh_t, out=dpre_gates[at, 2])
-                dc[:n] *= f[at]
-                dh[:n] = dpre[at] @ u
-            du += dpre.T @ pack.previous(states, first, stop)
-        return _sweep_finish(self.p, self.GATES, pack, xs, gates, du)
+    @staticmethod
+    def chunk_backward(gates, h, c, h_prev, c_prev):
+        i, f, o, g = np.split(gates, 4, axis=1)
+        tanh_c = np.tanh(c)
+        # dpre = coef * (dc, dc, dh, dc) gate by gate, dc += dh * coef_c
+        coef = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                         tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        # f is copied because step_backward writes df over it
+        return [coef, o * (1.0 - tanh_c * tanh_c), f.copy()], [(slice(None), h_prev)]
+
+    @staticmethod
+    def step_backward(d, dh_t, dh, dc, coefs, u) -> None:
+        coef, coef_c, f = coefs
+        dc += dh_t * coef_c
+        d_gates = d.reshape(coef.shape)  # a view: d is a run of whole rows
+        np.multiply(coef, dc[:, None], out=d_gates)
+        np.multiply(coef[:, 2], dh_t, out=d_gates[:, 2])
+        dc *= f
+        dh[:] = d @ u
 
 
 # ---------------------------------------------------------------------------

@@ -314,9 +314,7 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
             batch_mean = _batch_step(batch, features, tower, embedder, config, rng)
             if not np.isfinite(batch_mean):
                 raise OptimError(f"non-finite loss at epoch {epoch}")
-            grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                     for name, t in params.items()}
-            adam_step(params, grads, adam)
+            adam_step(params, {name: t.grad for name, t in params.items()}, adam)
             loss_sum += batch_mean * len(batch)
         train_loss = loss_sum / len(pairs)
 

@@ -848,6 +848,22 @@ def test_non_utf8_input_is_an_error(tmp_path, bad_input):
     assert err.count("\n") == 1
 
 
+def test_rank_rejects_checkpoint_header_of_wrong_type(tmp_path):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(), epoch=100)
+    # same length, so the header length field still holds
+    ckpt.write_bytes(ckpt.read_bytes().replace(b'"epoch":100', b'"epoch":"a"'))
+    code, out, err = run_cli([
+        "rank", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--word-embeddings", str(ds["words"]),
+        "--query", "w0 w1", "--top-k", "2",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {ckpt}: header epoch: must be an integer, got 'a'\n"
+
+
 def test_missing_checkpoint_file_is_reported(tmp_path):
     ds = make_dataset(tmp_path)
     code, _, err = run_cli([

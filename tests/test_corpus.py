@@ -117,6 +117,12 @@ def test_load_captions_empty_and_tokenless_cells(tmp_path):
         load_captions(path)
 
 
+def test_load_captions_field_over_csv_limit_names_file(tmp_path):
+    path = write_caption_csv(tmp_path / "caps.csv", [("x.wav", ["w" * 131_073, *FIVE[1:]])])
+    with pytest.raises(CorpusError, match=r"caps\.csv: field larger than field limit"):
+        load_captions(path)
+
+
 # ---------------------------------------------------------------------------
 # FMAT
 

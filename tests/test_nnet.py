@@ -1,5 +1,8 @@
 """Network tests: layer math, gradients, configuration, checkpoints."""
 
+import json
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -1111,6 +1114,34 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(raw + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing bytes"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    (None, 5, "header is not a JSON object"),
+    (None, None, "header is not a JSON object"),
+    ("epoch", "abc", "header epoch: must be an integer, got 'abc'"),
+    ("epoch", None, "header epoch: must be an integer, got None"),
+    ("epoch", 1.5, "header epoch: must be an integer, got 1.5"),
+    ("epoch", True, "header epoch: must be an integer, got True"),
+    ("best_validation_mAP10", "x", "header best_validation_mAP10: must be a number"),
+    ("best_validation_mAP10", [1], "header best_validation_mAP10: must be a number"),
+])
+def test_checkpoint_rejects_malformed_header_fields(tmp_path, field, value, needle):
+    config = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, config.to_dict(), init_params(config, seed=0),
+                    epoch=1, best_validation_map10=0.0)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + hlen])
+    if field is None:
+        header = value
+    else:
+        header[field] = value
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<I", len(blob)) + blob + raw[8 + hlen:])
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: {needle}")):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_parameter_list_disagreeing_with_config(tmp_path):

@@ -455,6 +455,10 @@ def test_load_candidates_errors(tmp_path):
     with pytest.raises(MetricError, match="no candidate rows"):
         load_candidates(path)
 
+    path.write_text(f"file_name,caption\na.wav,{'w' * 131_073}\n")
+    with pytest.raises(MetricError, match="field larger than field limit"):
+        load_candidates(path)
+
 
 def test_build_eval_set_joins_and_sorts():
     candidates = {"b.wav": ("x",), "a.wav": ("y",)}
