@@ -29,6 +29,7 @@ from .corpus import (
     load_captions,
     load_word_embeddings,
     open_text,
+    parse_json,
     write_fmat,
 )
 from .dsp import DspError, log_mel_features, read_wav
@@ -82,11 +83,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         q = Path(p)
         return q if q.is_absolute() else base / q
 
-    try:
-        with open_text(path, RunConfigError) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise RunConfigError(f"{path}: not valid structured text: {e}") from e
+    with open_text(path, RunConfigError) as fh:
+        raw = parse_json(fh.read(), path, RunConfigError, "not valid structured text")
     if not isinstance(raw, dict):
         raise RunConfigError(f"{path}: top level must be an object")
     unknown = set(raw) - _TOP_KEYS
@@ -280,6 +278,9 @@ def _read_query_vector(path: str) -> np.ndarray:
             return np.array(vec, dtype=np.float64)
     except (ValueError, OverflowError) as e:  # bad UTF-8 or syntax, an int beyond float range
         raise RunConfigError(f"{path}: query vector is not a flat array of numbers ({e})") from e
+    except RecursionError:  # nesting too deep for the parser
+        raise RunConfigError(
+            f"{path}: query vector is not a flat array of numbers (nested too deeply)") from None
     raise RunConfigError(f"{path}: query vector is not a flat array of numbers")
 
 

@@ -20,6 +20,7 @@ Word vectors  text; first line ``count dim``, then ``word v1 ... v_dim``
 from __future__ import annotations
 
 import csv
+import json
 import os
 import re
 import stat
@@ -142,6 +143,18 @@ def open_text(path: str | Path, error: type[Exception] = CorpusError, newline=No
             yield fh
         except (UnicodeDecodeError, csv.Error) as e:
             raise error(f"{path}: {e}") from e
+
+
+def parse_json(text: str | bytes, path, error: type[Exception], what: str):
+    """Parse structured text (bytes as UTF-8); bad UTF-8 or syntax, an
+    integer too long to convert, or nesting too deep for the parser raises
+    ``error`` naming the file: ``{path}: {what}: ...``."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except RecursionError:
+        raise error(f"{path}: {what}: nested too deeply") from None
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise error(f"{path}: {what}: {e}") from e
 
 
 def load_captions(csv_path: str | Path) -> list[CaptionRecord]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..corpus import atomic_write
+from ..corpus import atomic_write, parse_json
 from .model import ModelConfig, check_field_types, parameter_shapes
 from .tensor import Params, Tensor
 
@@ -87,10 +87,7 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack("<I", raw[4:8])
     if len(raw) < 8 + hlen:
         raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    header = parse_json(raw[8:8 + hlen], path, CheckpointError, "corrupt header")
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
     for key in ("config", "parameters", "epoch", "best_validation_mAP10"):

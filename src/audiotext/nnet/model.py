@@ -8,6 +8,7 @@ trainable projection) or a frozen caption-level vector used verbatim.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
@@ -56,6 +57,8 @@ def check_field_types(d: Mapping, ints=(), numbers=(), error=NnetError,
         if isinstance(value, bool) or not isinstance(value, int if key in ints else (int, float)):
             kind = "an integer" if key in ints else "a number"
             raise error(f"{key}: must be {kind}, got {value!r}")
+        if key in numbers and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise error(f"{key}: integer too large for a float")
 
 
 @dataclass(frozen=True)

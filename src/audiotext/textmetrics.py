@@ -12,7 +12,6 @@ METEOR scores produced with the full linguistic tables.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import load_captions, normalize_caption, open_text
+from .corpus import load_captions, normalize_caption, open_text, parse_json
 
 _CANDIDATE_HEADER = ["file_name", "caption"]
 
@@ -209,24 +208,47 @@ def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
                for i in eval_set.items) / len(eval_set.items)
 
 
-def _alignment_stats(candidate: Sequence[str], reference: Sequence[str]) -> tuple[int, int]:
-    """(matches, min chunks) of the optimal exact-token alignment.
+def _candidate_index(candidate: Sequence[str]) -> tuple[Counter, dict]:
+    """A candidate's token counts and the start positions of each bigram."""
+    starts: dict[tuple[str, str], list[int]] = {}
+    for i, gram in enumerate(zip(candidate, candidate[1:])):
+        starts.setdefault(gram, []).append(i)
+    return Counter(candidate), starts
 
-    The alignment is one-to-one, maximizes the match count (forced to
-    sum of per-word min counts), and among maximal alignments
-    minimizes the number of chunks (runs contiguous in both
-    sentences). Search is memoized over the candidate positions whose
-    word can match; a word is matched only while its quota is open and
-    skipped only when a later occurrence can still fill it, so every
-    path reaches the quota. It is linear when tokens are distinct and
-    worst-case exponential only under heavy token repetition.
+
+def _alignment_stats(candidate: Sequence[str], reference: Sequence[str],
+                     index: Optional[tuple[Counter, dict]] = None) -> tuple[int, int]:
+    """(matches m, min chunks) of the optimal exact-token alignment.
+
+    The alignment is one-to-one, maximizes m (the sum of per-word min
+    counts), then minimizes chunks (runs contiguous in both sentences).
+    Its chunks are m minus its links (candidate i, i+1 on reference j,
+    j+1), and as a word's quota is the min of its two counts, any
+    one-to-one partial alignment extends to m matches keeping its links:
+    min chunks = m - L, L the most links one alignment holds. Links clash
+    only by giving a position two partners, so only pairs with a clash run
+    ``_min_chunks_search``. ``index``: ``_candidate_index(candidate)``.
     """
+    counts, starts = index or _candidate_index(candidate)
     ref_counts = Counter(reference)
-    quota = {w: min(count, ref_counts[w])
-             for w, count in Counter(candidate).items() if w in ref_counts}
+    quota = {w: min(count, ref_counts[w]) for w, count in counts.items() if w in ref_counts}
     m = sum(quota.values())
     if m == 0:
         return 0, 0
+    links = [(i, j) for j, gram in enumerate(zip(reference, reference[1:]))
+             for i in starts.get(gram, ())]
+    pairs = {*links, *((i + 1, j + 1) for i, j in links)}
+    if len({i for i, _ in pairs}) == len(pairs) == len({j for _, j in pairs}):
+        return m, m - len(links)
+    return m, _min_chunks_search(candidate, reference, quota, m)
+
+
+def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
+                       quota: Mapping[str, int], m: int) -> int:
+    """Min chunks over alignments that fill every word's ``quota``:
+    memoized over the matchable candidate positions, a word is matched
+    only while its quota is open and skipped only when a later occurrence
+    can still fill it. Worst-case exponential under heavy repetition."""
     positions = {w: tuple(j for j, t in enumerate(reference) if t == w)
                  for w in quota}
     # per matchable candidate position: its word's reference positions,
@@ -268,7 +290,7 @@ def _alignment_stats(candidate: Sequence[str], reference: Sequence[str]) -> tupl
         memo[key] = best
         return best
 
-    return m, rec(0, 0, -1)
+    return rec(0, 0, -1)
 
 
 def meteor_lite_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
@@ -276,9 +298,10 @@ def meteor_lite_item(candidate: Sequence[str], references: Sequence[Sequence[str
     """Exact-match METEOR of one candidate: best score over references."""
     if not references:
         raise MetricError("METEOR needs at least one reference")
+    index = _candidate_index(candidate)
     best = 0.0
     for ref in references:
-        m, chunks = _alignment_stats(candidate, ref)
+        m, chunks = _alignment_stats(candidate, ref, index)
         if m == 0:
             continue
         precision = m / len(candidate)
@@ -335,10 +358,7 @@ def cider_d(eval_set: CaptionEvalSet, max_n: int = 4, sigma: float = 6.0) -> flo
 def load_spice_file(path) -> dict[str, float]:
     """JSON object mapping item keys to SPICE values in [0,1]."""
     with open_text(path, MetricError) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise MetricError(f"{path}: not valid structured text: {e}") from e
+        raw = parse_json(f.read(), path, MetricError, "not valid structured text")
     if not isinstance(raw, dict):
         raise MetricError(f"{path}: expected an object of key -> SPICE value")
     out = {}

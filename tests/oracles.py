@@ -119,12 +119,76 @@ def alignment_reference(cand, ref):
     return m, best
 
 
-def meteor_reference(items, alpha=0.9, beta=3.0, gamma=0.5):
+def alignment_stats_reference(candidate, reference):
+    """(matches, min chunks) of the optimal exact-token alignment: the body
+    ``textmetrics._alignment_stats`` had before bigram links, which runs the
+    memoized search on every pair.
+
+    The alignment is one-to-one, maximizes the match count (forced to
+    sum of per-word min counts), and among maximal alignments
+    minimizes the number of chunks (runs contiguous in both
+    sentences). Search is memoized over the candidate positions whose
+    word can match; a word is matched only while its quota is open and
+    skipped only when a later occurrence can still fill it, so every
+    path reaches the quota. It is linear when tokens are distinct and
+    worst-case exponential only under heavy token repetition.
+    """
+    ref_counts = Counter(reference)
+    quota = {w: min(count, ref_counts[w])
+             for w, count in Counter(candidate).items() if w in ref_counts}
+    m = sum(quota.values())
+    if m == 0:
+        return 0, 0
+    positions = {w: tuple(j for j, t in enumerate(reference) if t == w)
+                 for w in quota}
+    # per matchable candidate position: its word's reference positions,
+    # their mask and quota, the word's occurrences from here on, and
+    # whether the next matchable position is the adjacent one
+    steps = []
+    left: Counter = Counter()
+    after = None
+    for i in range(len(candidate) - 1, -1, -1):
+        w = candidate[i]
+        if w in quota:
+            left[w] += 1
+            js = positions[w]
+            steps.append((js, sum(1 << j for j in js), quota[w], left[w], after == i + 1))
+            after = i
+    steps.reverse()
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def rec(k: int, used: int, extend: int) -> int:
+        # min chunks of steps[k:], where reference position ``extend``
+        # (-1: none) continues the chunk of the previous match
+        if k == len(steps):
+            return 0
+        key = (k, used, extend)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        js, mask, q, occurrences, adjacent = steps[k]
+        need = q - (used & mask).bit_count()
+        # m + 1 chunks: more than any alignment has, so any match beats it
+        best = rec(k + 1, used, -1) if occurrences > need else m + 1
+        if need:
+            for j in js:
+                bit = 1 << j
+                if not used & bit:
+                    sub = rec(k + 1, used | bit, j + 1 if adjacent else -1) + (j != extend)
+                    if sub < best:
+                        best = sub
+        memo[key] = best
+        return best
+
+    return m, rec(0, 0, -1)
+
+
+def meteor_reference(items, alpha=0.9, beta=3.0, gamma=0.5, align=alignment_reference):
     scores = []
     for cand, refs in items:
         best = 0.0
         for ref in refs:
-            m, chunks = alignment_reference(cand, ref)
+            m, chunks = align(cand, ref)
             if m == 0:
                 continue
             p = m / len(cand)

@@ -7,6 +7,7 @@ capture fixture so the suite can run with output capture disabled.
 import contextlib
 import io
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,8 @@ BAD_CONFIG_CASES = [
     ("nan_lr", "model: lr must be positive, got nan"),
     ("nan_margin", "model: margin must be positive, got nan"),
     ("nan_min_lr", "train: min_lr must be positive, got nan"),
+    ("huge_margin", "model: margin: integer too large for a float"),
+    ("huge_min_lr", "train: min_lr: integer too large for a float"),
 ]
 
 # case -> (section, key, value) for the wrong-type cases above
@@ -273,6 +276,8 @@ _OUT_OF_RANGE = {
     "nan_lr": ("model", "lr", float("nan")),
     "nan_margin": ("model", "margin", float("nan")),
     "nan_min_lr": ("train", "min_lr", float("nan")),
+    "huge_margin": ("model", "margin", 10 ** 400),
+    "huge_min_lr": ("train", "min_lr", 10 ** 400),
 }
 
 
@@ -322,6 +327,26 @@ def test_train_config_must_be_valid_json(tmp_path):
     code, _, err = run_cli(["train", "--config", str(path)])
     assert code == 1
     assert "not valid structured text" in err
+
+
+def test_train_config_nested_too_deeply_is_an_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(["train", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: not valid structured text: nested too deeply\n"
+
+
+def test_train_config_integer_too_long_to_parse_is_an_error(tmp_path):
+    # Python's int parser refuses more than 4,300 digits with a ValueError
+    path = tmp_path / "run.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(["train", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: not valid structured text: ")
+    assert err.count("\n") == 1
 
 
 def test_train_writes_checkpoint_log_and_report(tmp_path):
@@ -645,6 +670,24 @@ def test_spice_file_missing_items_is_an_error_before_scoring(tmp_path, monkeypat
     assert err == "error: SPICE values missing for items: ['a.wav', 'c.wav']\n"
 
 
+def test_spice_file_nested_too_deeply_is_an_error(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a bad SPICE file reached scoring")
+
+    monkeypatch.setattr(textmetrics, "bleu_corpus", never)
+    refs_csv = write_caption_csv(tmp_path / "refs.csv",
+                                 [(n, ["w0 w1", "w2 w3", "w4 w5", "w6 w7", "w8 w9"])
+                                  for n in ("a.wav", "b.wav")])
+    cand_csv = write_candidates_csv(tmp_path / "cands.csv", [("a.wav", "w0"), ("b.wav", "w2")])
+    spice = tmp_path / "spice.json"
+    spice.write_text('{"a.wav": ' * 200_000, encoding="utf-8")
+    code, out, err = run_cli(["eval-captions", "--candidates", str(cand_csv),
+                              "--references", str(refs_csv), "--spice", str(spice)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {spice}: not valid structured text: nested too deeply\n"
+
+
 def test_rank_outputs_topk_lines(tmp_path):
     ds = make_dataset(tmp_path)
     ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
@@ -738,6 +781,23 @@ def test_rank_bad_query_vector_file_is_an_error(tmp_path, content):
     assert err.startswith("error:")
     assert str(vec_path) in err
     assert "Traceback" not in err
+
+
+def test_rank_query_vector_nested_too_deeply_is_an_error(tmp_path):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(text_mode="sentence_table"))
+    vec_path = tmp_path / "query.json"
+    vec_path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli([
+        "rank", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--query", "unused", "--top-k", "2",
+        "--query-vector", str(vec_path),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {vec_path}: query vector is not a flat array of numbers "
+                   "(nested too deeply)\n")
 
 
 def test_rank_top_k_beyond_clip_count_fails(tmp_path):
@@ -862,6 +922,47 @@ def test_rank_rejects_checkpoint_header_of_wrong_type(tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"error: {ckpt}: header epoch: must be an integer, got 'a'\n"
+
+
+def _replace_checkpoint_header(ckpt, old, new):
+    # rewrites the header text and its length field; the payload stays
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = raw[8:8 + hlen]
+    assert header.count(old) == 1
+    header = header.replace(old, new)
+    ckpt.write_bytes(raw[:4] + struct.pack("<I", len(header)) + header + raw[8 + hlen:])
+
+
+def _rank_with_checkpoint(ds, ckpt):
+    return run_cli([
+        "rank", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--word-embeddings", str(ds["words"]),
+        "--query", "w0 w1", "--top-k", "2",
+    ])
+
+
+def test_rank_rejects_checkpoint_metric_beyond_float_range(tmp_path):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(), map10=0.5)
+    _replace_checkpoint_header(ckpt, b'"best_validation_mAP10":0.5',
+                               b'"best_validation_mAP10":' + b"9" * 400)
+    code, out, err = _rank_with_checkpoint(ds, ckpt)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {ckpt}: header best_validation_mAP10: integer too large for a float\n"
+
+
+def test_rank_rejects_checkpoint_header_nested_too_deeply(tmp_path):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(), map10=0.5)
+    _replace_checkpoint_header(ckpt, b'"best_validation_mAP10":0.5',
+                               b'"best_validation_mAP10":' + b"[" * 200_000)
+    code, out, err = _rank_with_checkpoint(ds, ckpt)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {ckpt}: corrupt header: nested too deeply\n"
 
 
 def test_missing_checkpoint_file_is_reported(tmp_path):

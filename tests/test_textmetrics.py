@@ -12,6 +12,7 @@ from audiotext.textmetrics import (
     CorpusScores,
     MetricError,
     _alignment_stats,
+    _candidate_index,
     _lcs_length,
     bleu_corpus,
     build_eval_set,
@@ -31,6 +32,7 @@ from helpers import VOCAB10, toy_metric_corpus, write_caption_csv
 from oracles import (
     _lcs_recursive,
     alignment_reference,
+    alignment_stats_reference,
     bleu_corpus_reference,
     bleu_reference,
     cider_d_per_item_reference,
@@ -239,6 +241,100 @@ def test_alignment_stats_matches_exhaustive_reference():
 def test_alignment_stats_matches_repeated_word_crosswise():
     # "w a" and "w b" are each one chunk only with the two w's swapped
     assert _alignment_stats(["w", "a", "w", "b"], ["w", "b", "x", "w", "a"]) == (4, 2)
+
+
+def _links_clash(cand, ref):
+    # do two shared bigram occurrences give one position two partners?
+    partner_of_cand, partner_of_ref = {}, {}
+    for i in range(len(cand) - 1):
+        for j in range(len(ref) - 1):
+            if cand[i:i + 2] == ref[j:j + 2]:
+                for a, b in ((i, j), (i + 1, j + 1)):
+                    if partner_of_cand.setdefault(a, b) != b or partner_of_ref.setdefault(b, a) != a:
+                        return True
+    return False
+
+
+def _counting_search(monkeypatch):
+    calls = []
+    search = textmetrics._min_chunks_search
+
+    def counted(candidate, reference, quota, m):
+        calls.append((tuple(candidate), tuple(reference)))
+        return search(candidate, reference, quota, m)
+
+    monkeypatch.setattr(textmetrics, "_min_chunks_search", counted)
+    return calls
+
+
+def test_alignment_stats_matches_search_reference_on_small_vocabularies(monkeypatch):
+    # 1-5 word vocabularies repeat tokens, so links often clash; the search
+    # must run exactly for the pairs whose links clash
+    calls = _counting_search(monkeypatch)
+    rng = np.random.default_rng(13)
+    clashing = 0
+    for _ in range(700):
+        vocab = int(rng.integers(1, 6))
+        cand = _random_tokens(rng, vocab, 0, 11)
+        index = _candidate_index(cand)
+        for _ in range(2):
+            ref = _random_tokens(rng, vocab, 0, 11)
+            want = alignment_stats_reference(cand, ref)
+            del calls[:]
+            assert _alignment_stats(cand, ref, index) == want, (cand, ref)
+            clash = _links_clash(cand, ref)
+            clashing += clash
+            assert calls == ([(tuple(cand), tuple(ref))] if clash and want[0] else []), (cand, ref)
+    assert 300 < clashing < 1100
+
+
+def _offline_shaped_corpus(rng, n_items, n_words=400, n_refs=5):
+    # like the benchmark's eval-captions inputs: Zipf-distributed words,
+    # 8-20 token captions, a candidate keeping ~60% of one reference's tokens
+    p = 1.0 / np.arange(1, n_words + 1) ** 1.07
+    p /= p.sum()
+
+    def tokens(n):
+        return [f"w{k}" for k in rng.choice(n_words, size=n, p=p)]
+
+    items = []
+    for _ in range(n_items):
+        refs = [tokens(int(rng.integers(8, 21))) for _ in range(n_refs)]
+        ref = refs[int(rng.integers(0, n_refs))]
+        n = int(rng.integers(8, 21))
+        fresh, keep = tokens(n), rng.random(n) < 0.6
+        cand = [ref[i] if keep[i] and i < len(ref) else fresh[i] for i in range(n)]
+        items.append((tuple(cand), tuple(tuple(r) for r in refs)))
+    return items
+
+
+def test_meteor_lite_matches_search_reference_on_offline_shaped_corpus(monkeypatch):
+    calls = _counting_search(monkeypatch)
+    items = _offline_shaped_corpus(np.random.default_rng(14), 400)
+    assert meteor_lite(_set(*items)) == meteor_reference(items, align=alignment_stats_reference)
+    # most pairs are answered from their links, some still need the search
+    assert 0 < len(calls) < 0.2 * 5 * len(items)
+
+
+def test_clash_free_pairs_never_reach_the_search(monkeypatch):
+    def never(*args):
+        raise AssertionError("search reached")
+
+    monkeypatch.setattr(textmetrics, "_min_chunks_search", never)
+    clash_free = [
+        (["a", "dog", "barks"], ["a", "dog", "barks"]),
+        (["the", "cat", "sat"], ["the", "sat", "cat"]),
+        (["a", "b"], ["b", "a", "b"]),
+        # the crosswise repeated w: links (0, 3) and (2, 0) share no position
+        (["w", "a", "w", "b"], ["w", "b", "x", "w", "a"]),
+        (["a", "a", "b"], ["a", "b", "a"]),
+    ]
+    for cand, ref in clash_free:
+        assert _alignment_stats(cand, ref) == alignment_stats_reference(cand, ref)
+    assert _alignment_stats(["w", "a", "w", "b"], ["w", "b", "x", "w", "a"]) == (4, 2)
+    # "w a" twice on each side: each candidate w has two possible partners
+    with pytest.raises(AssertionError, match="search reached"):
+        _alignment_stats(["w", "a", "w", "a"], ["w", "a", "x", "w", "a"])
 
 
 def test_meteor_requires_references():
