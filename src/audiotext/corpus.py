@@ -15,11 +15,17 @@ EVEC          magic ``EVEC``, u32-LE count, u32-LE dim, then per record:
               u16-LE key byte-length, UTF-8 key, dim binary32-LE values.
 Word vectors  text; first line ``count dim``, then ``word v1 ... v_dim``
               per line, space-separated.
+Word cache    sidecar ``.<name>.audiotext-cache`` beside a word-vector text:
+              magic ``WVCC``, u32-LE version (=1), the text's 32-byte SHA-256,
+              u64-LE count, u64-LE dim, u64-LE byte-length of the words, the
+              ``\n``-joined UTF-8 words, then count*dim binary32-LE values,
+              row-major.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -40,6 +46,11 @@ _TOKEN_RUN = re.compile("[a-z0-9']+")
 FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
 EVEC_MAGIC = b"EVEC"
+WORD_CACHE_MAGIC = b"WVCC"
+WORD_CACHE_VERSION = 1
+# magic, version, SHA-256 of the text, count, dim, byte-length of the words
+_WORD_CACHE_HEAD = struct.Struct("<4sI32sQQQ")
+_DIGEST_BLOCK = 1 << 20
 
 
 class CorpusError(ValueError):
@@ -269,9 +280,91 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
     """Load a word2vec-style text table; header line is ``count dim``.
     Every value must be finite in float32.
 
-    Lines are parsed in chunks into the table's one float32 matrix.
+    Lines are parsed in chunks into the table's one float32 matrix. A
+    regular file that parses gets a sidecar ``.<name>.audiotext-cache``
+    keyed by the SHA-256 of its bytes; a later load of the same bytes reads
+    the sidecar instead, giving the same index and a bitwise-equal matrix.
+    A sidecar that does not match, or cannot be read or written, is
+    silently ignored, so deleting one is always safe. Pipes and other
+    non-regular paths are parsed every time.
     """
     path = Path(path)
+    source = _digest_regular_file(path)
+    if source is None:
+        return _parse_word_embeddings(path)
+    cache = path.with_name(f".{path.name}.audiotext-cache")
+    table = _read_word_cache(cache, source[0])
+    if table is None:
+        table = _parse_word_embeddings(path)
+        _write_word_cache(path, cache, source, table)
+    return table
+
+
+def _file_identity(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _digest_regular_file(path: Path) -> tuple[bytes, tuple[int, int, int, int]] | None:
+    """The SHA-256 of a regular file, read in blocks, and the file's identity
+    when it was opened; None for any other kind of path or one that cannot
+    be read (the parse then reports it)."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        with open(path, "rb") as fh:
+            identity = _file_identity(os.fstat(fh.fileno()))
+            sha = hashlib.sha256()
+            for block in iter(lambda: fh.read(_DIGEST_BLOCK), b""):
+                sha.update(block)
+    except OSError:
+        return None
+    return sha.digest(), identity
+
+
+def _read_word_cache(cache: Path, digest: bytes) -> EmbeddingTable | None:
+    """The table a sidecar holds for text of SHA-256 ``digest``; None when
+    it is missing, unreadable, another user's, of another format or text,
+    or its sizes do not add up (each checked before anything is allocated)."""
+    try:
+        with open(cache, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            head = fh.read(_WORD_CACHE_HEAD.size)
+            if st.st_uid != os.getuid() or len(head) != _WORD_CACHE_HEAD.size:
+                return None
+            magic, version, key, count, dim, words_size = _WORD_CACHE_HEAD.unpack(head)
+            if ((magic, version, key) != (WORD_CACHE_MAGIC, WORD_CACHE_VERSION, digest)
+                    or dim < 1 or len(head) + words_size + 4 * count * dim != st.st_size):
+                return None
+            words = fh.read(words_size).decode("utf-8").split("\n") if words_size else []
+            matrix = np.fromfile(fh, dtype="<f4", count=count * dim).reshape(count, dim)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError, as is a short read
+        return None
+    index = dict(zip(words, range(count)))
+    if len(words) != count or len(index) != count:
+        return None
+    return EmbeddingTable(index=index, matrix=matrix.astype(np.float32, copy=False))
+
+
+def _write_word_cache(path: Path, cache: Path, source: tuple[bytes, tuple],
+                      table: EmbeddingTable) -> None:
+    """Write ``table`` to its sidecar, unless the text changed since it was
+    hashed; a sidecar that cannot be written is skipped."""
+    digest, identity = source
+    try:
+        if _file_identity(os.stat(path)) != identity:
+            return
+        with atomic_write(cache, "wb") as fh:
+            words = "\n".join(table.index).encode("utf-8")
+            fh.write(_WORD_CACHE_HEAD.pack(WORD_CACHE_MAGIC, WORD_CACHE_VERSION, digest,
+                                           len(table), table.dim, len(words)))
+            fh.write(words)
+            fh.write(table.matrix.astype("<f4", copy=False).tobytes())
+    except OSError:
+        pass
+
+
+def _parse_word_embeddings(path: Path) -> EmbeddingTable:
+    """Parse and check a word-vector text table; the only code that validates one."""
     rows: dict[str, int] = {}
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -287,7 +380,10 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
         # regular file allocates no more (a pipe has no size to go by)
         st = os.fstat(fh.fileno())
         cap = st.st_size // (2 * dim + 1) if stat.S_ISREG(st.st_mode) else count
-        matrix = np.empty((min(count, cap), dim), dtype=np.float32)
+        try:
+            matrix = np.empty((min(count, cap), dim), dtype=np.float32)
+        except ValueError:  # a dim no array can hold
+            raise CorpusError(f"{path}: invalid header count={count} dim={dim}") from None
         chunk: list[tuple[int, str, str]] = []
         for line_no, line in enumerate(fh, start=2):
             parts = line.split(None, 1)

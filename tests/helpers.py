@@ -72,6 +72,17 @@ def write_word_embeddings(path, entries):
     return Path(path)
 
 
+def word_cache_path(path):
+    """The sidecar ``load_word_embeddings`` keeps beside a word table."""
+    return path.with_name(f".{path.name}.audiotext-cache")
+
+
+def no_parse(path):
+    """Stands in for ``corpus._parse_word_embeddings`` where a load must
+    come from the sidecar."""
+    raise AssertionError(f"{path} parsed, expected a load from its cache")
+
+
 def embedding_table(entries, dim=None, cls=EmbeddingTable):
     """A table holding ``entries`` (dict key -> vector) in dict order; ``dim``
     gives the width of an empty table."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiotext import cli, textmetrics
+from audiotext import cli, corpus, textmetrics
 from audiotext.cli import load_run_config, main
 from audiotext.corpus import (
     load_captions,
@@ -28,11 +28,13 @@ from audiotext.optim import EPOCH_LOG_HEADER
 from helpers import (
     VOCAB10,
     caption_table_for,
+    no_parse,
     sine_wav,
     small_config,
     small_tower,
     toy_metric_corpus,
     write_caption_csv,
+    word_cache_path,
     write_candidates_csv,
     write_word_embeddings,
 )
@@ -882,6 +884,70 @@ def test_non_finite_word_vector_is_an_error(tmp_path, command):
     assert out == ""
     assert err == f"error: {ds['words']}: line 5: non-finite value\n"
     assert not (out_dir / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "eval-retrieval"])
+def test_cold_and_warm_word_table_loads_print_the_same(tmp_path, monkeypatch, command):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    argv = [command, "--checkpoint", str(ckpt),
+            "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+            "--feature-kind", "external", "--word-embeddings", str(ds["words"])]
+    argv += ["--query", "w0 w1 w2", "--top-k", "3"] if command == "rank" else []
+    assert not word_cache_path(ds["words"]).exists()
+    cold = run_cli(argv)
+    assert cold[0] == 0 and cold[1] and cold[2] == ""
+    assert word_cache_path(ds["words"]).is_file()
+    monkeypatch.setattr(corpus, "_parse_word_embeddings", no_parse)
+    assert run_cli(argv) == cold
+
+
+def test_train_with_cold_and_warm_word_table_writes_the_same_bytes(tmp_path, monkeypatch):
+    ds = make_dataset(tmp_path)
+    outputs = []
+    for run in ("cold", "warm"):
+        assert word_cache_path(ds["words"]).exists() == (run == "warm")
+        out_dir = tmp_path / run
+        path = write_config(tmp_path / f"{run}.json", base_config_dict(ds, out_dir))
+        code, out, err = run_cli(["train", "--config", str(path)])
+        assert code == 0 and err == "", err
+        outputs.append(((out_dir / "model.ckpt").read_bytes(),
+                        (out_dir / "epochs.csv").read_bytes(), out))
+        monkeypatch.setattr(corpus, "_parse_word_embeddings", no_parse)
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("command", ["train", "rank", "eval-retrieval"])
+def test_word_table_dim_no_array_can_hold_is_an_error(tmp_path, command):
+    ds = make_dataset(tmp_path)
+    ds["words"].write_text("1 100000000000000000000\nw0 1\n", encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--config", str(write_config(
+            tmp_path / "run.json", base_config_dict(ds, tmp_path / "run")))]
+    else:
+        ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+        argv = [command, "--checkpoint", str(ckpt),
+                "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+                "--feature-kind", "external", "--word-embeddings", str(ds["words"])]
+        argv += ["--query", "w0", "--top-k", "2"] if command == "rank" else []
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {ds['words']}: invalid header count=1 dim=100000000000000000000\n"
+    assert not word_cache_path(ds["words"]).exists()
+
+
+def test_missing_word_table_is_reported(tmp_path):
+    ds = make_dataset(tmp_path)
+    ds["words"].unlink()
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    code, out, err = run_cli([
+        "rank", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--word-embeddings", str(ds["words"]),
+        "--query", "w0", "--top-k", "2"])
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{ds['words']}'\n"
+    assert not word_cache_path(ds["words"]).exists()
 
 
 @pytest.mark.parametrize("bad_input", ["run_config", "caption_csv", "word_table",

@@ -26,7 +26,7 @@ from audiotext.corpus import (
 from audiotext.nnet.checkpoint import save_checkpoint
 from audiotext.nnet.tensor import Tensor
 from audiotext.optim import EpochLog, write_epoch_log
-from helpers import embedding_table, write_caption_csv
+from helpers import embedding_table, no_parse, word_cache_path, write_caption_csv
 from oracles import load_word_embeddings_reference, normalize_caption_reference
 
 FIVE = ["a dog barks", "rain falls hard", "a man speaks", "birds chirp", "wind blows"]
@@ -193,12 +193,36 @@ def test_load_word_embeddings_errors(tmp_path):
         "dup.txt": ("2 2\na 1 0\na 0 1\n", "duplicate word"),
         "nan.txt": ("1 2\na 1 x\n", "non-numeric"),
         "header.txt": ("3\na 1\n", "header"),
+        # a dim no array can hold fails on the header, not in the allocation
+        "huge_dim.txt": ("1 100000000000000000000\na 1\n",
+                         "invalid header count=1 dim=100000000000000000000$"),
     }
     for name, (content, match) in cases.items():
         p = tmp_path / name
         p.write_text(content, encoding="utf-8")
         with pytest.raises(CorpusError, match=match):
             load_word_embeddings(p)
+        assert not word_cache_path(p).exists()
+
+
+@pytest.mark.parametrize("name", [".", "sub", "missing.txt"])
+def test_load_word_embeddings_open_errors_pass_through(tmp_path, monkeypatch, name):
+    # the open error itself, as the CLI prints it; a path with no file
+    # name (".") has no sidecar name either and must not fail on that
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(OSError) as info:
+        load_word_embeddings(name)
+    assert str(info.value) == str(_open_error(name))
+    assert sorted(os.listdir(tmp_path)) == ["sub"]
+
+
+def _open_error(name):
+    try:
+        open(name, encoding="utf-8")
+    except OSError as e:
+        return e
+    raise AssertionError(f"{name} opened")
 
 
 def _word_lines(n, dim, seed):
@@ -308,6 +332,161 @@ def test_load_word_embeddings_errors_match_line_reference(tmp_path):
         with pytest.raises(CorpusError, match=match):
             load_word_embeddings(p)
         assert _assert_loads_like_reference(p) is None
+        assert not word_cache_path(p).exists(), name
+
+
+# ---------------------------------------------------------------------------
+# word-table cache
+
+
+def _assert_same_table(got, want):
+    assert list(got.index.items()) == list(want.index.items())
+    assert got.matrix.dtype == np.float32 and got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+def _cached_table(tmp_path, n=200, dim=7):
+    lines = _word_lines(n, dim, seed=4)
+    lines[5] = "signed -0 0 1e-40 -1e-45 3.4e38 -3.4e38 1_0"  # -0, subnormals, extremes
+    p = tmp_path / "vecs.txt"
+    p.write_text(f"{n} {dim}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return p, load_word_embeddings(p)
+
+
+def test_word_cache_warm_load_equals_cold_load_and_reference(tmp_path, monkeypatch):
+    p, cold = _cached_table(tmp_path)
+    assert word_cache_path(p).is_file()
+    monkeypatch.setattr(corpus_module, "_parse_word_embeddings", no_parse)
+    warm = _assert_loads_like_reference(p)
+    _assert_same_table(warm, cold)
+    assert warm.matrix.flags.c_contiguous and warm.matrix.flags.writeable
+
+
+def test_word_cache_of_an_empty_table(tmp_path, monkeypatch):
+    p = tmp_path / "empty.txt"
+    p.write_text("0 4\n", encoding="utf-8")
+    cold = load_word_embeddings(p)
+    monkeypatch.setattr(corpus_module, "_parse_word_embeddings", no_parse)
+    warm = load_word_embeddings(p)
+    _assert_same_table(warm, cold)
+    assert warm.matrix.shape == (0, 4)
+
+
+def test_word_cache_is_keyed_by_content_not_mtime(tmp_path):
+    p, _ = _cached_table(tmp_path)
+    st = p.stat()
+    text = p.read_text(encoding="utf-8")
+    edited = text.replace("signed -0 0", "signed -0 9", 1)
+    assert edited != text and len(edited) == len(text)
+    p.write_text(edited, encoding="utf-8")
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (p.stat().st_size, p.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    table = load_word_embeddings(p)
+    assert table["signed"][1] == 9.0
+    _assert_loads_like_reference(p)
+    # and the rewritten sidecar now serves the edited text
+    assert load_word_embeddings(p)["signed"][1] == 9.0
+
+
+def _bad_sidecars(good):
+    head = corpus_module._WORD_CACHE_HEAD
+    magic, version, digest, count, dim, words_size = head.unpack_from(good)
+    body = good[head.size:]
+
+    def with_head(**fields):
+        values = {"magic": magic, "version": version, "digest": digest, "count": count,
+                  "dim": dim, "words_size": words_size, **fields}
+        return head.pack(*values.values()) + body
+
+    return {
+        "empty": b"",
+        "truncated_header": good[:head.size - 1],
+        "truncated_matrix": good[:-1],
+        "truncated_words": good[:head.size + 10],
+        "trailing_byte": good + b"\0",
+        "words_size_off_by_one": with_head(words_size=words_size + 1),
+        "huge_words_size": with_head(words_size=2**64 - 1),
+        "garbage": bytes(range(256)) * 40,
+        "wrong_magic": with_head(magic=b"FMAT"),
+        "wrong_version": with_head(version=version + 1),
+        "other_digest": with_head(digest=bytes(32)),
+        "count_beyond_file": with_head(count=count + 1),
+        "huge_count": with_head(count=2**63),
+        "huge_dim": with_head(dim=2**64 - 1),
+        "counts_swapped": with_head(count=dim, dim=count),
+        "zero_dim": with_head(dim=0),
+        "bad_utf8_words": good[:head.size] + b"\xff" + body[1:],
+        "duplicate_words": good[:head.size] + body.replace(b"w1\n", b"w0\n", 1),
+    }
+
+
+def test_bad_word_cache_is_ignored_and_rewritten(tmp_path, capsys):
+    p, cold = _cached_table(tmp_path)
+    cache = word_cache_path(p)
+    good = cache.read_bytes()
+    for name, bad in _bad_sidecars(good).items():
+        cache.write_bytes(bad)
+        _assert_same_table(load_word_embeddings(p), cold)
+        assert cache.read_bytes() == good, name
+    assert capsys.readouterr() == ("", "")
+    assert sorted(os.listdir(tmp_path)) == [cache.name, p.name]
+
+
+def test_word_cache_of_another_user_is_ignored(tmp_path, monkeypatch):
+    p, cold = _cached_table(tmp_path)
+    monkeypatch.setattr(corpus_module.os, "getuid", lambda: os.stat(p).st_uid + 1)
+    parsed = []
+    parse = corpus_module._parse_word_embeddings
+    monkeypatch.setattr(corpus_module, "_parse_word_embeddings",
+                        lambda path: parsed.append(path) or parse(path))
+    _assert_same_table(load_word_embeddings(p), cold)
+    assert parsed == [p]
+
+
+def test_unreadable_word_cache_is_ignored(tmp_path, capsys):
+    p = tmp_path / "vecs.txt"
+    p.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
+    word_cache_path(p).mkdir()  # can be neither read nor replaced
+    for _ in range(2):
+        assert load_word_embeddings(p)["b"].tolist() == [0.0, 1.0, 0.0]
+    assert capsys.readouterr() == ("", "")
+    assert sorted(os.listdir(tmp_path)) == [word_cache_path(p).name, p.name]
+
+
+@pytest.mark.parametrize("where", ["on_open", "mid_write"])
+def test_failing_word_cache_write_still_loads(tmp_path, monkeypatch, capsys, where):
+    real_atomic_write = corpus_module.atomic_write
+
+    @contextlib.contextmanager
+    def failing_write(path, mode="w", **kwargs):
+        if where == "on_open":
+            raise PermissionError(13, "Permission denied", str(path))
+        with real_atomic_write(path, mode, **kwargs) as fh:
+            yield fh
+            raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(corpus_module, "atomic_write", failing_write)
+    p = tmp_path / "vecs.txt"
+    p.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
+    assert load_word_embeddings(p)["a"].tolist() == [1.0, 0.0, 0.0]
+    assert capsys.readouterr() == ("", "")
+    assert os.listdir(tmp_path) == [p.name]  # no sidecar and no temp file
+
+
+def test_table_changed_while_parsed_gets_no_cache(tmp_path, monkeypatch):
+    p = tmp_path / "vecs.txt"
+    p.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
+    parse = corpus_module._parse_word_embeddings
+
+    def parse_then_touch(path):
+        table = parse(path)
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        return table
+
+    monkeypatch.setattr(corpus_module, "_parse_word_embeddings", parse_then_touch)
+    assert load_word_embeddings(p)["a"].tolist() == [1.0, 0.0, 0.0]
+    assert not word_cache_path(p).exists()
 
 
 # ---------------------------------------------------------------------------
