@@ -376,10 +376,10 @@ def _parse_word_embeddings(path: Path) -> EmbeddingTable:
             raise CorpusError(f"{path}: non-integer header {header!r}") from None
         if count < 0 or dim < 1:
             raise CorpusError(f"{path}: invalid header count={count} dim={dim}")
-        # a row takes at least 2*dim+1 bytes, so an overstated count in a
-        # regular file allocates no more (a pipe has no size to go by)
+        # a row takes at least 2*dim+1 bytes, so an overstated count in a regular
+        # file allocates no more; a pipe's matrix starts empty and grows with its rows
         st = os.fstat(fh.fileno())
-        cap = st.st_size // (2 * dim + 1) if stat.S_ISREG(st.st_mode) else count
+        cap = st.st_size // (2 * dim + 1) if stat.S_ISREG(st.st_mode) else 0
         try:
             matrix = np.empty((min(count, cap), dim), dtype=np.float32)
         except ValueError:  # a dim no array can hold
@@ -390,18 +390,19 @@ def _parse_word_embeddings(path: Path) -> EmbeddingTable:
             if parts:  # blank lines are tolerated
                 chunk.append((line_no, parts[0], parts[1] if len(parts) > 1 else ""))
             if len(chunk) == _WORD_CHUNK:
-                _add_word_rows(path, chunk, rows, matrix, dim)
+                _add_word_rows(path, chunk, rows, matrix, count)
                 chunk = []
         if chunk:
-            _add_word_rows(path, chunk, rows, matrix, dim)
+            _add_word_rows(path, chunk, rows, matrix, count)
     if len(rows) != count:
         raise CorpusError(f"{path}: header declares {count} words, found {len(rows)}")
     return EmbeddingTable(index=rows, matrix=matrix)
 
 
 def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str, int],
-                   matrix: np.ndarray, dim: int) -> None:
-    """Parse ``(line_no, word, values text)`` lines into the next rows of ``matrix``.
+                   matrix: np.ndarray, count: int) -> None:
+    """Parse ``(line_no, word, values text)`` lines into the next rows of ``matrix``,
+    grown in place (doubling, to at most ``count`` rows) when full.
 
     A chunk the fast parser rejects, or one holding a non-finite value,
     is re-checked line by line, so the first offending line raises, and
@@ -409,7 +410,7 @@ def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str
     still load.
     """
     _, words, texts = zip(*chunk)
-    values = None
+    values, dim = None, matrix.shape[1]
     if all(texts):  # a line without values is left to the per-line rules
         try:
             values = np.loadtxt(texts, dtype=np.float32, comments=None, ndmin=2)
@@ -438,7 +439,10 @@ def _add_word_rows(path: Path, chunk: list[tuple[int, str, str]], rows: dict[str
     start = len(rows)
     rows.update((word, start + k) for k, word in enumerate(words))
     # rows past the declared count are checked but not kept: the load fails
-    matrix[start:start + len(chunk)] = values[:max(0, len(matrix) - start)]
+    end = max(start, min(count, start + len(chunk)))
+    if end > len(matrix):  # the matrix holds no views: it can be reallocated
+        matrix.resize((min(count, 2 * end), dim), refcheck=False)
+    matrix[start:end] = values[:end - start]
 
 
 def _check_caption_key(key: str, where: str) -> None:

@@ -15,8 +15,9 @@ import csv
 import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ class CaptionEvalSet:
 
     @cached_property
     def grams(self) -> NGramTables:
-        """The n-gram tables of BLEU and CIDEr-D, kept by this set alone."""
+        """The n-gram tables of BLEU, CIDEr-D and METEOR-lite, kept by this set alone."""
         return NGramTables(self.items)
 
 
@@ -159,13 +160,9 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
         total = sum(max(c - n + 1, 0) for c in cand_lens)
         precisions.append(clipped / total if total > 0 else 0.0)
     bp = min(1.0, math.exp(1.0 - ref_len_sum / cand_len_sum))
-    scores = []
-    for k in range(1, max_n + 1):
-        if any(p == 0.0 for p in precisions[:k]):
-            scores.append(0.0)
-        else:
-            scores.append(bp * math.exp(sum(math.log(p) for p in precisions[:k]) / k))
-    return tuple(scores)
+    return tuple(0.0 if 0.0 in precisions[:k] else
+                 bp * math.exp(sum(math.log(p) for p in precisions[:k]) / k)
+                 for k in range(1, max_n + 1))
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -190,13 +187,9 @@ def rouge_l_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
         raise MetricError("ROUGE-L needs at least one reference")
     if not candidate:
         return 0.0
-    p_max = 0.0
-    r_max = 0.0
-    for ref in references:
-        lcs = _lcs_length(candidate, ref)
-        p_max = max(p_max, lcs / len(candidate))
-        if ref:
-            r_max = max(r_max, lcs / len(ref))
+    lcs = [_lcs_length(candidate, ref) for ref in references]
+    p_max = max(lcs) / len(candidate)
+    r_max = max([n / len(ref) for n, ref in zip(lcs, references) if ref], default=0.0)
     denom = r_max + beta * beta * p_max
     if denom == 0.0:
         return 0.0
@@ -208,114 +201,119 @@ def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
                for i in eval_set.items) / len(eval_set.items)
 
 
-def _candidate_index(candidate: Sequence[str]) -> tuple[Counter, dict]:
-    """A candidate's token counts and the start positions of each bigram."""
+def _candidate_index(candidate: Sequence[str]) -> dict[tuple[str, str], list[int]]:
+    """The start positions of each bigram of a candidate."""
     starts: dict[tuple[str, str], list[int]] = {}
     for i, gram in enumerate(zip(candidate, candidate[1:])):
         starts.setdefault(gram, []).append(i)
-    return Counter(candidate), starts
+    return starts
 
 
 def _alignment_stats(candidate: Sequence[str], reference: Sequence[str],
-                     index: Optional[tuple[Counter, dict]] = None) -> tuple[int, int]:
-    """(matches m, min chunks) of the optimal exact-token alignment.
-
-    The alignment is one-to-one, maximizes m (the sum of per-word min
-    counts), then minimizes chunks (runs contiguous in both sentences).
-    Its chunks are m minus its links (candidate i, i+1 on reference j,
-    j+1), and as a word's quota is the min of its two counts, any
-    one-to-one partial alignment extends to m matches keeping its links:
-    min chunks = m - L, L the most links one alignment holds. Links clash
-    only by giving a position two partners, so only pairs with a clash run
-    ``_min_chunks_search``. ``index``: ``_candidate_index(candidate)``.
-    """
-    counts, starts = index or _candidate_index(candidate)
-    ref_counts = Counter(reference)
-    quota = {w: min(count, ref_counts[w]) for w, count in counts.items() if w in ref_counts}
-    m = sum(quota.values())
+                     index: Optional[dict] = None, m: Optional[int] = None) -> tuple[int, int]:
+    """(matches m, min chunks) of the optimal exact-token alignment: one to
+    one, m the sum of per-word min counts, then fewest chunks (runs
+    contiguous in both sentences). Chunks are m minus links (candidate i,
+    i+1 on reference j, j+1); as a word's quota is the min of its counts,
+    any one-to-one partial alignment extends to m matches keeping its
+    links, so min chunks = m - L, L the most links one alignment holds:
+    all unless two clash (give a position two partners), when
+    ``_min_chunks_search`` runs. ``index``/``m``: the candidate's
+    ``_candidate_index`` and the matches, when the caller has them."""
+    if m is None:
+        m = sum((Counter(candidate) & Counter(reference)).values())
     if m == 0:
         return 0, 0
+    starts = index or _candidate_index(candidate)
     links = [(i, j) for j, gram in enumerate(zip(reference, reference[1:]))
              for i in starts.get(gram, ())]
     pairs = {*links, *((i + 1, j + 1) for i, j in links)}
     if len({i for i, _ in pairs}) == len(pairs) == len({j for _, j in pairs}):
         return m, m - len(links)
-    return m, _min_chunks_search(candidate, reference, quota, m)
+    return m, _min_chunks_search(candidate, reference, links, m)
+
+
+def _bits(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
-                       quota: Mapping[str, int], m: int) -> int:
-    """Min chunks over alignments that fill every word's ``quota``:
-    memoized over the matchable candidate positions, a word is matched
-    only while its quota is open and skipped only when a later occurrence
-    can still fill it. Worst-case exponential under heavy repetition."""
-    positions = {w: tuple(j for j, t in enumerate(reference) if t == w)
-                 for w in quota}
-    # per matchable candidate position: its word's reference positions,
-    # their mask and quota, the word's occurrences from here on, and
-    # whether the next matchable position is the adjacent one
-    steps = []
-    left: Counter = Counter()
-    after = None
-    for i in range(len(candidate) - 1, -1, -1):
-        w = candidate[i]
-        if w in quota:
-            left[w] += 1
-            js = positions[w]
-            steps.append((js, sum(1 << j for j in js), quota[w], left[w], after == i + 1))
-            after = i
-    steps.reverse()
-    memo: dict[tuple[int, int, int], int] = {}
+                       links: list[tuple[int, int]], m: int) -> int:
+    """m - L for a pair whose ``links`` clash, L the largest set of links no
+    two of which clash: on one diagonal (equal i - j) links never clash, on
+    two they clash by sharing a candidate or reference position. Each
+    connected group of clashing links gets a branch and bound from a greedy
+    set taken diagonal by diagonal, fullest first; a branch takes one link
+    of the first free candidate start, or none. Links sharing a start all
+    clash, so free links add at most min(distinct candidate starts, distinct
+    reference starts). Fewest chunks is minimum common string partition,
+    NP-hard (Goldstein, Kilman & Zheng 2005): the worst case is exponential."""
+    links = sorted(links)  # bit k of a mask is links[k]
+    at_i, at_j, on_diagonal = {}, {}, {}  # masks of the links by i, by j, by i - j
+    for k, (i, j) in enumerate(links):
+        for groups, key in ((at_i, i), (at_j, j), (on_diagonal, i - j)):
+            groups[key] = groups.get(key, 0) | 1 << k
+    clash = [(at_i.get(i - 1, 0) | at_i[i] | at_i.get(i + 1, 0) | at_j.get(j - 1, 0) | at_j[j]
+              | at_j.get(j + 1, 0)) & ~on_diagonal[i - j] for i, j in links]
 
-    def rec(k: int, used: int, extend: int) -> int:
-        # min chunks of steps[k:], where reference position ``extend``
-        # (-1: none) continues the chunk of the previous match
-        if k == len(steps):
-            return 0
-        key = (k, used, extend)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        js, mask, q, occurrences, adjacent = steps[k]
-        need = q - (used & mask).bit_count()
-        # m + 1 chunks: more than any alignment has, so any match beats it
-        best = rec(k + 1, used, -1) if occurrences > need else m + 1
-        if need:
-            for j in js:
-                bit = 1 << j
-                if not used & bit:
-                    sub = rec(k + 1, used | bit, j + 1 if adjacent else -1) + (j != extend)
-                    if sub < best:
-                        best = sub
-        memo[key] = best
-        return best
+    def most(free: int, size: int, best: int) -> int:
+        # the larger of ``best`` and ``size`` plus the most links of ``free``
+        bound = size + min(sum(bool(free & g) for g in at_i.values()),
+                           sum(bool(free & g) for g in at_j.values()))
+        if bound <= best or not free:  # without free links, bound == size
+            return max(bound, best)
+        group = at_i[links[(free & -free).bit_length() - 1][0]] & free
+        for k in _bits(group):
+            best = most(free & ~clash[k] & ~group, size + 1, best)
+        return most(free & ~group, size, best)
 
-    return rec(0, 0, -1)
+    total, rest = 0, (1 << len(links)) - 1
+    while rest:
+        component = grow = rest & -rest
+        while grow:  # the links that clash with one added last
+            grow = reduce(or_, map(clash.__getitem__, _bits(grow))) & ~component
+            component |= grow
+        rest &= ~component
+        seed = 0
+        for d in sorted(on_diagonal, key=lambda d: (-(on_diagonal[d] & component).bit_count(), d)):
+            for k in _bits(on_diagonal[d] & component):
+                seed |= 0 if seed & clash[k] else 1 << k
+        total += most(component, 0, seed.bit_count())
+    return m - total
 
 
 def meteor_lite_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
                      alpha: float = 0.9, beta: float = 3.0, gamma: float = 0.5) -> float:
     """Exact-match METEOR of one candidate: best score over references."""
-    if not references:
-        raise MetricError("METEOR needs at least one reference")
-    index = _candidate_index(candidate)
-    best = 0.0
-    for ref in references:
-        m, chunks = _alignment_stats(candidate, ref, index)
-        if m == 0:
-            continue
-        precision = m / len(candidate)
-        recall = m / len(ref)
-        f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
-        penalty = gamma * (chunks / m) ** beta
-        best = max(best, f_mean * (1.0 - penalty))
-    return best
+    item = CaptionEvalItem("candidate", tuple(candidate), tuple(map(tuple, references)))
+    return meteor_lite(CaptionEvalSet((item,)), alpha, beta, gamma)
 
 
 def meteor_lite(eval_set: CaptionEvalSet, alpha: float = 0.9, beta: float = 3.0,
                 gamma: float = 0.5) -> float:
-    return sum(meteor_lite_item(i.candidate, i.references, alpha, beta, gamma)
-               for i in eval_set.items) / len(eval_set.items)
+    """Mean over items of the best exact-match METEOR over each candidate's
+    references. A pair's matches m sum the min counts of the unigram join of
+    ``eval_set.grams``; a pair sharing no bigram (order-2 join) has no links,
+    so m chunks, and only the others go through ``_alignment_stats``."""
+    grams = eval_set.grams
+    ones, twos, size, first_ref = grams.table(1), grams.table(2), len(grams.item), grams.num_items
+    shared = np.minimum(ones.count[ones.pair_cand], ones.count[ones.pair_ref])
+    matched = np.bincount(ones.sent[ones.pair_ref], shared, size)[first_ref:].astype(np.int64)
+    linked = np.bincount(twos.sent[twos.pair_ref], minlength=size)[first_ref:] > 0
+    scores, pairs = [], zip(matched.tolist(), linked.tolist())
+    for item in eval_set.items:
+        candidate, starts, best = item.candidate, _candidate_index(item.candidate), 0.0
+        for ref, (m, link) in zip(item.references, pairs):
+            if m == 0:
+                continue
+            chunks = _alignment_stats(candidate, ref, starts, m)[1] if link else m
+            precision = m / len(candidate)
+            recall = m / len(ref)
+            f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
+            penalty = gamma * (chunks / m) ** beta
+            best = max(best, f_mean * (1.0 - penalty))
+        scores.append(best)
+    return sum(scores) / len(scores)
 
 
 def cider_d_per_item(eval_set: CaptionEvalSet, max_n: int = 4,
@@ -400,13 +398,11 @@ def load_candidates(path) -> dict[str, tuple[str, ...]]:
     """
     with open_text(path, MetricError, newline="") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MetricError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise MetricError(f"{path}: empty file")
         if header != _CANDIDATE_HEADER:
-            raise MetricError(
-                f"{path}: bad header {header!r}, want {_CANDIDATE_HEADER!r}")
+            raise MetricError(f"{path}: bad header {header!r}, want {_CANDIDATE_HEADER!r}")
         out: dict[str, tuple[str, ...]] = {}
         for row_num, row in enumerate(reader, start=2):
             if len(row) != 2:

@@ -122,7 +122,7 @@ def alignment_reference(cand, ref):
 def alignment_stats_reference(candidate, reference):
     """(matches, min chunks) of the optimal exact-token alignment: the body
     ``textmetrics._alignment_stats`` had before bigram links, which runs the
-    memoized search on every pair.
+    memoized search ``min_chunks_search_reference`` on every pair.
 
     The alignment is one-to-one, maximizes the match count (forced to
     sum of per-word min counts), and among maximal alignments
@@ -139,6 +139,16 @@ def alignment_stats_reference(candidate, reference):
     m = sum(quota.values())
     if m == 0:
         return 0, 0
+    return m, min_chunks_search_reference(candidate, reference, quota, m)
+
+
+def min_chunks_search_reference(candidate, reference, quota, m):
+    """Min chunks over alignments that fill every word's ``quota``: the body
+    ``textmetrics._min_chunks_search`` had before it searched clashing
+    links, memoized over the matchable candidate positions. A word is
+    matched only while its quota is open and skipped only when a later
+    occurrence can still fill it. Worst-case exponential under heavy
+    repetition: 20 tokens of one word take seconds."""
     positions = {w: tuple(j for j, t in enumerate(reference) if t == w)
                  for w in quota}
     # per matchable candidate position: its word's reference positions,
@@ -180,7 +190,7 @@ def alignment_stats_reference(candidate, reference):
         memo[key] = best
         return best
 
-    return m, rec(0, 0, -1)
+    return rec(0, 0, -1)
 
 
 def meteor_reference(items, alpha=0.9, beta=3.0, gamma=0.5, align=alignment_reference):

@@ -7,6 +7,7 @@ capture fixture so the suite can run with output capture disabled.
 import contextlib
 import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -934,6 +935,26 @@ def test_word_table_dim_no_array_can_hold_is_an_error(tmp_path, command):
     assert (code, out) == (1, "")
     assert err == f"error: {ds['words']}: invalid header count=1 dim=100000000000000000000\n"
     assert not word_cache_path(ds["words"]).exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_word_table_pipe_with_overstated_count_is_an_error(tmp_path):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    read_fd, write_fd = os.pipe()
+    words = f"/dev/fd/{read_fd}"
+    try:
+        os.write(write_fd, b"1000000000000000 6\nw0 1 2 3 4 5 6\n")
+        os.close(write_fd)
+        code, out, err = run_cli([
+            "rank", "--checkpoint", str(ckpt),
+            "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+            "--feature-kind", "external", "--word-embeddings", words,
+            "--query", "w0", "--top-k", "2"])
+    finally:
+        os.close(read_fd)
+    assert (code, out) == (1, "")
+    assert err == f"error: {words}: header declares 1000000000000000 words, found 1\n"
 
 
 def test_missing_word_table_is_reported(tmp_path):

@@ -274,19 +274,41 @@ def test_load_word_embeddings_matches_line_reference(tmp_path):
     assert table["under"].tolist() == [10.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_load_word_embeddings_reads_a_pipe():
-    # a pipe reports size 0, which must not bound the table
-    text = "3 2\n" + "\n".join(_word_lines(3, 2, seed=3)) + "\n"
+def _load_through_pipe(text):
     read_fd, write_fd = os.pipe()
     try:
         os.write(write_fd, text.encode("utf-8"))
         os.close(write_fd)
-        table = load_word_embeddings(f"/dev/fd/{read_fd}")
+        return load_word_embeddings(f"/dev/fd/{read_fd}")
     finally:
         os.close(read_fd)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_word_embeddings_reads_a_pipe():
+    # a pipe reports size 0, which must not bound the table
+    table = _load_through_pipe("3 2\n" + "\n".join(_word_lines(3, 2, seed=3)) + "\n")
     assert list(table.index) == ["w0", "w1", "w2"]
     assert table["w2"].shape == (2,)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_word_embeddings_pipe_table_grows_chunk_by_chunk(tmp_path):
+    # a pipe's matrix starts empty and grows as rows arrive, over several chunks
+    text = "200 7\n" + "\n".join(_word_lines(200, 7, seed=4)) + "\n"
+    p = tmp_path / "vecs.txt"
+    p.write_text(text, encoding="utf-8")
+    piped, from_file = _load_through_pipe(text), load_word_embeddings(p)
+    assert piped.index == from_file.index
+    assert piped.matrix.shape == (200, 7)
+    assert piped.matrix.tobytes() == from_file.matrix.tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_word_embeddings_pipe_with_overstated_count_is_an_error():
+    # no matrix of the header's count is allocated before its rows arrive
+    with pytest.raises(CorpusError, match="header declares 1000000000000000 words, found 1$"):
+        _load_through_pipe("1000000000000000 3\nw0 1 2 3\n")
 
 
 def test_load_word_embeddings_errors_match_line_reference(tmp_path):

@@ -1,16 +1,23 @@
 """Caption metric tests: BLEU, ROUGE-L, METEOR-lite, CIDEr-D, SPIDEr."""
 
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import audiotext
 from audiotext import textmetrics
 from audiotext.textmetrics import (
     CaptionEvalItem,
     CaptionEvalSet,
     CorpusScores,
     MetricError,
+    NGramTables,
     _alignment_stats,
     _candidate_index,
     _lcs_length,
@@ -28,7 +35,7 @@ from audiotext.textmetrics import (
     spider_combine,
 )
 
-from helpers import VOCAB10, toy_metric_corpus, write_caption_csv
+from helpers import VOCAB10, toy_metric_corpus, write_caption_csv, write_candidates_csv
 from oracles import (
     _lcs_recursive,
     alignment_reference,
@@ -259,9 +266,9 @@ def _counting_search(monkeypatch):
     calls = []
     search = textmetrics._min_chunks_search
 
-    def counted(candidate, reference, quota, m):
+    def counted(candidate, reference, links, m):
         calls.append((tuple(candidate), tuple(reference)))
-        return search(candidate, reference, quota, m)
+        return search(candidate, reference, links, m)
 
     monkeypatch.setattr(textmetrics, "_min_chunks_search", counted)
     return calls
@@ -335,6 +342,125 @@ def test_clash_free_pairs_never_reach_the_search(monkeypatch):
     # "w a" twice on each side: each candidate w has two possible partners
     with pytest.raises(AssertionError, match="search reached"):
         _alignment_stats(["w", "a", "w", "a"], ["w", "a", "x", "w", "a"])
+
+
+def test_repeated_words_answer_fast():
+    # fewest chunks is NP-hard; a search over whole alignments takes seconds
+    # to minutes on these, one over clashing links milliseconds
+    cases = [
+        (["a"] * 20, ["a"] * 20, (20, 1)),
+        (["a", "b"] * 10, ["a", "b"] * 10, (20, 1)),
+        ((["a", "a", "b"] * 7)[:20], (["a", "b", "a"] * 7)[:20], (19, 1)),
+    ]
+    for cand, ref, want in cases:
+        start = time.perf_counter()
+        assert _alignment_stats(cand, ref) == want, (cand, ref)
+        assert time.perf_counter() - start < 1.0, (cand, ref)
+
+
+def _clash_components(cand, ref):
+    # connected groups of two or more shared bigram occurrences, joined by
+    # pairs that give one position two partners
+    links = [(i, j) for i in range(len(cand) - 1) for j in range(len(ref) - 1)
+             if cand[i:i + 2] == ref[j:j + 2]]
+
+    def clash(a, b):
+        pairs = {a, (a[0] + 1, a[1] + 1), b, (b[0] + 1, b[1] + 1)}
+        return len({i for i, _ in pairs}) < len(pairs) or len({j for _, j in pairs}) < len(pairs)
+
+    groups, left = [], set(links)
+    while left:
+        group, todo = set(), [left.pop()]
+        while todo:
+            link = todo.pop()
+            group.add(link)
+            near = {other for other in left if clash(link, other)}
+            left -= near
+            todo.extend(near)
+        groups.append(group)
+    return sum(len(group) > 1 for group in groups)
+
+
+def test_alignment_stats_with_separate_clash_components_matches_exhaustive_reference():
+    pairs = [(list("aaaxbbb"), list("aaaybbb")), (list("ababcdc"), list("ababdcd"))]
+    rng = np.random.default_rng(21)
+    while len(pairs) < 60:
+        vocab = int(rng.integers(2, 5))
+        cand = _random_tokens(rng, vocab, 5, 7)
+        ref = _random_tokens(rng, vocab, 5, 7)
+        if _clash_components(cand, ref) >= 2:
+            pairs.append((cand, ref))
+    for cand, ref in pairs:
+        assert _clash_components(cand, ref) >= 2, (cand, ref)
+        assert _alignment_stats(cand, ref) == alignment_reference(cand, ref), (cand, ref)
+
+
+def test_eval_captions_output_does_not_depend_on_hash_seed(tmp_path):
+    # the link search walks dicts of links keyed by token pairs, whose order
+    # follows the interpreter's string hash seed; its output must not
+    rng = np.random.default_rng(22)
+    items = _offline_shaped_corpus(rng, 150)
+    items += [(tuple((["a", "a", "b"] * 4)[:11]), ((["a", "b", "a"] * 4)[:11],) * 5),
+              (("a",) * 9, (("a",) * 9,) * 5)]
+    assert sum(_links_clash(cand, ref) for cand, refs in items for ref in refs) > 20
+    keys = [f"clip{k:03d}.wav" for k in range(len(items))]
+    cands = write_candidates_csv(tmp_path / "cands.csv",
+                                 [(k, " ".join(cand)) for k, (cand, _) in zip(keys, items)])
+    refs = write_caption_csv(tmp_path / "refs.csv", [(k, [" ".join(r) for r in rs])
+                                                     for k, (_, rs) in zip(keys, items)])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(audiotext.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "audiotext.cli", "eval-captions",
+                               "--candidates", str(cands), "--references", str(refs)],
+                              env=env, capture_output=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode() == evaluate_captions(cands, refs).to_json() + "\n"
+
+
+def _recording_builds(monkeypatch):
+    built = []
+    build = NGramTables._build
+
+    def recorded(tables, n):
+        built.append(n)
+        return build(tables, n)
+
+    monkeypatch.setattr(NGramTables, "_build", recorded)
+    return built
+
+
+def test_meteor_lite_builds_unigram_and_bigram_tables_only(monkeypatch):
+    built = _recording_builds(monkeypatch)
+    items = _offline_shaped_corpus(np.random.default_rng(23), 30)
+    meteor_lite(_set(*items))
+    assert built == [1, 2]
+
+
+def test_evaluate_captions_builds_each_table_once(tmp_path, monkeypatch):
+    built = _recording_builds(monkeypatch)
+    during_meteor = []
+    meteor = textmetrics.meteor_lite
+
+    def counted(eval_set):
+        before = len(built)
+        score = meteor(eval_set)
+        during_meteor.append(len(built) - before)
+        return score
+
+    monkeypatch.setattr(textmetrics, "meteor_lite", counted)
+    items = _offline_shaped_corpus(np.random.default_rng(24), 30)
+    keys = [f"clip{k:02d}.wav" for k in range(len(items))]
+    cands = write_candidates_csv(tmp_path / "cands.csv",
+                                 [(k, " ".join(cand)) for k, (cand, _) in zip(keys, items)])
+    refs = write_caption_csv(tmp_path / "refs.csv", [(k, [" ".join(r) for r in rs])
+                                                     for k, (_, rs) in zip(keys, items)])
+    evaluate_captions(cands, refs)
+    assert sorted(built) == [1, 2, 3, 4]
+    assert during_meteor == [0]
 
 
 def test_meteor_requires_references():
