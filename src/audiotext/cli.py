@@ -244,7 +244,7 @@ def cmd_train(args) -> int:
     caption_table = (load_caption_embeddings(rc.caption_embeddings)
                      if rc.caption_embeddings is not None else None)
     result = train(train_manifest, val_manifest, features, rc.model, rc.train,
-                   word_table=word_table, caption_table=caption_table)
+                   word_table=word_table, caption_table=caption_table, scorer=rc.scorer)
     ckpt = result.checkpoint
     save_checkpoint(rc.checkpoint_out, ckpt.config, ckpt.params, ckpt.epoch,
                     ckpt.best_validation_map10)

@@ -496,21 +496,6 @@ def load_caption_embeddings(path: str | Path) -> CaptionEmbeddingTable:
     return CaptionEmbeddingTable(index=index, matrix=matrix)
 
 
-def write_caption_embeddings(path: str | Path, table: CaptionEmbeddingTable) -> None:
-    """Write an EVEC file (records in the order of the table's index)."""
-    with atomic_write(path, "wb") as fh:
-        fh.write(EVEC_MAGIC)
-        fh.write(struct.pack("<II", len(table), table.dim))
-        for key, row in table.index.items():
-            _check_caption_key(key, "write_caption_embeddings")
-            raw = key.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise CorpusError(f"key too long: {key!r}")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(table.matrix[row].astype("<f4").tobytes())
-
-
 class FeatureDirectory:
     """Lazy ``file_name -> FeatureSequence`` view of an FMAT directory.
 

@@ -39,6 +39,8 @@ _TOWER_KINDS = (
     "mean_pool_time",
 )
 _ACT_OF = {"relu": "relu", "tanh_act": "tanh", "sigmoid_act": "sigmoid"}
+# recurrent_cell -> cell class; its GATES name the cell's parameters
+_CELLS = {"gru": GRUCell, "lstm": LSTMCell}
 # Clips per recurrent pass of AudioTower.encode: in a probe, groups of 128
 # ran 7% faster than 64, and 64 10% faster than 32, while the transient
 # memory of a pass doubled each time (17.5 MiB at 64, H = 300).
@@ -129,7 +131,7 @@ class ModelConfig:
             raise NnetError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.embed_dim < 1:
             raise NnetError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.recurrent_cell not in ("gru", "lstm", "none"):
+        if self.recurrent_cell not in (*_CELLS, "none"):
             raise NnetError(f"recurrent_cell must be gru|lstm|none, got {self.recurrent_cell!r}")
         if self.text_mode not in ("word_average", "sentence_table"):
             raise NnetError(f"text_mode must be word_average|sentence_table, got {self.text_mode!r}")
@@ -263,18 +265,7 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         elif spec.kind == "dense":
             shapes.append((f"tower{i}.w", (spec.out_dim, spec.in_dim)))
             shapes.append((f"tower{i}.b", (spec.out_dim,)))
-    rec_in = config.tower_output_dim()
-    h = config.embed_dim
-    if config.recurrent_cell == "gru":
-        for gate in GRUCell.GATES:
-            shapes.append((f"gru.w_{gate}", (h, rec_in)))
-            shapes.append((f"gru.u_{gate}", (h, h)))
-            shapes.append((f"gru.b_{gate}", (h,)))
-    elif config.recurrent_cell == "lstm":
-        for gate in LSTMCell.GATES:
-            shapes.append((f"lstm.w_{gate}", (h, rec_in)))
-            shapes.append((f"lstm.u_{gate}", (h, h)))
-            shapes.append((f"lstm.b_{gate}", (h,)))
+    shapes += [(f"{config.recurrent_cell}.{key}", shape) for key, shape in _cell_shapes(config)]
     if config.projection is not None:
         d_in = config.embed_dim
         d_out = config.projection.out_dim
@@ -284,6 +275,15 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             shapes.append(("proj_text.w", (d_out, d_in)))
             shapes.append(("proj_text.b", (d_out,)))
     return shapes
+
+
+def _cell_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(key, shape) of each recurrent cell parameter, keyed as the cell names
+    them (w_<gate>, u_<gate>, b_<gate>, gate by gate); none without a cell."""
+    h, cell = config.embed_dim, _CELLS.get(config.recurrent_cell)
+    shapes = (("w", (h, config.tower_output_dim())), ("u", (h, h)), ("b", (h,)))
+    return [(f"{kind}_{gate}", shape) for gate in (cell.GATES if cell else ())
+            for kind, shape in shapes]
 
 
 def _xavier_fans(name: str, shape: tuple[int, ...]) -> tuple[int, int]:
@@ -313,8 +313,33 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
     return params
 
 
+def _forward(layers, x, caches: list | None = None):
+    """One clip through ``layers`` in order; with ``caches``, appends each
+    layer's cache to it, in layer order."""
+    for layer in layers:
+        x, cache = layer.forward(x)
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
+def _backward(layers, caches, dy):
+    """The reverse of _forward: one clip's output gradient back through
+    ``layers`` and their ``caches``; returns the input gradient."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.backward(cache, dy)
+    return dy
+
+
 class AudioTower:
-    """Forward/backward pipeline from a feature matrix to one embedding."""
+    """Forward/backward pipeline from a feature matrix to one embedding.
+
+    Three stages: ``layers``, the conv/dense/activation/pool layers of the
+    config, run clip by clip; ``cell``, the recurrent cell (None for
+    "none"), one packed pass over every clip; ``head``, the full mean pool
+    over time and then the projection when configured, clip by clip. The
+    per-clip stages go through one layer walk, _forward, and its reverse,
+    _backward."""
 
     def __init__(self, config: ModelConfig, params: Params):
         self.config = config
@@ -334,19 +359,13 @@ class AudioTower:
                 self.layers.append(MeanPoolTime(spec.pool_stride))
             else:  # pragma: no cover - kinds checked in validate()
                 raise NnetError(f"unknown tower kind {spec.kind!r}")
-        if config.recurrent_cell == "gru":
-            self.cell = GRUCell({k: params[f"gru.{k}"] for k in _cell_keys(GRUCell.GATES)})
-        elif config.recurrent_cell == "lstm":
-            self.cell = LSTMCell({k: params[f"lstm.{k}"] for k in _cell_keys(LSTMCell.GATES)})
-        else:
-            self.cell = None
-        self.pool = MeanPoolTime(0)
+        kind = config.recurrent_cell
+        self.cell = (_CELLS[kind]({key: params[f"{kind}.{key}"] for key, _ in _cell_shapes(config)})
+                     if kind in _CELLS else None)
+        self.head = [MeanPoolTime(0)]
         if config.projection is not None:
-            self.proj = Projection(
-                params["proj_audio.w"], params["proj_audio.b"], config.projection.activation
-            )
-        else:
-            self.proj = None
+            self.head.append(Projection(
+                params["proj_audio.w"], params["proj_audio.b"], config.projection.activation))
 
     def forward(self, frames: np.ndarray):
         """frames (T, F) -> (embedding (scoring_dim,), cache): a batch of one."""
@@ -360,54 +379,37 @@ class AudioTower:
 
     def forward_batch(self, clips):
         """A list of (T_i, F) feature matrices -> (list of embeddings, cache):
-        conv and pool layers clip by clip, one recurrent sweep over every
-        clip, then each clip's mean pool and projection."""
-        xs, layer_caches = [], []
-        for frames in clips:
-            x, caches = self._checked(frames), []
-            for layer in self.layers:
-                x, cache = layer.forward(x)
-                caches.append(cache)
-            xs.append(x)
-            layer_caches.append(caches)
+        each clip walks the layers, the cell sweeps every clip at once, then
+        each clip walks the head; the cache keeps every layer's cache."""
+        layer_caches = [[] for _ in clips]
+        xs = [_forward(self.layers, self._checked(frames), caches)
+              for frames, caches in zip(clips, layer_caches)]
         cell_cache = None
         if self.cell is not None:
             xs, cell_cache = self.cell.sweep(xs)
-        outs, head_caches = [], []
-        for x in xs:
-            pooled, pool_cache = self.pool.forward(x)
-            out, proj_cache = pooled, None
-            if self.proj is not None:
-                out, proj_cache = self.proj.forward(pooled)
-            outs.append(out)
-            head_caches.append((pool_cache, proj_cache))
+        head_caches = [[] for _ in xs]
+        outs = [_forward(self.head, x, caches) for x, caches in zip(xs, head_caches)]
         return outs, (layer_caches, cell_cache, head_caches)
 
     def encode(self, clips) -> np.ndarray:
         """A list of N (T_i, F) feature matrices -> (N, scoring_dim)
         embeddings, rows in input order; forward only, so it keeps no cache.
-        Clips go longest first in groups of _ENCODE_GROUP: conv and pool
-        layers clip by clip, one cache-free recurrent pass per group
-        (mean_states), then the projection."""
+        Clips go longest first in groups of _ENCODE_GROUP: each clip walks
+        the layers, then one cache-free recurrent pass per group
+        (mean_states) stands for the cell and the head's mean pool; the rest
+        of the head runs on each clip's pooled row."""
         clips = [self._checked(frames) for frames in clips]
         pooled = np.empty((len(clips), self.config.embed_dim), dtype=self.dtype)
         # conv and pool layers never shorten a longer clip below a shorter one
         order = sorted(range(len(clips)), key=lambda i: -clips[i].shape[0])
         for start in range(0, len(order), _ENCODE_GROUP):
             group = order[start : start + _ENCODE_GROUP]
-            xs = []
-            for i in group:
-                x = clips[i]
-                for layer in self.layers:
-                    x = layer.forward(x)[0]
-                xs.append(x)
+            xs = [_forward(self.layers, clips[i]) for i in group]
             pooled[group] = (self.cell.mean_states(xs) if self.cell is not None
-                             else [self.pool.forward(x)[0] for x in xs])
-        if self.proj is None:
-            return pooled
+                             else [_forward(self.head[:1], x) for x in xs])
         # clip by clip: at another row count a product's rows may round
         # differently, and a clip's embedding must not depend on the others
-        return np.array([self.proj.forward(v)[0] for v in pooled],
+        return np.array([_forward(self.head[1:], v) for v in pooled],
                         dtype=self.dtype).reshape(len(pooled), self.config.scoring_dim)
 
     def _checked(self, frames) -> np.ndarray:
@@ -421,26 +423,15 @@ class AudioTower:
         return x.astype(self.dtype, copy=False)
 
     def backward_batch(self, cache, douts) -> None:
-        """Accumulate parameter gradients, given one gradient per clip. A cache
-        serves one backward; with a recurrent cell a second raises NnetError."""
+        """Accumulate parameter gradients, given one gradient per clip: the
+        forward walks in reverse. A cache serves one backward; with a
+        recurrent cell a second raises NnetError."""
         layer_caches, cell_cache, head_caches = cache
-        dxs = []
-        for (pool_cache, proj_cache), dout in zip(head_caches, douts):
-            if self.proj is not None:
-                dout = self.proj.backward(proj_cache, dout)
-            dxs.append(self.pool.backward(pool_cache, dout))
+        dxs = [_backward(self.head, caches, dout) for caches, dout in zip(head_caches, douts)]
         if self.cell is not None:
             dxs = self.cell.sweep_backward(cell_cache, dxs)
         for caches, dx in zip(layer_caches, dxs):
-            for layer, lcache in zip(reversed(self.layers), reversed(caches)):
-                dx = layer.backward(lcache, dx)
-
-
-def _cell_keys(gates) -> list[str]:
-    keys = []
-    for gate in gates:
-        keys.extend((f"w_{gate}", f"u_{gate}", f"b_{gate}"))
-    return keys
+            _backward(self.layers, caches, dx)
 
 
 def encode_audio(features: FeatureSequence | np.ndarray, config: ModelConfig, params: Params) -> np.ndarray:

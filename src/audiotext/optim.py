@@ -263,15 +263,16 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
           features: Mapping[str, FeatureSequence], config: ModelConfig,
           train_config: TrainConfig,
           word_table: Optional[EmbeddingTable] = None,
-          caption_table: Optional[CaptionEmbeddingTable] = None) -> TrainResult:
+          caption_table: Optional[CaptionEmbeddingTable] = None,
+          scorer: Optional[str] = None) -> TrainResult:
     """Run the full training loop and return the best-epoch checkpoint.
 
     Per epoch: seeded shuffle of (audio, caption) pairs, fixed-size
     batches with the last partial batch kept, Adam updates, validation
     retrieval metrics, plateau scheduling, early stopping. The kept
     checkpoint is from the first epoch attaining the max validation
-    mAP10. A batch whose items all share one clip cannot be
-    contrasted and raises.
+    mAP10, scored with ``scorer`` (default: the loss's scorer). A batch
+    whose items all share one clip cannot be contrasted and raises.
     """
     config.validate()
     train_config.validate()
@@ -320,7 +321,7 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
 
         report = report_from_matrix(build_score_matrix(
             config, params, val_manifest, features,
-            word_table=word_table, caption_table=caption_table))
+            word_table=word_table, caption_table=caption_table, scorer=scorer))
         history.append(report.map10)
         if report.map10 > best_map10:
             best_map10 = report.map10

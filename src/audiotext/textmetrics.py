@@ -246,8 +246,15 @@ def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
     set taken diagonal by diagonal, fullest first; a branch takes one link
     of the first free candidate start, or none. Links sharing a start all
     clash, so free links add at most min(distinct candidate starts, distinct
-    reference starts). Fewest chunks is minimum common string partition,
-    NP-hard (Goldstein, Kilman & Zheng 2005): the worst case is exponential."""
+    reference starts), and when one diagonal already holds that many links
+    it is the answer, found before any mask is built: a pair of one word
+    repeated costs no search. Fewest chunks is minimum common string
+    partition, NP-hard (Goldstein, Kilman & Zheng 2005): the worst case is
+    exponential, e.g. on ``aab...`` against ``aba...``, whose fullest
+    diagonal falls one link short of the bound (398 of 399 at 400 tokens)."""
+    fullest = max(Counter(i - j for i, j in links).values())
+    if fullest == min(len({i for i, _ in links}), len({j for _, j in links})):
+        return m - fullest
     links = sorted(links)  # bit k of a mask is links[k]
     at_i, at_j, on_diagonal = {}, {}, {}  # masks of the links by i, by j, by i - j
     for k, (i, j) in enumerate(links):
@@ -280,13 +287,6 @@ def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
                 seed |= 0 if seed & clash[k] else 1 << k
         total += most(component, 0, seed.bit_count())
     return m - total
-
-
-def meteor_lite_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                     alpha: float = 0.9, beta: float = 3.0, gamma: float = 0.5) -> float:
-    """Exact-match METEOR of one candidate: best score over references."""
-    item = CaptionEvalItem("candidate", tuple(candidate), tuple(map(tuple, references)))
-    return meteor_lite(CaptionEvalSet((item,)), alpha, beta, gamma)
 
 
 def meteor_lite(eval_set: CaptionEvalSet, alpha: float = 0.9, beta: float = 3.0,

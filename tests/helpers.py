@@ -4,20 +4,26 @@ synthetic datasets, and tiny model configs."""
 from __future__ import annotations
 
 import csv
+import struct
 import wave as wave_mod
 from pathlib import Path
 
 import numpy as np
 
 from audiotext.corpus import (
+    EVEC_MAGIC,
     CaptionEmbeddingTable,
     CaptionRecord,
+    CorpusError,
     DatasetManifest,
     EmbeddingTable,
     FeatureSequence,
     ManifestItem,
+    _check_caption_key,
+    atomic_write,
 )
 from audiotext.nnet import LayerSpec, ModelConfig
+from audiotext.textmetrics import CaptionEvalItem, CaptionEvalSet, meteor_lite
 
 VOCAB10 = tuple(f"w{i}" for i in range(10))
 
@@ -89,6 +95,21 @@ def embedding_table(entries, dim=None, cls=EmbeddingTable):
     vectors = [np.asarray(v, dtype=np.float32) for v in entries.values()]
     matrix = np.empty((0, dim), dtype=np.float32) if not vectors else np.stack(vectors)
     return cls(index={key: row for row, key in enumerate(entries)}, matrix=matrix)
+
+
+def write_caption_embeddings(path, table):
+    """Write an EVEC file (records in the order of the table's index)."""
+    with atomic_write(path, "wb") as fh:
+        fh.write(EVEC_MAGIC)
+        fh.write(struct.pack("<II", len(table), table.dim))
+        for key, row in table.index.items():
+            _check_caption_key(key, "write_caption_embeddings")
+            raw = key.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise CorpusError(f"key too long: {key!r}")
+            fh.write(struct.pack("<H", len(raw)))
+            fh.write(raw)
+            fh.write(table.matrix[row].astype("<f4").tobytes())
 
 
 def random_word_table(vocab, dim, seed, scale=0.5):
@@ -172,3 +193,9 @@ def toy_metric_corpus(rng, n_items=4, n_refs=5, vocab=VOCAB10, max_len=8):
             refs.append(tuple(vocab[int(rng.integers(0, len(vocab)))] for _ in range(r_len)))
         items.append((cand, tuple(refs)))
     return items
+
+
+def meteor_lite_item(candidate, references, alpha=0.9, beta=3.0, gamma=0.5):
+    """Exact-match METEOR of one candidate: best score over references."""
+    item = CaptionEvalItem("candidate", tuple(candidate), tuple(map(tuple, references)))
+    return meteor_lite(CaptionEvalSet((item,)), alpha, beta, gamma)

@@ -55,7 +55,6 @@ from audiotext.textmetrics import (
     bleu_corpus,
     cider_d_per_item,
     meteor_lite,
-    meteor_lite_item,
     rouge_l,
     rouge_l_item,
     spider_combine,
@@ -66,6 +65,7 @@ from helpers import (
     VOCAB10,
     caption_table_for,
     embedding_table,
+    meteor_lite_item,
     random_word_table,
     small_config,
     small_tower,

@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from audiotext import cli, corpus, textmetrics
+from audiotext import cli, corpus, optim, textmetrics
 from audiotext.cli import load_run_config, main
 from audiotext.corpus import (
     load_captions,
     read_fmat,
-    write_caption_embeddings,
     write_fmat,
 )
 from audiotext.dsp import log_mel_features, read_wav
@@ -35,6 +34,7 @@ from helpers import (
     small_tower,
     toy_metric_corpus,
     write_caption_csv,
+    write_caption_embeddings,
     word_cache_path,
     write_candidates_csv,
     write_word_embeddings,
@@ -433,6 +433,35 @@ def test_train_creates_missing_output_directories(tmp_path):
     assert code == 0, err
     assert (out_dir / "model.ckpt").is_file()
     assert (out_dir / "epochs.csv").is_file()
+
+
+def test_train_validates_with_the_run_config_scorer(tmp_path, monkeypatch):
+    # a triplet model validates with dot by default; the run config's scorer
+    # replaces it for per-epoch validation and best-epoch selection
+    ds = make_dataset(tmp_path)
+    cfg = base_config_dict(ds, tmp_path / "run")
+    cfg["scorer"] = "exp_neg_euclid"
+    path = write_config(tmp_path / "run.json", cfg)
+    seen = []
+    build_score_matrix = optim.build_score_matrix
+
+    def recording_build_score_matrix(*args, **kwargs):
+        seen.append(kwargs.get("scorer"))
+        return build_score_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "build_score_matrix", recording_build_score_matrix)
+    code, out, err = run_cli(["train", "--config", str(path)])
+    assert code == 0, err
+    assert seen == ["exp_neg_euclid"] * 3
+
+    code, report, err = run_cli([
+        "eval-retrieval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--word-embeddings", str(ds["words"]), "--feature-kind", "external",
+        "--scorer", "exp_neg_euclid", "--split", "validation",
+    ])
+    assert code == 0, err
+    assert out.partition(": ")[2] == report
 
 
 def test_eval_retrieval_prints_and_writes_report(tmp_path):

@@ -20,13 +20,18 @@ from audiotext.corpus import (
     load_word_embeddings,
     normalize_caption,
     read_fmat,
-    write_caption_embeddings,
     write_fmat,
 )
 from audiotext.nnet.checkpoint import save_checkpoint
 from audiotext.nnet.tensor import Tensor
 from audiotext.optim import EpochLog, write_epoch_log
-from helpers import embedding_table, no_parse, word_cache_path, write_caption_csv
+from helpers import (
+    embedding_table,
+    no_parse,
+    word_cache_path,
+    write_caption_csv,
+    write_caption_embeddings,
+)
 from oracles import load_word_embeddings_reference, normalize_caption_reference
 
 FIVE = ["a dog barks", "rain falls hard", "a man speaks", "birds chirp", "wind blows"]

@@ -606,22 +606,52 @@ def test_projection_gradients():
     _fd(loss_fn, grad_fn, params)
 
 
-@pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
-def test_composed_tower_gradients(cell_kind):
-    config = small_config(recurrent_cell=cell_kind)
+def _tower_variant(variant):
+    if variant == "none":
+        config = small_config(
+            audio_tower=(LayerSpec("dense", in_dim=8, out_dim=6), LayerSpec("tanh_act")),
+            recurrent_cell="none",
+        )
+    elif variant == "projection":
+        config = small_config(projection=ProjectionSpec(out_dim=4))
+    elif variant == "mixed":
+        config = small_config(
+            audio_tower=(
+                LayerSpec("conv1d", in_dim=8, out_dim=5, kernel_width=3),
+                LayerSpec("sigmoid_act"),
+                LayerSpec("mean_pool_time", pool_stride=2),
+                LayerSpec("dense", in_dim=5, out_dim=7),
+                LayerSpec("relu"),
+                LayerSpec("max_pool_time", pool_stride=3),
+            ),
+        )
+    else:
+        config = small_config(recurrent_cell=variant)
+    return config
+
+
+_TOWER_VARIANTS = ["gru", "lstm", "none", "projection", "mixed"]
+
+
+@pytest.mark.parametrize("variant", _TOWER_VARIANTS)
+def test_composed_tower_gradients(variant):
+    # three clips of different lengths through the batch passes: every
+    # layer kind, the projection and a strided mean pool in composition
+    config = _tower_variant(variant)
     params = init_params(config, seed=3, dtype=np.float64)
     tower = AudioTower(config, params)
     rng = np.random.default_rng(7)
-    frames = rng.normal(size=(7, config.feature_dim))
-    direction = rng.normal(size=config.scoring_dim)
+    clips = [rng.normal(size=(t, config.feature_dim)) for t in (7, 4, 11)]
+    directions = [rng.normal(size=config.scoring_dim) for _ in clips]
 
     def loss_fn():
-        return float(tower.forward(frames)[0] @ direction)
+        outs = tower.forward_batch(clips)[0]
+        return float(sum(out @ d for out, d in zip(outs, directions)))
 
     def grad_fn():
         zero_grads(params)
-        out, cache = tower.forward(frames)
-        tower.backward(cache, direction)
+        _, cache = tower.forward_batch(clips)
+        tower.backward_batch(cache, directions)
         return collect_grads(params)
 
     _fd(loss_fn, grad_fn, params)
@@ -886,33 +916,6 @@ def test_audio_tower_without_recurrence_is_pooled_stack():
     w, b = params["tower0.w"].data, params["tower0.b"].data
     manual = np.maximum(frames @ w.T + b, 0.0).mean(axis=0)
     assert np.allclose(out, manual, rtol=1e-12, atol=1e-12)
-
-
-def _tower_variant(variant):
-    if variant == "none":
-        config = small_config(
-            audio_tower=(LayerSpec("dense", in_dim=8, out_dim=6), LayerSpec("tanh_act")),
-            recurrent_cell="none",
-        )
-    elif variant == "projection":
-        config = small_config(projection=ProjectionSpec(out_dim=4))
-    elif variant == "mixed":
-        config = small_config(
-            audio_tower=(
-                LayerSpec("conv1d", in_dim=8, out_dim=5, kernel_width=3),
-                LayerSpec("sigmoid_act"),
-                LayerSpec("mean_pool_time", pool_stride=2),
-                LayerSpec("dense", in_dim=5, out_dim=7),
-                LayerSpec("relu"),
-                LayerSpec("max_pool_time", pool_stride=3),
-            ),
-        )
-    else:
-        config = small_config(recurrent_cell=variant)
-    return config
-
-
-_TOWER_VARIANTS = ["gru", "lstm", "none", "projection", "mixed"]
 
 
 @pytest.mark.parametrize("variant", _TOWER_VARIANTS)

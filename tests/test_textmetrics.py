@@ -29,13 +29,18 @@ from audiotext.textmetrics import (
     load_candidates,
     load_spice_file,
     meteor_lite,
-    meteor_lite_item,
     rouge_l,
     rouge_l_item,
     spider_combine,
 )
 
-from helpers import VOCAB10, toy_metric_corpus, write_caption_csv, write_candidates_csv
+from helpers import (
+    VOCAB10,
+    meteor_lite_item,
+    toy_metric_corpus,
+    write_caption_csv,
+    write_candidates_csv,
+)
 from oracles import (
     _lcs_recursive,
     alignment_reference,
@@ -356,6 +361,14 @@ def test_repeated_words_answer_fast():
         start = time.perf_counter()
         assert _alignment_stats(cand, ref) == want, (cand, ref)
         assert time.perf_counter() - start < 1.0, (cand, ref)
+
+
+def test_long_one_word_pair_needs_no_search():
+    # 249 * 249 links: a clash mask per link would take tens of seconds and
+    # hundreds of MB; one full diagonal answers before any mask is built
+    start = time.perf_counter()
+    assert _alignment_stats(["a"] * 250, ["a"] * 250) == (250, 1)
+    assert time.perf_counter() - start < 2.0
 
 
 def _clash_components(cand, ref):
