@@ -154,18 +154,19 @@ class MaxPoolTime:
 
     def forward(self, x: np.ndarray):
         t, h = x.shape
-        t_out = -(-t // self.stride)
+        stride = min(self.stride, t)  # a window past the clip end holds the same frames
+        t_out = -(-t // stride)
         # -inf padding never wins a window: every window holds a real frame
-        padded = np.full((t_out * self.stride, h), -np.inf, dtype=x.dtype)
+        padded = np.full((t_out * stride, h), -np.inf, dtype=x.dtype)
         padded[:t] = x
-        windows = padded.reshape(t_out, self.stride, h)
+        windows = padded.reshape(t_out, stride, h)
         y = windows[:, 0].copy()
         idx = np.zeros((t_out, h), dtype=np.intp)
-        for j in range(1, self.stride):
+        for j in range(1, stride):
             # only a strictly greater frame moves the index: ties keep the earliest
             idx[windows[:, j] > y] = j
             np.maximum(y, windows[:, j], out=y)
-        argmax = idx + self.stride * np.arange(t_out)[:, None]
+        argmax = idx + stride * np.arange(t_out)[:, None]
         return y, (x.shape, argmax)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
@@ -186,28 +187,30 @@ class MeanPoolTime:
             raise NnetError(f"mean pool stride must be >= 0, got {stride}")
         self.stride = stride
 
-    def _window_lengths(self, t: int) -> np.ndarray:
-        t_out = -(-t // self.stride)
-        lengths = np.full(t_out, self.stride)
-        lengths[-1] = t - (t_out - 1) * self.stride
-        return lengths
+    def _windows(self, t: int) -> tuple[int, np.ndarray]:
+        """(window length, length of each window) for a clip of t frames."""
+        stride = min(self.stride, t)  # a window past the clip end holds the same frames
+        t_out = -(-t // stride)
+        lengths = np.full(t_out, stride)
+        lengths[-1] = t - (t_out - 1) * stride
+        return stride, lengths
 
     def forward(self, x: np.ndarray):
         t = x.shape[0]
         if self.stride == 0:
             return x.mean(axis=0), t
-        lengths = self._window_lengths(t)
-        padded = np.zeros((lengths.size * self.stride, x.shape[1]), dtype=x.dtype)
+        stride, lengths = self._windows(t)
+        padded = np.zeros((lengths.size * stride, x.shape[1]), dtype=x.dtype)
         padded[:t] = x
-        sums = padded.reshape(lengths.size, self.stride, x.shape[1]).sum(axis=1)
+        sums = padded.reshape(lengths.size, stride, x.shape[1]).sum(axis=1)
         return sums / lengths[:, None].astype(x.dtype), t
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         t = cache
         if self.stride == 0:
             return np.broadcast_to(dy / t, (t, dy.shape[0]))  # a read-only view
-        lengths = self._window_lengths(t)
-        return np.repeat(dy / lengths[:, None].astype(dy.dtype), self.stride, axis=0)[:t]
+        stride, lengths = self._windows(t)
+        return np.repeat(dy / lengths[:, None].astype(dy.dtype), stride, axis=0)[:t]
 
 
 # ---------------------------------------------------------------------------

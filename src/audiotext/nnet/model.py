@@ -9,8 +9,8 @@ trainable projection) or a frozen caption-level vector used verbatim.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
-from typing import Mapping, Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,16 +29,29 @@ from .layers import (
 )
 from .tensor import Params, Tensor
 
-_TOWER_KINDS = (
-    "dense",
-    "conv1d",
-    "relu",
-    "tanh_act",
-    "sigmoid_act",
-    "max_pool_time",
-    "mean_pool_time",
-)
-_ACT_OF = {"relu": "relu", "tanh_act": "tanh", "sigmoid_act": "sigmoid"}
+
+class _Kind(NamedTuple):
+    params: Callable  # spec -> ((key, shape), ...) of the layer's parameters, in order
+    build: Callable  # (spec, *those parameters) -> the layer
+
+
+def _no_params(spec) -> tuple:
+    return ()
+
+
+# tower layer kind -> _Kind; validate() rejects any other kind
+_LAYERS = {
+    "dense": _Kind(lambda s: (("w", (s.out_dim, s.in_dim)), ("b", (s.out_dim,))),
+                   lambda s, w, b: Dense(w, b)),
+    "conv1d": _Kind(lambda s: (("kernels", (s.out_dim, s.in_dim, s.kernel_width)),
+                               ("bias", (s.out_dim,))),
+                    lambda s, kernels, bias: Conv1d(kernels, bias)),
+    "relu": _Kind(_no_params, lambda s: Activation("relu")),
+    "tanh_act": _Kind(_no_params, lambda s: Activation("tanh")),
+    "sigmoid_act": _Kind(_no_params, lambda s: Activation("sigmoid")),
+    "max_pool_time": _Kind(_no_params, lambda s: MaxPoolTime(s.pool_stride)),
+    "mean_pool_time": _Kind(_no_params, lambda s: MeanPoolTime(s.pool_stride)),
+}
 # recurrent_cell -> cell class; its GATES name the cell's parameters
 _CELLS = {"gru": GRUCell, "lstm": LSTMCell}
 # Clips per recurrent pass of AudioTower.encode: in a probe, groups of 128
@@ -74,23 +87,17 @@ class LayerSpec:
     pool_stride: Optional[int] = None
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        for name in ("in_dim", "out_dim", "kernel_width", "pool_stride"):
-            v = getattr(self, name)
-            if v is not None:
-                d[name] = v
-        return d
+        return {key: v for key, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayerSpec":
         if not isinstance(d, Mapping) or "kind" not in d:
             raise NnetError(f"audio_tower: each layer must be an object with a kind, got {d!r}")
-        allowed = {"kind", "in_dim", "out_dim", "kernel_width", "pool_stride"}
-        unknown = set(d) - allowed
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names)
         if unknown:
             raise NnetError(f"unknown LayerSpec keys {sorted(unknown)}")
-        check_field_types(d, ints=("in_dim", "out_dim", "kernel_width", "pool_stride"),
-                          optional=True)
+        check_field_types(d, ints=names[1:], optional=True)  # every field after kind is a size
         return cls(**d)
 
 
@@ -98,9 +105,6 @@ class LayerSpec:
 class ProjectionSpec:
     out_dim: int
     activation: str = "relu"  # relu | identity
-
-    def to_dict(self) -> dict:
-        return {"out_dim": self.out_dim, "activation": self.activation}
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class ModelConfig:
 
         cur = self.feature_dim
         for i, spec in enumerate(self.audio_tower):
-            if spec.kind not in _TOWER_KINDS:
+            if spec.kind not in _LAYERS:
                 raise NnetError(f"tower layer {i}: unknown kind {spec.kind!r}")
             if spec.kind in ("dense", "conv1d"):
                 if not spec.in_dim or not spec.out_dim or spec.in_dim < 1 or spec.out_dim < 1:
@@ -162,6 +166,10 @@ class ModelConfig:
                     if not spec.kernel_width or spec.kernel_width % 2 == 0:
                         raise NnetError(
                             f"tower layer {i}: kernel_width must be odd, got {spec.kernel_width}"
+                        )
+                    if spec.kernel_width < 1:
+                        raise NnetError(
+                            f"tower layer {i}: kernel_width must be >= 1, got {spec.kernel_width}"
                         )
                 cur = spec.out_dim
             elif spec.kind == "max_pool_time":
@@ -197,21 +205,7 @@ class ModelConfig:
         return cur
 
     def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "audio_tower": [s.to_dict() for s in self.audio_tower],
-            "recurrent_cell": self.recurrent_cell,
-            "embed_dim": self.embed_dim,
-            "projection": self.projection.to_dict() if self.projection else None,
-            "text_mode": self.text_mode,
-            "loss": self.loss,
-            "margin": self.margin,
-            "seed": self.seed,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-        }
+        return {**asdict(self), "audio_tower": [s.to_dict() for s in self.audio_tower]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -231,7 +225,7 @@ class ModelConfig:
         if proj is not None:
             if not isinstance(proj, Mapping) or "out_dim" not in proj:
                 raise NnetError(f"projection: must be an object with an out_dim, got {proj!r}")
-            unknown = set(proj) - {"out_dim", "activation"}
+            unknown = set(proj) - {f.name for f in fields(ProjectionSpec)}
             if unknown:
                 raise NnetError(f"unknown projection keys {sorted(unknown)}")
             check_field_types(proj, ints=("out_dim",))
@@ -259,12 +253,7 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     config.validate()
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for i, spec in enumerate(config.audio_tower):
-        if spec.kind == "conv1d":
-            shapes.append((f"tower{i}.kernels", (spec.out_dim, spec.in_dim, spec.kernel_width)))
-            shapes.append((f"tower{i}.bias", (spec.out_dim,)))
-        elif spec.kind == "dense":
-            shapes.append((f"tower{i}.w", (spec.out_dim, spec.in_dim)))
-            shapes.append((f"tower{i}.b", (spec.out_dim,)))
+        shapes += _layer_shapes(i, spec)
     shapes += [(f"{config.recurrent_cell}.{key}", shape) for key, shape in _cell_shapes(config)]
     if config.projection is not None:
         d_in = config.embed_dim
@@ -275,6 +264,11 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             shapes.append(("proj_text.w", (d_out, d_in)))
             shapes.append(("proj_text.b", (d_out,)))
     return shapes
+
+
+def _layer_shapes(i: int, spec: LayerSpec) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of tower layer i's parameters, named tower{i}.<key>."""
+    return [(f"tower{i}.{key}", shape) for key, shape in _LAYERS[spec.kind].params(spec)]
 
 
 def _cell_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -347,18 +341,8 @@ class AudioTower:
         self.dtype = next((t.dtype for t in params.values()), np.float32)
         self.layers = []
         for i, spec in enumerate(config.audio_tower):
-            if spec.kind == "conv1d":
-                self.layers.append(Conv1d(params[f"tower{i}.kernels"], params[f"tower{i}.bias"]))
-            elif spec.kind == "dense":
-                self.layers.append(Dense(params[f"tower{i}.w"], params[f"tower{i}.b"]))
-            elif spec.kind in _ACT_OF:
-                self.layers.append(Activation(_ACT_OF[spec.kind]))
-            elif spec.kind == "max_pool_time":
-                self.layers.append(MaxPoolTime(spec.pool_stride))
-            elif spec.kind == "mean_pool_time":
-                self.layers.append(MeanPoolTime(spec.pool_stride))
-            else:  # pragma: no cover - kinds checked in validate()
-                raise NnetError(f"unknown tower kind {spec.kind!r}")
+            layer_params = [params[name] for name, _ in _layer_shapes(i, spec)]
+            self.layers.append(_LAYERS[spec.kind].build(spec, *layer_params))
         kind = config.recurrent_cell
         self.cell = (_CELLS[kind]({key: params[f"{kind}.{key}"] for key, _ in _cell_shapes(config)})
                      if kind in _CELLS else None)

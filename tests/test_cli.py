@@ -352,6 +352,20 @@ def test_train_config_integer_too_long_to_parse_is_an_error(tmp_path):
     assert err.count("\n") == 1
 
 
+def test_train_rejects_negative_kernel_width(tmp_path):
+    # an odd negative width used to pass validation and end in an IndexError
+    # while the parameters were drawn
+    ds = make_dataset(tmp_path)
+    cfg = base_config_dict(ds, tmp_path / "run")
+    cfg["model"]["audio_tower"][0]["kernel_width"] = -3
+    path = write_config(tmp_path / "run.json", cfg)
+    code, out, err = run_cli(["train", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: model: tower layer 0: kernel_width must be >= 1, got -3\n"
+    assert not Path(cfg["out"]["checkpoint"]).exists()
+
+
 def test_train_writes_checkpoint_log_and_report(tmp_path):
     ds = make_dataset(tmp_path)
     out_dir = tmp_path / "run"

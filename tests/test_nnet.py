@@ -162,6 +162,27 @@ def test_pool_rejects_bad_arguments():
         MeanPoolTime(-1)
 
 
+@pytest.mark.parametrize("pool", [MaxPoolTime, MeanPoolTime])
+def test_pool_stride_past_the_clip_pools_the_whole_clip_in_clip_memory(pool):
+    # a window longer than the clip must not be padded out to its length:
+    # at stride 10**6 that would hold 10**6 x 3 floats (24 MB)
+    x = np.random.default_rng(4).normal(size=(9, 3))
+    dy = np.random.default_rng(5).normal(size=(1, 3))
+    tracemalloc.start()
+    try:
+        layer = pool(10**6)
+        y, cache = layer.forward(x)
+        dx = layer.backward(cache, dy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    whole = pool(9)
+    y9, cache9 = whole.forward(x)
+    assert np.array_equal(y, y9)
+    assert np.array_equal(dx, whole.backward(cache9, dy))
+
+
 def test_max_pool_backward_earliest_tie():
     layer = MaxPoolTime(2)
     x = np.array([[1.0], [1.0]])
@@ -614,16 +635,18 @@ def _tower_variant(variant):
         )
     elif variant == "projection":
         config = small_config(projection=ProjectionSpec(out_dim=4))
-    elif variant == "mixed":
+    elif variant == "mixed":  # every layer kind and an identity projection
         config = small_config(
             audio_tower=(
                 LayerSpec("conv1d", in_dim=8, out_dim=5, kernel_width=3),
                 LayerSpec("sigmoid_act"),
                 LayerSpec("mean_pool_time", pool_stride=2),
                 LayerSpec("dense", in_dim=5, out_dim=7),
+                LayerSpec("tanh_act"),
                 LayerSpec("relu"),
                 LayerSpec("max_pool_time", pool_stride=3),
             ),
+            projection=ProjectionSpec(out_dim=4, activation="identity"),
         )
     else:
         config = small_config(recurrent_cell=variant)
@@ -724,6 +747,44 @@ def test_model_config_round_trip():
     assert rebuilt == config
 
 
+def test_model_config_serialization_is_pinned():
+    # the checkpoint header embeds to_dict(), and the parameter names and
+    # order fix the checkpoint's tensor layout
+    config = _tower_variant("mixed")
+    assert config.to_dict() == {
+        "feature_dim": 8,
+        "audio_tower": [
+            {"kind": "conv1d", "in_dim": 8, "out_dim": 5, "kernel_width": 3},
+            {"kind": "sigmoid_act"},
+            {"kind": "mean_pool_time", "pool_stride": 2},
+            {"kind": "dense", "in_dim": 5, "out_dim": 7},
+            {"kind": "tanh_act"},
+            {"kind": "relu"},
+            {"kind": "max_pool_time", "pool_stride": 3},
+        ],
+        "recurrent_cell": "gru",
+        "embed_dim": 6,
+        "projection": {"out_dim": 4, "activation": "identity"},
+        "text_mode": "word_average",
+        "loss": "triplet",
+        "margin": 1.0,
+        "seed": 0,
+        "lr": 1e-3,
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "adam_eps": 1e-8,
+    }
+    assert parameter_shapes(config) == [
+        ("tower0.kernels", (5, 8, 3)), ("tower0.bias", (5,)),
+        ("tower3.w", (7, 5)), ("tower3.b", (7,)),
+        ("gru.w_z", (6, 7)), ("gru.u_z", (6, 6)), ("gru.b_z", (6,)),
+        ("gru.w_r", (6, 7)), ("gru.u_r", (6, 6)), ("gru.b_r", (6,)),
+        ("gru.w_h", (6, 7)), ("gru.u_h", (6, 6)), ("gru.b_h", (6,)),
+        ("proj_audio.w", (4, 6)), ("proj_audio.b", (4,)),
+        ("proj_text.w", (4, 6)), ("proj_text.b", (4,)),
+    ]
+
+
 def test_model_config_scoring_dim():
     assert small_config().scoring_dim == 6
     assert small_config(projection=ProjectionSpec(out_dim=11)).scoring_dim == 11
@@ -750,6 +811,10 @@ def test_model_config_rejects_bad_towers():
     with pytest.raises(NnetError, match="odd"):
         small_config(
             audio_tower=(LayerSpec("conv1d", in_dim=8, out_dim=4, kernel_width=2),)
+        ).validate()
+    with pytest.raises(NnetError, match=r"^tower layer 0: kernel_width must be >= 1, got -3$"):
+        small_config(
+            audio_tower=(LayerSpec("conv1d", in_dim=8, out_dim=4, kernel_width=-3),)
         ).validate()
     with pytest.raises(NnetError, match="unknown kind"):
         small_config(audio_tower=(LayerSpec("attention"),)).validate()
