@@ -73,18 +73,16 @@ class Activation:
         self.kind = kind
 
     def forward(self, x: np.ndarray):
+        """Caches what backward reads: relu the mask x > 0, tanh/sigmoid y."""
         if self.kind == "relu":
-            y = np.maximum(x, 0.0)
-        elif self.kind == "tanh":
-            y = np.tanh(x)
-        else:
-            y = _sigmoid(x)
-        return y, (x, y)
+            return np.maximum(x, 0.0), x > 0
+        y = np.tanh(x) if self.kind == "tanh" else _sigmoid(x)
+        return y, y
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        x, y = cache
         if self.kind == "relu":
-            return dy * (x > 0)
+            return dy * cache
+        y = cache
         if self.kind == "tanh":
             return dy * (1.0 - y * y)
         return dy * y * (1.0 - y)
@@ -99,6 +97,8 @@ class Conv1d:
 
     Odd kernel width k, zero padding (k-1)/2 each side. Implemented as
     im2col + matmul; kernels[o, c, j] multiplies x[t - (k-1)/2 + j, c].
+    The cache is x itself, not a copy: x must not be written before the
+    backward that reads it.
     """
 
     def __init__(self, kernels: Tensor, bias: Tensor):
@@ -122,12 +122,20 @@ class Conv1d:
         windows = np.lib.stride_tricks.sliding_window_view(xp, (k, c_in)).reshape(t, k, c_in)
         cols = windows.transpose(0, 2, 1).reshape(t, c_in * k)
         y = cols @ self.kernels.data.reshape(c_out, c_in * k).T + self.bias.data
-        return y, (cols, t, pad)
+        return y, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        cols, t, pad = cache
+        x = cache
         c_out, c_in, k = self.kernels.shape
-        self.kernels.accumulate((dy.T @ cols).reshape(c_out, c_in, k))
+        t, pad = x.shape[0], (k - 1) // 2
+        xp = np.zeros((t + 2 * pad, c_in), dtype=x.dtype)
+        xp[pad : pad + t] = x
+        # tap j's gradient is dy^T against x shifted by j: k GEMMs over
+        # (T, C_in) views instead of one over a rebuilt (T, C_in*k) im2col copy
+        dk = np.empty((k, c_out, c_in), dtype=np.result_type(dy, x))
+        for j in range(k):
+            np.matmul(dy.T, xp[j : j + t], out=dk[j])
+        self.kernels.accumulate(dk.transpose(1, 2, 0))
         self.bias.accumulate(dy.sum(axis=0))
         dcols = (dy @ self.kernels.data.reshape(c_out, c_in * k)).reshape(t, c_in, k)
         dxp = np.zeros((t + 2 * pad, c_in), dtype=dy.dtype)
@@ -144,7 +152,8 @@ class MaxPoolTime:
     """Non-overlapping max windows of length `stride`; T' = ceil(T/stride).
 
     The last window may be partial. Gradient flows to the earliest
-    maximal frame in each window.
+    maximal frame in each window. The cache holds each output's offset in
+    its window, in the smallest unsigned dtype that holds stride - 1.
     """
 
     def __init__(self, stride: int):
@@ -161,16 +170,18 @@ class MaxPoolTime:
         padded[:t] = x
         windows = padded.reshape(t_out, stride, h)
         y = windows[:, 0].copy()
-        idx = np.zeros((t_out, h), dtype=np.intp)
+        offsets = np.zeros((t_out, h), dtype=np.min_scalar_type(stride - 1))
         for j in range(1, stride):
-            # only a strictly greater frame moves the index: ties keep the earliest
-            idx[windows[:, j] > y] = j
+            # only a strictly greater frame moves the offset: ties keep the
+            # earliest. j is given in the offsets' dtype: no NumPy refuses that cast
+            np.copyto(offsets, offsets.dtype.type(j), where=windows[:, j] > y)
             np.maximum(y, windows[:, j], out=y)
-        argmax = idx + stride * np.arange(t_out)[:, None]
-        return y, (x.shape, argmax)
+        return y, (x.shape, offsets)
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        shape, argmax = cache
+        shape, offsets = cache
+        stride = min(self.stride, shape[0])
+        argmax = offsets + stride * np.arange(offsets.shape[0])[:, None]
         dx = np.zeros(shape, dtype=dy.dtype)
         # windows do not overlap, so each (frame, channel) is hit at most once
         dx[argmax, np.arange(shape[1])] = dy

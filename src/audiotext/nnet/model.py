@@ -31,6 +31,7 @@ from .tensor import Params, Tensor
 
 
 class _Kind(NamedTuple):
+    sizes: tuple  # the LayerSpec size fields the kind reads; validate() rejects any other
     params: Callable  # spec -> ((key, shape), ...) of the layer's parameters, in order
     build: Callable  # (spec, *those parameters) -> the layer
 
@@ -41,16 +42,18 @@ def _no_params(spec) -> tuple:
 
 # tower layer kind -> _Kind; validate() rejects any other kind
 _LAYERS = {
-    "dense": _Kind(lambda s: (("w", (s.out_dim, s.in_dim)), ("b", (s.out_dim,))),
+    "dense": _Kind(("in_dim", "out_dim"),
+                   lambda s: (("w", (s.out_dim, s.in_dim)), ("b", (s.out_dim,))),
                    lambda s, w, b: Dense(w, b)),
-    "conv1d": _Kind(lambda s: (("kernels", (s.out_dim, s.in_dim, s.kernel_width)),
+    "conv1d": _Kind(("in_dim", "out_dim", "kernel_width"),
+                    lambda s: (("kernels", (s.out_dim, s.in_dim, s.kernel_width)),
                                ("bias", (s.out_dim,))),
                     lambda s, kernels, bias: Conv1d(kernels, bias)),
-    "relu": _Kind(_no_params, lambda s: Activation("relu")),
-    "tanh_act": _Kind(_no_params, lambda s: Activation("tanh")),
-    "sigmoid_act": _Kind(_no_params, lambda s: Activation("sigmoid")),
-    "max_pool_time": _Kind(_no_params, lambda s: MaxPoolTime(s.pool_stride)),
-    "mean_pool_time": _Kind(_no_params, lambda s: MeanPoolTime(s.pool_stride)),
+    "relu": _Kind((), _no_params, lambda s: Activation("relu")),
+    "tanh_act": _Kind((), _no_params, lambda s: Activation("tanh")),
+    "sigmoid_act": _Kind((), _no_params, lambda s: Activation("sigmoid")),
+    "max_pool_time": _Kind(("pool_stride",), _no_params, lambda s: MaxPoolTime(s.pool_stride)),
+    "mean_pool_time": _Kind(("pool_stride",), _no_params, lambda s: MeanPoolTime(s.pool_stride)),
 }
 # recurrent_cell -> cell class; its GATES name the cell's parameters
 _CELLS = {"gru": GRUCell, "lstm": LSTMCell}
@@ -155,6 +158,9 @@ class ModelConfig:
         for i, spec in enumerate(self.audio_tower):
             if spec.kind not in _LAYERS:
                 raise NnetError(f"tower layer {i}: unknown kind {spec.kind!r}")
+            for name in spec.to_dict():  # the non-None fields, in field order
+                if name not in ("kind", *_LAYERS[spec.kind].sizes):
+                    raise NnetError(f"tower layer {i} ({spec.kind}): unexpected field {name}")
             if spec.kind in ("dense", "conv1d"):
                 if not spec.in_dim or not spec.out_dim or spec.in_dim < 1 or spec.out_dim < 1:
                     raise NnetError(f"tower layer {i} ({spec.kind}): in_dim/out_dim required")

@@ -114,15 +114,22 @@ def adam_step(params: Params, grads: Mapping[str, np.ndarray], state: AdamState)
                              f"{name!r} shape {tensor.data.shape}")
         if not np.all(np.isfinite(g)):
             raise OptimError(f"non-finite gradient in parameter {name!r} at step {state.t}")
-        m = state.m[name]
-        v = state.v[name]
+        # the operations of lr * m_hat / (sqrt(v_hat) + eps) in their usual
+        # order, written into one scratch array and the step itself
+        m, v = state.m[name], state.v[name]
+        scratch = np.empty_like(m)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=scratch)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        tensor.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - state.beta2
+        v += scratch
+        denom = np.sqrt(np.divide(v, c2, out=scratch), out=scratch)
+        denom += state.eps
+        step = m / c1
+        step *= state.lr
+        step /= denom
+        tensor.data -= step
 
 
 @dataclass

@@ -666,6 +666,84 @@ def mean_pool_time_backward_reference(t, stride, dy):
 
 
 # ---------------------------------------------------------------------------
+# conv, activation and max-pool layers that cache every intermediate
+#
+# The forward and backward bodies of audiotext.nnet.layers.Conv1d,
+# Activation and MaxPoolTime before their caches kept only what backward
+# reads: the conv kept its (T, C_in*k) im2col copy, an activation its input
+# and output, the max pool an intp flat index per output. Each forward
+# returns (y, cache); each backward returns the input gradient, the conv's
+# also its kernel and bias gradients.
+
+
+def conv1d_im2col_reference(x, kernels, bias):
+    c_out, c_in, k = kernels.shape
+    t = x.shape[0]
+    pad = (k - 1) // 2
+    xp = np.zeros((t + 2 * pad, c_in), dtype=x.dtype)
+    xp[pad : pad + t] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, c_in)).reshape(t, k, c_in)
+    cols = windows.transpose(0, 2, 1).reshape(t, c_in * k)
+    y = cols @ kernels.reshape(c_out, c_in * k).T + bias
+    return y, (cols, t, pad)
+
+
+def conv1d_im2col_backward_reference(cache, kernels, dy):
+    cols, t, pad = cache
+    c_out, c_in, k = kernels.shape
+    dkernels = (dy.T @ cols).reshape(c_out, c_in, k)
+    dcols = (dy @ kernels.reshape(c_out, c_in * k)).reshape(t, c_in, k)
+    dxp = np.zeros((t + 2 * pad, c_in), dtype=dy.dtype)
+    for j in range(k):
+        dxp[j : j + t] += dcols[:, :, j]
+    return dkernels, dy.sum(axis=0), dxp[pad : pad + t]
+
+
+def activation_reference(kind, x):
+    if kind == "relu":
+        y = np.maximum(x, 0.0)
+    elif kind == "tanh":
+        y = np.tanh(x)
+    else:  # sigmoid as 0.5 * (1 + tanh(x/2)), in the package's operation order
+        y = np.tanh(x * 0.5)
+        y += 1.0
+        y *= 0.5
+    return y, (x, y)
+
+
+def activation_backward_reference(kind, cache, dy):
+    x, y = cache
+    if kind == "relu":
+        return dy * (x > 0)
+    if kind == "tanh":
+        return dy * (1.0 - y * y)
+    return dy * y * (1.0 - y)
+
+
+def max_pool_time_flat_index_reference(x, stride):
+    t, h = x.shape
+    stride = min(stride, t)
+    t_out = -(-t // stride)
+    padded = np.full((t_out * stride, h), -np.inf, dtype=x.dtype)
+    padded[:t] = x
+    windows = padded.reshape(t_out, stride, h)
+    y = windows[:, 0].copy()
+    idx = np.zeros((t_out, h), dtype=np.intp)
+    for j in range(1, stride):
+        idx[windows[:, j] > y] = j
+        np.maximum(y, windows[:, j], out=y)
+    argmax = idx + stride * np.arange(t_out)[:, None]
+    return y, (x.shape, argmax)
+
+
+def max_pool_time_flat_index_backward_reference(cache, dy):
+    shape, argmax = cache
+    dx = np.zeros(shape, dtype=dy.dtype)
+    dx[argmax, np.arange(shape[1])] = dy
+    return dx
+
+
+# ---------------------------------------------------------------------------
 # one training batch, one tower pass per pair
 #
 # The batch step `audiotext.optim._batch_step` replaced: every (clip,

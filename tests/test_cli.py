@@ -366,6 +366,20 @@ def test_train_rejects_negative_kernel_width(tmp_path):
     assert not Path(cfg["out"]["checkpoint"]).exists()
 
 
+def test_train_rejects_a_field_the_layer_kind_does_not_read(tmp_path):
+    # a relu with an out_dim used to train, ignoring the width it was given
+    ds = make_dataset(tmp_path)
+    cfg = base_config_dict(ds, tmp_path / "run")
+    assert cfg["model"]["audio_tower"][1] == {"kind": "relu"}
+    cfg["model"]["audio_tower"][1]["out_dim"] = 5
+    path = write_config(tmp_path / "run.json", cfg)
+    code, out, err = run_cli(["train", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: model: tower layer 1 (relu): unexpected field out_dim\n"
+    assert not Path(cfg["out"]["checkpoint"]).exists()
+
+
 def test_train_writes_checkpoint_log_and_report(tmp_path):
     ds = make_dataset(tmp_path)
     out_dir = tmp_path / "run"

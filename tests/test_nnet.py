@@ -1,5 +1,6 @@
 """Network tests: layer math, gradients, configuration, checkpoints."""
 
+import itertools
 import json
 import re
 import struct
@@ -45,7 +46,13 @@ from helpers import embedding_table, random_word_table, small_config, small_towe
 from oracles import (
     GRUCellReference,
     LSTMCellReference,
+    activation_backward_reference,
+    activation_reference,
+    conv1d_im2col_backward_reference,
+    conv1d_im2col_reference,
     encode_audio_reference,
+    max_pool_time_flat_index_backward_reference,
+    max_pool_time_flat_index_reference,
     max_pool_time_backward_reference,
     max_pool_time_reference,
     mean_pool_time_backward_reference,
@@ -395,6 +402,88 @@ def test_mean_pool_matches_loop_oracle(case):
     dx = MeanPoolTime(stride).backward(cache, dy)
     np.testing.assert_allclose(dx, mean_pool_time_backward_reference(x.shape[0], stride, dy),
                                rtol=1e-12, atol=1e-12)
+
+
+# The conv, activation and max-pool caches hold only what backward reads;
+# outputs and input gradients must equal those of the layers that cached
+# every intermediate, bit for bit. The activation and pool inputs are small
+# integers, so exact zeros and ties occur.
+_CACHE_LENGTHS = [1, 2, 7, 300]
+
+
+def _small_ints(rng, shape, dtype):
+    return rng.integers(-2, 3, size=shape).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", _CACHE_LENGTHS)
+def test_conv1d_matches_im2col_oracle(t, dtype):
+    rng = np.random.default_rng(t)
+    # with one input channel the kernel gradient takes another BLAS path,
+    # which rounds unlike the im2col GEMM in some of these cases
+    for k, c_in in itertools.product((1, 3, 5), (3, 1)):
+        kernels = rng.normal(size=(4, c_in, k)).astype(dtype)
+        bias = rng.normal(size=4).astype(dtype)
+        x, dy = rng.normal(size=(t, c_in)).astype(dtype), rng.normal(size=(t, 4)).astype(dtype)
+        layer = Conv1d(Tensor(kernels), Tensor(bias))
+        y, cache = layer.forward(x)
+        dx = layer.backward(cache, dy)
+        ref_y, ref_cache = conv1d_im2col_reference(x, kernels, bias)
+        ref_dk, ref_db, ref_dx = conv1d_im2col_backward_reference(ref_cache, kernels, dy)
+        assert y.dtype == ref_y.dtype == dx.dtype == ref_dx.dtype == dtype
+        assert (y == ref_y).all() and (dx == ref_dx).all(), (k, c_in)
+        assert (layer.bias.grad == ref_db).all(), (k, c_in)
+        # each kernel gradient entry sums the same t products as the im2col
+        # GEMM, possibly in another order: both lie within the dot-product
+        # rounding bound t * eps * sum |dy| |x| of the exact sum
+        bound = t * np.finfo(dtype).eps * (np.abs(dy).T @ np.abs(ref_cache[0]))
+        assert layer.kernels.grad.dtype == dtype
+        assert (np.abs(layer.kernels.grad - ref_dk) <= bound.reshape(ref_dk.shape)).all(), (k, c_in)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", _CACHE_LENGTHS)
+def test_activation_matches_caching_oracle(t, dtype):
+    rng = np.random.default_rng(t)
+    x, dy = _small_ints(rng, (t, 5), dtype), rng.normal(size=(t, 5)).astype(dtype)
+    x[0, 0] = -0.0
+    for kind in Activation.KINDS:
+        layer = Activation(kind)
+        y, cache = layer.forward(x)
+        ref_y, ref_cache = activation_reference(kind, x)
+        dx = layer.backward(cache, dy)
+        ref_dx = activation_backward_reference(kind, ref_cache, dy)
+        assert y.dtype == dx.dtype == dtype
+        assert (y == ref_y).all() and (dx == ref_dx).all(), kind
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", _CACHE_LENGTHS)
+def test_max_pool_matches_flat_index_oracle(t, dtype):
+    rng = np.random.default_rng(t)
+    x = _small_ints(rng, (t, 5), dtype)
+    for stride in (1, 2, 3, 5, 300):
+        layer = MaxPoolTime(stride)
+        y, cache = layer.forward(x)
+        ref_y, ref_cache = max_pool_time_flat_index_reference(x, stride)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dx = layer.backward(cache, dy)
+        assert y.dtype == dx.dtype == dtype
+        assert (y == ref_y).all(), stride
+        assert (dx == max_pool_time_flat_index_backward_reference(ref_cache, dy)).all(), stride
+
+
+def test_layer_caches_hold_only_what_backward_reads():
+    x = np.random.default_rng(6).normal(size=(300, 3)).astype(np.float32)
+    _, cache = Activation("relu").forward(x)
+    assert cache.dtype == np.bool_ and (cache == (x > 0)).all()
+    for kind in ("tanh", "sigmoid"):
+        y, cache = Activation(kind).forward(x)
+        assert cache is y
+    assert MaxPoolTime(2).forward(x)[1][1].dtype == np.uint8
+    assert MaxPoolTime(300).forward(x)[1][1].dtype == np.uint16
+    conv = Conv1d(Tensor(np.ones((2, 3, 3), dtype=np.float32)), Tensor(np.zeros(2, np.float32)))
+    assert conv.forward(x)[1] is x  # a reference to the input, not a copy
 
 
 def test_shared_projection_applies_activation():
@@ -822,6 +911,18 @@ def test_model_config_rejects_bad_towers():
         small_config(audio_tower=(LayerSpec("max_pool_time"),)).validate()
     with pytest.raises(NnetError, match="mean pool"):
         small_config(audio_tower=(LayerSpec("mean_pool_time", pool_stride=0),)).validate()
+    # a size field the kind does not read is an error, not silently ignored
+    for tower, message in [
+        ((LayerSpec("relu", out_dim=5),), "tower layer 0 (relu): unexpected field out_dim"),
+        ((LayerSpec("max_pool_time", pool_stride=2, kernel_width=4),),
+         "tower layer 0 (max_pool_time): unexpected field kernel_width"),
+        ((LayerSpec("dense", in_dim=8, out_dim=8, pool_stride=3),),
+         "tower layer 0 (dense): unexpected field pool_stride"),
+        ((LayerSpec("tanh_act"), LayerSpec("mean_pool_time", in_dim=8, pool_stride=2)),
+         "tower layer 1 (mean_pool_time): unexpected field in_dim"),
+    ]:
+        with pytest.raises(NnetError, match=f"^{re.escape(message)}$"):
+            small_config(audio_tower=tower).validate()
 
 
 def test_model_config_dim_chain_without_recurrence():
@@ -1043,6 +1144,31 @@ def test_encode_peak_memory_is_below_one_gate_buffer():
         tracemalloc.stop()
     assert embs.shape == (len(clips), hidden)
     assert peak < bound, (peak, bound)
+
+
+def test_training_batch_peak_memory_of_the_default_tower():
+    # 8 clips of 750-1500 frames through the default tower (GRU, H = 300,
+    # projection 300), forward then backward; the bound was set before the
+    # test was first run. Caches that kept every conv, activation and pool
+    # intermediate peaked at 35.8 MiB here.
+    config = ModelConfig(feature_dim=64, audio_tower=default_tower(64), embed_dim=300,
+                         projection=ProjectionSpec(300))
+    params = init_params(config, seed=0)
+    tower = AudioTower(config, params)
+    rng = np.random.default_rng(7)
+    clips = [rng.normal(size=(t, 64)).astype(np.float32)
+             for t in np.linspace(750, 1500, 8).astype(int)]
+    douts = [rng.normal(size=300).astype(np.float32) for _ in clips]
+    zero_grads(params)
+    tracemalloc.start()
+    try:
+        _, cache = tower.forward_batch(clips)
+        tower.backward_batch(cache, douts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.isfinite(t.grad).all() for t in params.values())
+    assert peak < 24 * 2**20, peak
 
 
 # ---------------------------------------------------------------- text side
