@@ -225,6 +225,7 @@ def cmd_features(args) -> int:
             continue
         written += 1
         frames_total += feats.frames.shape[0]
+        del wave, feats  # before the next file is read
     print(f"files={written}, frames_total={frames_total}")
     return 1 if failed else 0
 

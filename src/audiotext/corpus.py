@@ -28,20 +28,22 @@ import csv
 import hashlib
 import json
 import os
-import re
 import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 CAPTIONS_PER_AUDIO = 5
-_CSV_HEADER = ["file_name"] + [f"caption_{i}" for i in range(1, 6)]
-# ASCII classes only: \d and \w would also match digits and letters of
-# other scripts (e.g. "\u0663")
-_TOKEN_RUN = re.compile("[a-z0-9']+")
+_CAPTION_INDICES = range(1, CAPTIONS_PER_AUDIO + 1)
+_CSV_HEADER = ["file_name"] + [f"caption_{i}" for i in _CAPTION_INDICES]
+# UTF-8 byte -> itself for the token bytes [a-z0-9'], else a space; every
+# byte of a character outside ASCII is >= 0x80, so such a character separates
+_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'" else 32
+                     for b in range(256))
 
 FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
@@ -136,12 +138,16 @@ class DatasetManifest:
 
 def normalize_caption(raw: str) -> list[str]:
     """Lowercase, then the maximal runs of [a-z0-9']: every other char,
-    as if replaced with a space, separates tokens.
+    as if replaced with a space, separates tokens. A char outside ASCII
+    after lowercasing separates too ("\u0130" lowercases to "i" and a
+    combining dot, so it gives "i"). One pass over the UTF-8 bytes; lone
+    surrogates (as from ``surrogateescape``) encode to bytes >= 0x80.
 
     Idempotent; may return an empty list (caller decides whether that
     is an error).
     """
-    return _TOKEN_RUN.findall(raw.lower())
+    utf8 = raw.lower().encode("utf-8", "surrogatepass")
+    return utf8.translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 @contextmanager
@@ -199,23 +205,14 @@ def load_captions(csv_path: str | Path) -> list[CaptionRecord]:
             if file_name in seen:
                 raise CorpusError(f"{path}: row {row_no}: duplicate file_name {file_name!r}")
             seen.add(file_name)
-            for idx in range(1, CAPTIONS_PER_AUDIO + 1):
-                raw = row[idx]
-                if not raw:
+            captions = row[1:]
+            tokens = [tuple(normalize_caption(raw)) for raw in captions]
+            if () in tokens:  # the first caption with no tokens, which an empty one has
+                idx = tokens.index(()) + 1
+                if not row[idx]:
                     raise CorpusError(f"{path}: row {row_no}: empty caption_{idx}")
-                tokens = normalize_caption(raw)
-                if not tokens:
-                    raise CorpusError(
-                        f"{path}: row {row_no}: caption_{idx} normalizes to no tokens"
-                    )
-                records.append(
-                    CaptionRecord(
-                        file_name=file_name,
-                        caption_index=idx,
-                        raw_text=raw,
-                        tokens=tuple(tokens),
-                    )
-                )
+                raise CorpusError(f"{path}: row {row_no}: caption_{idx} normalizes to no tokens")
+            records += map(CaptionRecord, repeat(file_name), _CAPTION_INDICES, captions, tokens)
     return records
 
 

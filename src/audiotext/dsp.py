@@ -117,9 +117,12 @@ def read_wav(path: str | Path) -> WaveForm:
     if len(payload) % frame_bytes != 0:
         raise DspError(f"{path}: truncated chunk b'data'")
 
-    samples = np.frombuffer(payload, dtype="<i2") / 32768.0
-    if channels == 2:
-        samples = (samples[0::2] + samples[1::2]) * 0.5
+    pcm = np.frombuffer(payload, dtype="<i2")
+    if channels == 2:  # (l + r) / 65536 is exactly (l/32768 + r/32768) * 0.5
+        samples = np.add(pcm[0::2], pcm[1::2], dtype=np.float64)
+        samples *= 1 / 65536
+    else:
+        samples = pcm / 32768.0
     return WaveForm(samples=samples, sample_rate=sample_rate)
 
 

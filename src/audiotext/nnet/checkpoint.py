@@ -41,6 +41,8 @@ def _canonical_json(obj) -> bytes:
 
 def save_checkpoint(path, config: dict, params: Params, epoch: int,
                     best_validation_map10: float) -> None:
+    """Write a checkpoint; a config or parameter list that ``load_checkpoint``
+    would refuse raises its CheckpointError, and nothing is written."""
     header = {
         "config": config,
         "parameters": [{"name": name, "shape": list(t.data.shape)}
@@ -48,6 +50,7 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
         "epoch": int(epoch),
         "best_validation_mAP10": float(best_validation_map10),
     }
+    _check_parameter_list(path, header)
     blob = _canonical_json(header)
     with atomic_write(path, "wb") as f:
         f.write(_MAGIC)

@@ -76,15 +76,15 @@ class NGramTables:
         sentences = [i.candidate for i in items] + [r for i in items for r in i.references]
         tokens = list(chain.from_iterable(sentences))
         vocab = {tok: k for k, tok in enumerate(dict.fromkeys(tokens))}
-        lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        self.lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
         self.num_items = len(items)
         self.ref_item = np.repeat(np.arange(len(items)), [len(i.references) for i in items])
         self.tables: list[GramTable] = []
         self.item = np.concatenate([np.arange(len(items)), self.ref_item])
-        self._tokens = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
-        self._sent = np.repeat(np.arange(len(sentences)), lengths)
-        self._ends = np.cumsum(lengths)[self._sent]
-        self._starts, self._ids, self._size = np.arange(len(tokens)), self._tokens, len(vocab)
+        self.tokens = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+        self._sent = np.repeat(np.arange(len(sentences)), self.lengths)
+        self._ends = np.cumsum(self.lengths)[self._sent]
+        self._starts, self._ids, self._size = np.arange(len(tokens)), self.tokens, len(vocab)
 
     def table(self, n: int) -> GramTable:
         while len(self.tables) < n:
@@ -95,7 +95,7 @@ class NGramTables:
         if n > 1:
             keep = self._starts + n <= self._ends[self._starts]
             self._starts = self._starts[keep]
-            pairs = self._tokens[self._starts + n - 1] * self._size + self._ids[keep]
+            pairs = self.tokens[self._starts + n - 1] * self._size + self._ids[keep]
             uniq, self._ids = np.unique(pairs, return_inverse=True)
             self._size = len(uniq)
         size, sent = self._size, self._sent[self._starts]
@@ -165,40 +165,73 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
                  for k in range(1, max_n + 1))
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Bit-parallel LCS length (Allison & Dix 1986; Hyyro 2004): bit j of
-    ``v`` is 0 where the LCS row steps up at b[j]; one add per token of a."""
-    masks: dict[str, int] = {}
-    for j, tok in enumerate(b):
-        masks[tok] = masks.get(tok, 0) | 1 << j
-    full = (1 << len(b)) - 1
-    v = full
-    for tok in a:
-        u = v & masks.get(tok, 0)
-        v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+def _lcs_lengths(grams: NGramTables) -> np.ndarray:
+    """The LCS length of every (candidate, reference) pair, in reference
+    order, by the bit-parallel LCS (Allison & Dix 1986; Hyyro 2004) on all
+    pairs at once. Pairs with ceil(L/64) uint64 words per lane (L the
+    reference length, at least one word) run together, longest candidate
+    first."""
+    lengths, first_ref = grams.lengths, grams.num_items
+    starts = np.cumsum(lengths) - lengths
+    ref_len, cand = lengths[first_ref:], grams.ref_item
+    cand_len = lengths[cand]
+    pad = int(grams.tokens.max(initial=-1)) + 1  # matches no token
+    ids = np.append(grams.tokens, pad).astype(np.min_scalar_type(pad))
+    words = np.maximum(-(-ref_len // 64), 1)
+    lcs = np.zeros(len(ref_len), np.int64)
+    for w in np.unique(words).tolist():
+        pairs = np.flatnonzero(words == w)
+        pairs = pairs[np.argsort(-cand_len[pairs], kind="stable")]
+        lcs[pairs] = _lcs_lanes(ids, starts[first_ref + pairs], ref_len[pairs],
+                                starts[cand[pairs]], cand_len[pairs], w)
+    return lcs
 
 
-def rouge_l_item(candidate: Sequence[str], references: Sequence[Sequence[str]],
-                 beta: float = 1.2) -> float:
-    """LCS F-measure of one candidate: max precision and max recall are
-    taken over references independently, then combined with beta=1.2."""
-    if not references:
-        raise MetricError("ROUGE-L needs at least one reference")
-    if not candidate:
-        return 0.0
-    lcs = [_lcs_length(candidate, ref) for ref in references]
-    p_max = max(lcs) / len(candidate)
-    r_max = max([n / len(ref) for n, ref in zip(lcs, references) if ref], default=0.0)
-    denom = r_max + beta * beta * p_max
-    if denom == 0.0:
-        return 0.0
-    return (1.0 + beta * beta) * p_max * r_max / denom
+def _lcs_lanes(ids: np.ndarray, ref_start: np.ndarray, ref_len: np.ndarray,
+               cand_start: np.ndarray, cand_len: np.ndarray, words: int) -> np.ndarray:
+    """LCS lengths of pairs sorted by candidate length, longest first, each
+    a lane of ``words`` uint64 words; ``ids[-1]`` pads the references. Bit j
+    of a lane is 0 where the LCS row steps up at reference token j. Each
+    candidate token is one add, carried from word to word, over the lanes
+    of the pairs whose candidates are that long: v = (v + u) | (v - u) with
+    u = v & matches, where v - u = v ^ u as u holds only bits of v."""
+    n, bits = len(ref_len), 64 * words
+    inside = np.arange(bits) < ref_len[:, None]
+    refs = np.full((n, bits), ids[-1])
+    refs[inside] = ids[(ref_start[:, None] + np.arange(bits))[inside]]
+    full = np.packbits(inside, bitorder="little").view("<u8").reshape(n, words)
+    v = full.copy()
+    for t in range(int(cand_len[0]) if n else 0):
+        k = int(np.count_nonzero(cand_len > t))
+        matches = refs[:k] == ids[cand_start[:k] + t, None]
+        matches = np.packbits(matches, bitorder="little").view("<u8").reshape(k, words)
+        carry = np.zeros(k, bool)
+        for w in range(words):
+            lane, u = v[:k, w], v[:k, w] & matches[:, w]
+            total = lane + u
+            over = total < u
+            total += carry
+            carry = over | (carry & (total == 0))
+            v[:k, w] = (total | (lane ^ u)) & full[:k, w]
+    return ref_len - np.unpackbits(v.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
 
 
 def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
-    return sum(rouge_l_item(i.candidate, i.references, beta)
-               for i in eval_set.items) / len(eval_set.items)
+    """Mean over items of the LCS F-measure with beta=1.2: the max precision
+    and the max recall over an item's references are taken independently,
+    an empty reference giving no recall; an empty candidate scores 0.0."""
+    grams = eval_set.grams
+    lcs = _lcs_lengths(grams)
+    cand_len, ref_len = np.split(grams.lengths, [grams.num_items])
+    heads = np.flatnonzero(np.diff(grams.ref_item, prepend=-1))  # each item's first reference
+    p_max = np.divide(np.maximum.reduceat(lcs, heads), cand_len,
+                      out=np.zeros(len(cand_len)), where=cand_len > 0)
+    recall = np.divide(lcs, ref_len, out=np.zeros(len(lcs)), where=ref_len > 0)
+    r_max = np.maximum.reduceat(recall, heads)
+    denom = r_max + beta * beta * p_max
+    scores = np.divide((1.0 + beta * beta) * p_max * r_max, denom,
+                       out=np.zeros(len(denom)), where=denom != 0.0)
+    return sum(scores.tolist()) / len(eval_set.items)
 
 
 def _candidate_index(candidate: Sequence[str]) -> dict[tuple[str, str], list[int]]:

@@ -23,6 +23,8 @@ from audiotext.corpus import (
     atomic_write,
 )
 from audiotext.nnet import LayerSpec, ModelConfig
+from audiotext.nnet.checkpoint import _MAGIC as CHECKPOINT_MAGIC
+from audiotext.nnet.checkpoint import _canonical_json
 from audiotext.textmetrics import CaptionEvalItem, CaptionEvalSet, meteor_lite
 
 VOCAB10 = tuple(f"w{i}" for i in range(10))
@@ -110,6 +112,21 @@ def write_caption_embeddings(path, table):
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
             fh.write(table.matrix[row].astype("<f4").tobytes())
+
+
+def write_unchecked_checkpoint(path, config, params, epoch=1, best_validation_map10=0.0):
+    """Write a checkpoint in the layout of `save_checkpoint`, without its check
+    that the parameter list fits the config: the files `load_checkpoint`
+    must refuse."""
+    header = {"config": config,
+              "parameters": [{"name": name, "shape": list(t.data.shape)}
+                             for name, t in params.items()],
+              "epoch": epoch, "best_validation_mAP10": best_validation_map10}
+    blob = _canonical_json(header)
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        for t in params.values():
+            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
 def random_word_table(vocab, dim, seed, scale=0.5):

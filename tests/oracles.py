@@ -88,6 +88,37 @@ def rouge_l_reference(items, beta=1.2):
     return sum(scores) / len(scores)
 
 
+def lcs_length_reference(a, b):
+    """The bit-parallel LCS length `audiotext.textmetrics` ran pair by pair
+    on Python ints before it ran all pairs at once on uint64 lanes (Allison
+    & Dix 1986; Hyyro 2004): bit j of ``v`` is 0 where the LCS row steps up
+    at b[j]; one add per token of a."""
+    masks = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
+def rouge_l_item_reference(candidate, references, beta=1.2):
+    """The per-item ROUGE-L body `audiotext.textmetrics.rouge_l` replaced:
+    max precision and max recall over references, taken independently, from
+    ``lcs_length_reference``; an empty reference gives no recall."""
+    if not candidate:
+        return 0.0
+    lcs = [lcs_length_reference(candidate, ref) for ref in references]
+    p_max = max(lcs) / len(candidate)
+    r_max = max([n / len(ref) for n, ref in zip(lcs, references) if ref], default=0.0)
+    denom = r_max + beta * beta * p_max
+    if denom == 0.0:
+        return 0.0
+    return (1.0 + beta * beta) * p_max * r_max / denom
+
+
 def alignment_reference(cand, ref):
     """(matches, min chunks) by enumerating EVERY maximal one-to-one
     exact-token matching and taking the chunk minimum."""

@@ -37,6 +37,7 @@ from helpers import (
     write_caption_embeddings,
     word_cache_path,
     write_candidates_csv,
+    write_unchecked_checkpoint,
     write_word_embeddings,
 )
 from oracles import bleu_corpus_reference, cider_d_per_item_reference
@@ -577,7 +578,7 @@ def test_eval_retrieval_rejects_checkpoint_disagreeing_with_config(tmp_path, cas
         params["lstm.u_f"] = Tensor(np.zeros((3, 3), dtype=np.float32))
         needle = "'lstm.u_f' has shape (3, 3), config expects (6, 6)"
     ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(ckpt, config.to_dict(), params, 1, 0.0)
+    write_unchecked_checkpoint(ckpt, config.to_dict(), params)
     code, out, err = run_cli([
         "eval-retrieval", "--checkpoint", str(ckpt),
         "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import struct
@@ -10,6 +11,7 @@ from audiotext import cli as cli_module
 from audiotext import corpus as corpus_module
 from audiotext.corpus import (
     CaptionEmbeddingTable,
+    CaptionRecord,
     CorpusError,
     FeatureDirectory,
     FeatureSequence,
@@ -22,12 +24,14 @@ from audiotext.corpus import (
     read_fmat,
     write_fmat,
 )
+from audiotext.nnet import init_params
 from audiotext.nnet.checkpoint import save_checkpoint
 from audiotext.nnet.tensor import Tensor
 from audiotext.optim import EpochLog, write_epoch_log
 from helpers import (
     embedding_table,
     no_parse,
+    small_config,
     word_cache_path,
     write_caption_csv,
     write_caption_embeddings,
@@ -58,12 +62,17 @@ def test_normalize_degenerate_and_idempotent():
 
 def test_normalize_matches_per_character_reference():
     # "\u0130".lower() is two characters ("i" and a combining dot), "\u00df"
-    # lowercases to itself, "\u0663" is a digit and "\u00a0"/"\u2028" are
-    # whitespace outside ASCII: none of them may join or split a token
-    # differently from the per-character rule
-    special = ["\u0130", "\u00df", "\u0663", "\u00a0", "\u2028", "\u212a", "\u00c9"]
+    # lowercases to itself, "\u0663" and the full-width "\uff11" are digits,
+    # "\u00a0"/"\u2028" are whitespace outside ASCII, a final "\u03a3"
+    # lowercases by context, "\u0301" is a combining mark and "\ud800" a lone
+    # surrogate (as surrogateescape makes of undecodable bytes): none of them
+    # may join or split a token differently from the per-character rule
+    special = ["\u0130", "\u00df", "\u0663", "\u00a0", "\u2028", "\u212a", "\u00c9",
+               "\x00", "\u03a3", "\u0301", "\uff11", "\ud800"]
     alphabet = list("aZz09'- .,\t\n") + special
-    for raw in ["\u0130stanbul stra\u00dfe \u0663 o'clock\u00a0dog\u2028cat", *special]:
+    fixed = ["\u0130stanbul stra\u00dfe \u0663 o'clock\u00a0dog\u2028cat",
+             "a\x00b \u039f\u0394\u039f\u03a3 x\u03a3y cafe\u0301s \uff11st 2\ud800b"]
+    for raw in [*fixed, *special]:
         assert normalize_caption(raw) == normalize_caption_reference(raw), repr(raw)
     rng = np.random.default_rng(0)
     for _ in range(2000):
@@ -120,6 +129,28 @@ def test_load_captions_empty_and_tokenless_cells(tmp_path):
     path = write_caption_csv(tmp_path / "b.csv", [("x.wav", ["a", "b", "!!!", "d", "e"])])
     with pytest.raises(CorpusError, match="caption_3 normalizes to no tokens"):
         load_captions(path)
+    # the first bad caption of a row is named, whichever way it is bad
+    path = write_caption_csv(tmp_path / "c.csv", [("x.wav", ["!!!", "", "c", "d", "e"])])
+    with pytest.raises(CorpusError, match="row 2: caption_1 normalizes to no tokens"):
+        load_captions(path)
+    path = write_caption_csv(tmp_path / "d.csv",
+                             [("x.wav", FIVE), ("y.wav", ["a", "", "?"] + FIVE[3:])])
+    with pytest.raises(CorpusError, match="row 3: empty caption_2"):
+        load_captions(path)
+
+
+def test_load_captions_records_are_frozen_values(tmp_path):
+    path = write_caption_csv(tmp_path / "caps.csv", [("x.wav", FIVE), ("y.wav", FIVE[::-1])])
+    records = load_captions(path)
+    built = [CaptionRecord(file_name=name, caption_index=i, raw_text=raw,
+                           tokens=tuple(normalize_caption(raw)))
+             for name, captions in (("x.wav", FIVE), ("y.wav", FIVE[::-1]))
+             for i, raw in enumerate(captions, start=1)]
+    assert records == built
+    assert [hash(r) for r in records] == [hash(r) for r in built]
+    assert all(type(r.tokens) is tuple for r in records)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        records[0].tokens = ()
 
 
 def test_load_captions_field_over_csv_limit_names_file(tmp_path):
@@ -685,9 +716,12 @@ def _fail_fmat(path, monkeypatch):
 
 
 def _fail_checkpoint(path, monkeypatch):
-    params = {"a": Tensor(np.ones(2)), "b": Tensor(np.array(["x"], dtype=object))}
+    config = small_config()
+    params = init_params(config, seed=0)
+    second = list(params)[1]
+    params[second] = Tensor(np.full(params[second].data.shape, "x", dtype=object))
     with pytest.raises(ValueError):  # after the header and the first parameter
-        save_checkpoint(path, {}, params, 0, 0.0)
+        save_checkpoint(path, config.to_dict(), params, 0, 0.0)
 
 
 def _fail_epoch_log(path, monkeypatch):

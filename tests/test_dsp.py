@@ -109,6 +109,24 @@ def test_read_wav_matches_reference_decode(tmp_path, channels):
     assert np.array_equal(samples, decode_pcm16_reference(pcm.tobytes(), channels))
 
 
+def test_read_wav_stereo_peak_memory(tmp_path):
+    # a 29.4 s stereo 44.1 kHz clip: reading it may hold the file's bytes and
+    # the float64 mono samples plus half as much again, no more (a decode
+    # through a float64 copy of both channels peaks at 1.75 times that)
+    frames = int(29.4 * 44100)
+    pcm = np.random.default_rng(24).integers(-32768, 32768, size=(frames, 2)).astype("<i2")
+    path = write_wav(tmp_path / "long.wav", pcm, 44100, channels=2)
+    bound = path.stat().st_size + 1.5 * 8 * frames
+    tracemalloc.start()
+    try:
+        wave = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(wave.samples, decode_pcm16_reference(pcm.tobytes(), 2))
+    assert peak < bound, (peak, bound)
+
+
 def _wav_bytes(audio_format=1, channels=1, sample_rate=16000, bits=16, payload=b"\x00\x00"):
     block = channels * bits // 8
     fmt = struct.pack(

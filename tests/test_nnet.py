@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -42,7 +43,13 @@ from audiotext.nnet.model import (
 from audiotext.nnet.tensor import Tensor, clone_params, zero_grads
 
 from gradcheck import collect_grads, finite_difference_check
-from helpers import embedding_table, random_word_table, small_config, small_tower
+from helpers import (
+    embedding_table,
+    random_word_table,
+    small_config,
+    small_tower,
+    write_unchecked_checkpoint,
+)
 from oracles import (
     GRUCellReference,
     LSTMCellReference,
@@ -1349,15 +1356,39 @@ def test_checkpoint_rejects_parameter_list_disagreeing_with_config(tmp_path):
     reordered = {names[1]: params[names[1]], names[0]: params[names[0]],
                  **{k: params[k] for k in names[2:]}}
     for bad_params in (reordered, {**params, "extra.w": Tensor(np.zeros(2, np.float32))}):
-        save_checkpoint(path, config.to_dict(), bad_params, epoch=1, best_validation_map10=0.0)
+        write_unchecked_checkpoint(path, config.to_dict(), bad_params)
         with pytest.raises(CheckpointError, match="names or order disagree"):
             load_checkpoint(path)
 
-    save_checkpoint(path, config.to_dict(), swapped, epoch=1, best_validation_map10=0.0)
+    write_unchecked_checkpoint(path, config.to_dict(), swapped)
     with pytest.raises(CheckpointError, match="has shape"):
         load_checkpoint(path)
 
-    save_checkpoint(path, {**config.to_dict(), "recurrent_cell": "rnn"}, params,
-                    epoch=1, best_validation_map10=0.0)
+    write_unchecked_checkpoint(path, {**config.to_dict(), "recurrent_cell": "rnn"}, params)
     with pytest.raises(CheckpointError, match="invalid config"):
         load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_what_load_checkpoint_refuses(tmp_path):
+    config = small_config()
+    params = init_params(config, seed=0)
+    stray = config.to_dict()
+    stray["audio_tower"][1] = {"kind": "relu", "out_dim": 5}
+    unchecked = tmp_path / "unchecked.ckpt"
+    write_unchecked_checkpoint(unchecked, stray, params)
+    with pytest.raises(CheckpointError) as loading:
+        load_checkpoint(unchecked)
+    assert "tower layer 1 (relu): unexpected field out_dim" in str(loading.value)
+
+    path = tmp_path / "model.ckpt"
+    extra = {**params, "extra.w": Tensor(np.zeros(2, np.float32))}
+    bad_saves = [(stray, params), (config.to_dict(), extra)]
+    for bad_config, bad_params in bad_saves:
+        write_unchecked_checkpoint(unchecked, bad_config, bad_params)
+        with pytest.raises(CheckpointError) as loading:
+            load_checkpoint(unchecked)
+        with pytest.raises(CheckpointError) as saving:
+            save_checkpoint(path, bad_config, bad_params, epoch=1, best_validation_map10=0.0)
+        # the same message, naming the path given, and no file
+        assert str(saving.value) == str(loading.value).replace(str(unchecked), str(path))
+        assert sorted(os.listdir(tmp_path)) == ["unchecked.ckpt"]

@@ -20,7 +20,7 @@ from audiotext.textmetrics import (
     NGramTables,
     _alignment_stats,
     _candidate_index,
-    _lcs_length,
+    _lcs_lengths,
     bleu_corpus,
     build_eval_set,
     cider_d,
@@ -30,7 +30,6 @@ from audiotext.textmetrics import (
     load_spice_file,
     meteor_lite,
     rouge_l,
-    rouge_l_item,
     spider_combine,
 )
 
@@ -49,8 +48,10 @@ from oracles import (
     bleu_reference,
     cider_d_per_item_reference,
     cider_d_reference,
+    lcs_length_reference,
     meteor_reference,
     ngrams,
+    rouge_l_item_reference,
     rouge_l_reference,
 )
 
@@ -139,14 +140,14 @@ def test_bleu_empty_candidates_score_zero():
 
 
 def test_rouge_l_hand_value():
-    score = rouge_l_item(["the", "cat", "sat"], [["the", "cat", "on", "the", "mat"]])
+    score = rouge_l(_set((["the", "cat", "sat"], [["the", "cat", "on", "the", "mat"]])))
     assert score == pytest.approx(0.47843137254901963, rel=1e-12)
 
 
 def test_rouge_l_identity_and_disjoint():
-    assert rouge_l_item(["a", "b"], [["a", "b"]]) == pytest.approx(1.0)
-    assert rouge_l_item(["a", "b"], [["c", "d"]]) == 0.0
-    assert rouge_l_item([], [["a"]]) == 0.0
+    assert rouge_l(_set((["a", "b"], [["a", "b"]]))) == pytest.approx(1.0)
+    assert rouge_l(_set((["a", "b"], [["c", "d"]]))) == 0.0
+    assert rouge_l(_set(([], [["a"]]))) == 0.0
 
 
 def test_rouge_l_max_over_references_is_independent():
@@ -156,7 +157,7 @@ def test_rouge_l_max_over_references_is_independent():
     # LCS: 3 with ref1 (P=1, R=1/2), 2 with ref2 (P=2/3, R=1)
     p_max, r_max = 1.0, 1.0
     expected = (1 + 1.2**2) * p_max * r_max / (r_max + 1.2**2 * p_max)
-    assert rouge_l_item(cand, refs) == pytest.approx(expected, rel=1e-12)
+    assert rouge_l(_set((cand, refs))) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rouge_l_duplicate_reference_never_decreases():
@@ -164,8 +165,8 @@ def test_rouge_l_duplicate_reference_never_decreases():
     for _ in range(10):
         items = toy_metric_corpus(rng, n_items=1)
         cand, refs = items[0]
-        base = rouge_l_item(cand, refs)
-        extended = rouge_l_item(cand, list(refs) + [refs[0]])
+        base = rouge_l(_set((cand, refs)))
+        extended = rouge_l(_set((cand, list(refs) + [refs[0]])))
         assert extended >= base - 1e-15
 
 
@@ -174,22 +175,54 @@ def _random_tokens(rng, vocab, lo, hi):
 
 
 def test_lcs_length_matches_recursive_reference():
-    # the bit-parallel LCS must be exact, also past one 64-bit word
+    # the lane LCS must be exact, also past one 64-bit word, where the add
+    # carries from word to word
     rng = np.random.default_rng(7)
     long_a = _random_tokens(rng, 5, 70, 70)
     long_b = _random_tokens(rng, 5, 90, 90)
     pairs = [([], []), ([], ["a"]), (["a"], []), (long_a, long_b), (long_b, long_a),
-             (long_a, long_a), (long_a, []), (["x"] * 80, ["x"] * 65)]
+             (long_a, long_a), (long_a, []), (["x"] * 80, ["x"] * 65),
+             # the carry out of word 0 ripples through a word of ones into word 2
+             (["x"], ["x"] * 64 + ["y"] * 64 + ["x"])]
     for _ in range(300):
         vocab = int(rng.integers(1, 8))
         pairs.append((_random_tokens(rng, vocab, 0, 20), _random_tokens(rng, vocab, 0, 80)))
-    for a, b in pairs:
-        assert _lcs_length(a, b) == _lcs_recursive(tuple(a), tuple(b)), (a, b)
+    want = [_lcs_recursive(tuple(a), tuple(b)) for a, b in pairs]
+    assert [lcs_length_reference(a, b) for a, b in pairs] == want
+    # one item per pair: every lane width runs in one call
+    assert _lcs_lengths(_set(*((a, [b]) for a, b in pairs)).grams).tolist() == want
+
+
+def test_rouge_l_equals_reference_exactly():
+    # references of 63, 64, 65, 128 and 129 tokens sit at the edges of a
+    # lane's words; empty candidates, repeated tokens and pairs sharing no
+    # token too; every score is == the per-pair references
+    rng = np.random.default_rng(20)
+    for trial in range(12):
+        vocab = int(rng.integers(1, 6)) if trial % 2 else int(rng.integers(5, 40))
+        items = []
+        for length in (63, 64, 65, 128, 129):
+            cand = _random_tokens(rng, vocab, 0, 140)
+            refs = [_random_tokens(rng, vocab, length, length),
+                    _random_tokens(rng, vocab, 0, 30)]
+            items.append((cand, refs))
+        items.append(([], [_random_tokens(rng, vocab, 1, 70)]))
+        items.append((["q"] * int(rng.integers(1, 90)), [["q"] * int(rng.integers(1, 130))]))
+        items.append((["u", "v"], [["x", "y", "z"], []]))
+        items.append((_random_tokens(rng, vocab, 1, 20), [["none"] * 70]))
+        for _ in range(20):
+            items.append((_random_tokens(rng, vocab, 0, 20),
+                          [_random_tokens(rng, vocab, 0, 20) for _ in range(5)]))
+        order = rng.permutation(len(items))
+        items = [items[k] for k in order]
+        s = _set(*items)
+        assert rouge_l(s) == rouge_l_reference(items)
+        assert rouge_l(s) == sum(rouge_l_item_reference(c, r) for c, r in items) / len(items)
 
 
 def test_rouge_l_requires_references():
     with pytest.raises(MetricError):
-        rouge_l_item(["a"], [])
+        _set((["a"], []))
 
 
 # ---------------------------------------------------------------- meteor
