@@ -367,6 +367,9 @@ def main(argv=None) -> int:
     except (RunConfigError, *_ERRORS) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError:  # atomic_write has removed any half-written output
+        print(f"error: {args.command}: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,24 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _forward(layers, x, caches: list | None = None):
+    """One clip through ``layers`` in order; with ``caches``, appends each
+    layer's cache to it, in layer order."""
+    for layer in layers:
+        x, cache = layer.forward(x)
+        if caches is not None:
+            caches.append(cache)
+    return x
+
+
+def _backward(layers, caches, dy):
+    """The reverse of _forward: one clip's output gradient back through
+    ``layers`` and their ``caches``; returns the input gradient."""
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        dy = layer.backward(cache, dy)
+    return dy
+
+
 # ---------------------------------------------------------------------------
 # dense
 
@@ -51,12 +69,9 @@ class Dense:
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
         x = cache
-        if x.ndim == 1:
-            self.w.accumulate(np.outer(dy, x))
-            self.b.accumulate(dy)
-        else:
-            self.w.accumulate(dy.T @ x)
-            self.b.accumulate(dy.sum(axis=0))
+        # a vector's np.outer takes a fifth of the time of a one-row GEMM at H = 300
+        self.w.accumulate(np.outer(dy, x) if x.ndim == 1 else dy.T @ x)
+        self.b.accumulate(np.atleast_2d(dy).sum(axis=0))
         return dy @ self.w.data
 
 
@@ -110,14 +125,19 @@ class Conv1d:
         self.kernels = kernels
         self.bias = bias
 
+    def _padded(self, x: np.ndarray) -> np.ndarray:
+        """x with (k-1)/2 zero frames before and after it."""
+        pad = (self.kernels.shape[2] - 1) // 2
+        xp = np.zeros((x.shape[0] + 2 * pad, x.shape[1]), dtype=x.dtype)
+        xp[pad : pad + x.shape[0]] = x
+        return xp
+
     def forward(self, x: np.ndarray):
         c_out, c_in, k = self.kernels.shape
         t = x.shape[0]
         if x.ndim != 2 or x.shape[1] != c_in:
             raise NnetError(f"conv1d: input shape {x.shape}, expected (T, {c_in})")
-        pad = (k - 1) // 2
-        xp = np.zeros((t + 2 * pad, c_in), dtype=x.dtype)
-        xp[pad : pad + t] = x
+        xp = self._padded(x)
         # windows[t, j, c] = xp[t + j, c]; flatten to (T, C_in*k) in (c, j) order
         windows = np.lib.stride_tricks.sliding_window_view(xp, (k, c_in)).reshape(t, k, c_in)
         cols = windows.transpose(0, 2, 1).reshape(t, c_in * k)
@@ -128,8 +148,7 @@ class Conv1d:
         x = cache
         c_out, c_in, k = self.kernels.shape
         t, pad = x.shape[0], (k - 1) // 2
-        xp = np.zeros((t + 2 * pad, c_in), dtype=x.dtype)
-        xp[pad : pad + t] = x
+        xp = self._padded(x)
         # tap j's gradient is dy^T against x shifted by j: k GEMMs over
         # (T, C_in) views instead of one over a rebuilt (T, C_in*k) im2col copy
         dk = np.empty((k, c_out, c_in), dtype=np.result_type(dy, x))
@@ -148,6 +167,16 @@ class Conv1d:
 # pooling over time
 
 
+def _windows(x: np.ndarray, stride: int, fill: float) -> np.ndarray:
+    """x (T, H) as (ceil(T/s), s, H) non-overlapping windows, s = min(stride,
+    T); a partial last window is padded with ``fill``."""
+    t = x.shape[0]
+    stride = min(stride, t)  # a window past the clip end holds the same frames
+    padded = np.full((-(-t // stride) * stride, x.shape[1]), fill, dtype=x.dtype)
+    padded[:t] = x
+    return padded.reshape(-1, stride, x.shape[1])
+
+
 class MaxPoolTime:
     """Non-overlapping max windows of length `stride`; T' = ceil(T/stride).
 
@@ -162,16 +191,11 @@ class MaxPoolTime:
         self.stride = stride
 
     def forward(self, x: np.ndarray):
-        t, h = x.shape
-        stride = min(self.stride, t)  # a window past the clip end holds the same frames
-        t_out = -(-t // stride)
         # -inf padding never wins a window: every window holds a real frame
-        padded = np.full((t_out * stride, h), -np.inf, dtype=x.dtype)
-        padded[:t] = x
-        windows = padded.reshape(t_out, stride, h)
+        windows = _windows(x, self.stride, -np.inf)
         y = windows[:, 0].copy()
-        offsets = np.zeros((t_out, h), dtype=np.min_scalar_type(stride - 1))
-        for j in range(1, stride):
+        offsets = np.zeros(y.shape, dtype=np.min_scalar_type(windows.shape[1] - 1))
+        for j in range(1, windows.shape[1]):
             # only a strictly greater frame moves the offset: ties keep the
             # earliest. j is given in the offsets' dtype: no NumPy refuses that cast
             np.copyto(offsets, offsets.dtype.type(j), where=windows[:, j] > y)
@@ -198,30 +222,21 @@ class MeanPoolTime:
             raise NnetError(f"mean pool stride must be >= 0, got {stride}")
         self.stride = stride
 
-    def _windows(self, t: int) -> tuple[int, np.ndarray]:
-        """(window length, length of each window) for a clip of t frames."""
-        stride = min(self.stride, t)  # a window past the clip end holds the same frames
-        t_out = -(-t // stride)
-        lengths = np.full(t_out, stride)
-        lengths[-1] = t - (t_out - 1) * stride
-        return stride, lengths
-
     def forward(self, x: np.ndarray):
+        """Caches T for the full mean, else the length of each window."""
         t = x.shape[0]
         if self.stride == 0:
             return x.mean(axis=0), t
-        stride, lengths = self._windows(t)
-        padded = np.zeros((lengths.size * stride, x.shape[1]), dtype=x.dtype)
-        padded[:t] = x
-        sums = padded.reshape(lengths.size, stride, x.shape[1]).sum(axis=1)
-        return sums / lengths[:, None].astype(x.dtype), t
+        windows = _windows(x, self.stride, 0.0)
+        t_out, stride = windows.shape[:2]
+        lengths = np.full(t_out, stride)
+        lengths[-1] = t - (t_out - 1) * stride
+        return windows.sum(axis=1) / lengths[:, None].astype(x.dtype), lengths
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
-        t = cache
         if self.stride == 0:
-            return np.broadcast_to(dy / t, (t, dy.shape[0]))  # a read-only view
-        stride, lengths = self._windows(t)
-        return np.repeat(dy / lengths[:, None].astype(dy.dtype), stride, axis=0)[:t]
+            return np.broadcast_to(dy / cache, (cache, dy.shape[0]))  # a read-only view
+        return np.repeat(dy / cache[:, None].astype(dy.dtype), cache, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +508,17 @@ class LSTMCell(_Cell):
 
 
 class Projection:
-    """Affine map then activation ("relu" or "identity") on a single vector."""
+    """Dense then, for "relu", Activation("relu") on a single vector, run
+    through the layer walk; "identity" is the Dense alone."""
 
     def __init__(self, w: Tensor, b: Tensor, activation_kind: str = "relu"):
         if activation_kind not in ("relu", "identity"):
             raise NnetError(f"projection activation must be relu or identity, got {activation_kind!r}")
-        self.dense = Dense(w, b)
-        self.activation_kind = activation_kind
+        self.layers = [Dense(w, b), *([Activation("relu")] if activation_kind == "relu" else [])]
 
     def forward(self, v: np.ndarray):
-        pre, dense_cache = self.dense.forward(v)
-        if self.activation_kind == "relu":
-            out = np.maximum(pre, 0.0)
-        else:
-            out = pre
-        return out, (dense_cache, pre)
+        caches = []
+        return _forward(self.layers, v, caches), caches
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        dense_cache, pre = cache
-        if self.activation_kind == "relu":
-            dout = dout * (pre > 0)
-        return self.dense.backward(dense_cache, dout)
+        return _backward(self.layers, cache, dout)

@@ -8,6 +8,7 @@ trainable projection) or a frozen caption-level vector used verbatim.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Mapping, NamedTuple, Optional
@@ -26,6 +27,8 @@ from .layers import (
     MeanPoolTime,
     NnetError,
     Projection,
+    _backward,
+    _forward,
 )
 from .tensor import Params, Tensor
 
@@ -61,6 +64,8 @@ _CELLS = {"gru": GRUCell, "lstm": LSTMCell}
 # ran 7% faster than 64, and 64 10% faster than 32, while the transient
 # memory of a pass doubled each time (17.5 MiB at 64, H = 300).
 _ENCODE_GROUP = 64
+# the most elements of a parameter: init_params draws it as one float64 array
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
 def check_field_types(d: Mapping, ints=(), numbers=(), error=NnetError,
@@ -156,6 +161,8 @@ class ModelConfig:
 
         cur = self.feature_dim
         for i, spec in enumerate(self.audio_tower):
+            if not isinstance(spec.kind, str):
+                raise NnetError(f"tower layer {i}: kind: must be a string, got {spec.kind!r}")
             if spec.kind not in _LAYERS:
                 raise NnetError(f"tower layer {i}: unknown kind {spec.kind!r}")
             for name in spec.to_dict():  # the non-None fields, in field order
@@ -201,14 +208,15 @@ class ModelConfig:
                 # frozen caption vectors are never projected, so a joint
                 # projection cannot apply to both towers
                 raise NnetError("projection cannot be combined with sentence_table text mode")
+        for sizes, name, shape in _sized_shapes(self):
+            if math.prod(shape) > _MAX_ELEMENTS:
+                raise NnetError(f"{sizes}: too large, {name} would have shape {shape}")
 
     def tower_output_dim(self) -> int:
         """Channel dim entering the recurrent cell (or the pool when none)."""
-        cur = self.feature_dim
-        for spec in self.audio_tower:
-            if spec.kind in ("dense", "conv1d"):
-                cur = spec.out_dim
-        return cur
+        # validate() allows out_dim only on the kinds that set the width
+        return next((s.out_dim for s in reversed(self.audio_tower) if s.out_dim is not None),
+                    self.feature_dim)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "audio_tower": [s.to_dict() for s in self.audio_tower]}
@@ -257,18 +265,20 @@ def default_tower(feature_dim: int, channels: tuple[int, int] = (64, 64)) -> tup
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Deterministic (name, shape) list; the canonical parameter order."""
     config.validate()
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for i, spec in enumerate(config.audio_tower):
-        shapes += _layer_shapes(i, spec)
-    shapes += [(f"{config.recurrent_cell}.{key}", shape) for key, shape in _cell_shapes(config)]
+    return [(name, shape) for _, name, shape in _sized_shapes(config)]
+
+
+def _sized_shapes(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(the config fields that size it, name, shape) of each parameter, in order."""
+    shapes = [(f"tower layer {i} ({spec.kind}) {'/'.join(_LAYERS[spec.kind].sizes)}", name, shape)
+              for i, spec in enumerate(config.audio_tower) for name, shape in _layer_shapes(i, spec)]
+    shapes += [("embed_dim", f"{config.recurrent_cell}.{key}", shape)
+               for key, shape in _cell_shapes(config)]
     if config.projection is not None:
-        d_in = config.embed_dim
-        d_out = config.projection.out_dim
-        shapes.append(("proj_audio.w", (d_out, d_in)))
-        shapes.append(("proj_audio.b", (d_out,)))
-        if config.text_mode == "word_average":
-            shapes.append(("proj_text.w", (d_out, d_in)))
-            shapes.append(("proj_text.b", (d_out,)))
+        head = LayerSpec("dense", in_dim=config.embed_dim, out_dim=config.projection.out_dim)
+        sides = ("audio", "text") if config.text_mode == "word_average" else ("audio",)
+        shapes += [("projection out_dim", f"proj_{side}.{key}", shape) for side in sides
+                   for key, shape in _LAYERS["dense"].params(head)]
     return shapes
 
 
@@ -311,24 +321,6 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
         values = (draws * 2.0 - 1.0) * bound
         params[name] = Tensor(values.reshape(shape).astype(dtype))
     return params
-
-
-def _forward(layers, x, caches: list | None = None):
-    """One clip through ``layers`` in order; with ``caches``, appends each
-    layer's cache to it, in layer order."""
-    for layer in layers:
-        x, cache = layer.forward(x)
-        if caches is not None:
-            caches.append(cache)
-    return x
-
-
-def _backward(layers, caches, dy):
-    """The reverse of _forward: one clip's output gradient back through
-    ``layers`` and their ``caches``; returns the input gradient."""
-    for layer, cache in zip(reversed(layers), reversed(caches)):
-        dy = layer.backward(cache, dy)
-    return dy
 
 
 class AudioTower:
@@ -488,10 +480,7 @@ class TextEmbedder:
         else:
             self.oov_captions += 1
             mean = np.zeros(self.config.embed_dim, dtype=self.dtype)
-        if self.proj is not None:
-            out, proj_cache = self.proj.forward(mean)
-            return out, proj_cache
-        return mean, None
+        return self.proj.forward(mean) if self.proj is not None else (mean, None)
 
     def embed(self, record: CaptionRecord) -> tuple[np.ndarray, object]:
         """Embed one caption; returns (vector, cache) for backward()."""

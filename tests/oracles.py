@@ -775,6 +775,29 @@ def max_pool_time_flat_index_backward_reference(cache, dy):
 
 
 # ---------------------------------------------------------------------------
+# the projection head as one body
+#
+# audiotext.nnet.layers.Projection before it ran Dense and Activation("relu")
+# through the layer walk: an affine map and its own relu on one vector. Its
+# weight and bias gradients are those of Dense.backward's former vector
+# branch: np.outer(dy, x), and dy itself.
+
+
+def projection_reference(w, b, activation_kind, v):
+    pre = v @ w.T + b
+    out = np.maximum(pre, 0.0) if activation_kind == "relu" else pre
+    return out, (v, pre)
+
+
+def projection_backward_reference(w, activation_kind, cache, dout):
+    """(dW, db, dv) of projection_reference."""
+    v, pre = cache
+    if activation_kind == "relu":
+        dout = dout * (pre > 0)
+    return np.outer(dout, v), dout, dout @ w
+
+
+# ---------------------------------------------------------------------------
 # one training batch, one tower pass per pair
 #
 # The batch step `audiotext.optim._batch_step` replaced: every (clip,

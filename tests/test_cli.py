@@ -381,6 +381,94 @@ def test_train_rejects_a_field_the_layer_kind_does_not_read(tmp_path):
     assert not Path(cfg["out"]["checkpoint"]).exists()
 
 
+# case -> (edit of the model section, the error after "model: "); each is
+# refused while the config loads, before any array is sized from it
+_UNALLOCATABLE = {
+    # a list or dict kind used to end in "TypeError: unhashable type"
+    "list_kind": (lambda m: m["audio_tower"][0].update(kind=[1]),
+                  "tower layer 0: kind: must be a string, got [1]"),
+    "dict_kind": (lambda m: m["audio_tower"][0].update(kind={"a": 1}),
+                  "tower layer 0: kind: must be a string, got {'a': 1}"),
+    # a size no array can hold used to stop in np.arange with a ValueError
+    "huge_projection": (lambda m: m.update(projection={"out_dim": 2 ** 63}),
+                        "projection out_dim: too large, proj_audio.w would have shape "
+                        "(9223372036854775808, 6)"),
+    "huge_embed_dim": (lambda m: m.update(embed_dim=2 ** 63),
+                       "embed_dim: too large, gru.w_z would have shape (9223372036854775808, 6)"),
+    # each size fits an array, their product does not
+    "huge_conv_product": (lambda m: m["audio_tower"][3].update(out_dim=2 ** 59),
+                          "tower layer 3 (conv1d) in_dim/out_dim/kernel_width: too large, "
+                          "tower3.kernels would have shape (576460752303423488, 6, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNALLOCATABLE))
+def test_train_rejects_a_model_no_array_can_hold(tmp_path, case):
+    ds = make_dataset(tmp_path)
+    cfg = base_config_dict(ds, tmp_path / "run")
+    edit, message = _UNALLOCATABLE[case]
+    edit(cfg["model"])
+    path = write_config(tmp_path / "run.json", cfg)
+    code, out, err = run_cli(["train", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: model: {message}\n"
+    assert not Path(cfg["out"]["checkpoint"]).exists()
+
+
+# command -> (the cli name to patch, argv builder)
+_OOM_COMMANDS = {
+    "train": ("load_captions", lambda ds, tmp: [
+        "train", "--config", str(write_config(tmp / "run.json", base_config_dict(ds, tmp / "run")))]),
+    "eval-retrieval": ("load_checkpoint", lambda ds, tmp: [
+        "eval-retrieval", "--checkpoint", str(tmp / "model.ckpt"), "--captions",
+        str(ds["val_csv"]), "--features-dir", str(ds["feats"]), "--out", str(tmp / "report.json")]),
+    "rank": ("load_checkpoint", lambda ds, tmp: [
+        "rank", "--checkpoint", str(tmp / "model.ckpt"), "--captions", str(ds["val_csv"]),
+        "--features-dir", str(ds["feats"]), "--query", "w0", "--out", str(tmp / "ranking.txt")]),
+    "eval-captions": ("evaluate_captions", lambda ds, tmp: [
+        "eval-captions", "--candidates", str(ds["val_csv"]), "--references", str(ds["val_csv"]),
+        "--out", str(tmp / "scores.json")]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OOM_COMMANDS))
+def test_out_of_memory_is_an_error_naming_the_command(tmp_path, monkeypatch, command):
+    ds = make_dataset(tmp_path / "data")
+    name, argv = _OOM_COMMANDS[command]
+    argv = argv(ds, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, out_of_memory)
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {command}: out of memory\n"
+    assert [p for p in sorted(tmp_path.rglob("*")) if p.is_file()] == \
+        [p for p in before if p.is_file()]
+
+
+def test_out_of_memory_while_writing_leaves_no_file(tmp_path, monkeypatch):
+    in_dir, out_dir = tmp_path / "wav", tmp_path / "fmat"
+    in_dir.mkdir()
+    sine_wav(in_dir / "a.wav", 440.0, 16000, seconds=0.1)
+
+    def write_fmat_out_of_memory(path, feats):
+        with corpus.atomic_write(path, "wb") as fh:
+            fh.write(b"FMAT")
+            raise MemoryError
+
+    monkeypatch.setattr(cli, "write_fmat", write_fmat_out_of_memory)
+    code, out, err = run_cli(["features", "--in-dir", str(in_dir), "--out-dir", str(out_dir)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: features: out of memory\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_train_writes_checkpoint_log_and_report(tmp_path):
     ds = make_dataset(tmp_path)
     out_dir = tmp_path / "run"
@@ -589,6 +677,24 @@ def test_eval_retrieval_rejects_checkpoint_disagreeing_with_config(tmp_path, cas
     assert err.startswith("error:")
     assert needle in err
     assert "Traceback" not in err
+
+
+def test_eval_retrieval_rejects_checkpoint_with_a_non_string_kind(tmp_path):
+    ds = make_dataset(tmp_path)
+    config = small_config()
+    header = config.to_dict()
+    header["audio_tower"][0]["kind"] = [1]
+    ckpt = tmp_path / "model.ckpt"
+    write_unchecked_checkpoint(ckpt, header, init_params(config, seed=3))
+    code, out, err = run_cli([
+        "eval-retrieval", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--word-embeddings", str(ds["words"]), "--feature-kind", "external",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {ckpt}: invalid config or parameter list: "
+                   "tower layer 0: kind: must be a string, got [1]\n")
 
 
 def test_eval_retrieval_rejects_log_mel_64_fmat_of_other_width(tmp_path):

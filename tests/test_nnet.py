@@ -64,6 +64,8 @@ from oracles import (
     max_pool_time_reference,
     mean_pool_time_backward_reference,
     mean_pool_time_reference,
+    projection_backward_reference,
+    projection_reference,
 )
 
 
@@ -493,6 +495,26 @@ def test_layer_caches_hold_only_what_backward_reads():
     assert conv.forward(x)[1] is x  # a reference to the input, not a copy
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["relu", "identity"])
+def test_projection_matches_one_body_oracle(kind, dtype):
+    # Dense then Activation("relu") through the layer walk, against the one
+    # body they replaced; the small-integer case has exact zeros before the relu
+    rng = np.random.default_rng(8)
+    for draw in (lambda shape: rng.normal(size=shape).astype(dtype),
+                 lambda shape: _small_ints(rng, shape, dtype)):
+        w, b, v, dout = draw((5, 4)), draw(5), draw(4), rng.normal(size=5).astype(dtype)
+        wt, bt = Tensor(w), Tensor(b)
+        layer = Projection(wt, bt, kind)
+        out, cache = layer.forward(v)
+        dv = layer.backward(cache, dout)
+        ref_out, ref_cache = projection_reference(w, b, kind, v)
+        ref_dw, ref_db, ref_dv = projection_backward_reference(w, kind, ref_cache, dout)
+        assert out.dtype == dv.dtype == wt.grad.dtype == bt.grad.dtype == dtype
+        assert (out == ref_out).all() and (dv == ref_dv).all()
+        assert (wt.grad == ref_dw).all() and (bt.grad == ref_db).all()
+
+
 def test_shared_projection_applies_activation():
     w = np.array([[1.0, 0.0], [0.0, -1.0]])
     b = np.array([0.0, 0.0])
@@ -708,19 +730,20 @@ def test_projection_gradients():
     b = Tensor(rng.normal(size=3))
     xt = Tensor(rng.normal(size=4))
     direction = rng.normal(size=3)
-    layer = Projection(w, b, "relu")
     params = {"w": w, "b": b, "x": xt}
+    for kind in ("relu", "identity"):
+        layer = Projection(w, b, kind)
 
-    def loss_fn():
-        return float((layer.forward(xt.data)[0] * direction).sum())
+        def loss_fn():
+            return float((layer.forward(xt.data)[0] * direction).sum())
 
-    def grad_fn():
-        zero_grads(params)
-        _, cache = layer.forward(xt.data)
-        xt.accumulate(layer.backward(cache, direction))
-        return collect_grads(params)
+        def grad_fn():
+            zero_grads(params)
+            _, cache = layer.forward(xt.data)
+            xt.accumulate(layer.backward(cache, direction))
+            return collect_grads(params)
 
-    _fd(loss_fn, grad_fn, params)
+        _fd(loss_fn, grad_fn, params)
 
 
 def _tower_variant(variant):
@@ -914,6 +937,9 @@ def test_model_config_rejects_bad_towers():
         ).validate()
     with pytest.raises(NnetError, match="unknown kind"):
         small_config(audio_tower=(LayerSpec("attention"),)).validate()
+    for kind in ([1], {"a": 1}, 3):
+        with pytest.raises(NnetError, match=r"^tower layer 0: kind: must be a string, got "):
+            small_config(audio_tower=(LayerSpec(kind),)).validate()
     with pytest.raises(NnetError, match="pool_stride"):
         small_config(audio_tower=(LayerSpec("max_pool_time"),)).validate()
     with pytest.raises(NnetError, match="mean pool"):
