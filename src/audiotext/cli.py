@@ -155,9 +155,11 @@ def load_run_config(path: str | Path) -> RunConfig:
     for section, keys in (("data", _PATH_KEYS), ("out", _OUT_KEYS)):
         for key in keys:
             value = raw[section].get(key)
-            if value is not None and not isinstance(value, str):
+            if (value is not None or section == "out") and not isinstance(value, str):
                 raise RunConfigError(
                     f"{path}: {section}.{key}: must be a path string, got {value!r}")
+    for key in _OUT_KEYS:
+        _refuse_directory(resolve(out[key]), f"{path}: out.{key}")
 
     return RunConfig(
         model=model,
@@ -172,6 +174,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         checkpoint_out=resolve(out["checkpoint"]),
         epoch_log_out=resolve(out["epoch_log"]),
     )
+
+
+def _refuse_directory(target, what: str) -> None:
+    """Refuse an output path that names an existing directory, before any work."""
+    if target and Path(target).is_dir():
+        raise RunConfigError(f"{what}: {target} is a directory")
 
 
 def _emit(line: str, out_path: Optional[str]) -> None:
@@ -255,6 +263,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_retrieval(args) -> int:
+    _refuse_directory(args.out, "--out")
     checkpoint, config, manifest, features = _load_split(args)
     word_table, caption_table = _load_text_tables(
         config, args.word_embeddings, args.caption_embeddings)
@@ -266,6 +275,7 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_eval_captions(args) -> int:
+    _refuse_directory(args.out, "--out")
     scores = evaluate_captions(args.candidates, args.references, args.spice)
     _emit(scores.to_json(), args.out)
     return 0
@@ -286,6 +296,7 @@ def _read_query_vector(path: str) -> np.ndarray:
 
 
 def cmd_rank(args) -> int:
+    _refuse_directory(args.out, "--out")
     checkpoint, config, manifest, features = _load_split(args)
     word_table = None
     query_vector = None

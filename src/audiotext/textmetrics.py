@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, count
 from operator import or_
 from typing import Mapping, Optional, Sequence
 
@@ -67,24 +67,27 @@ GramTable = namedtuple("GramTable", "sent count df pair_ref pair_cand")
 
 
 class NGramTables:
-    """An eval set's sentences as interned token ids: sentence i is item i's
-    candidate, then come each item's references. Order n's table is built once,
-    on first use; its gram ids number the distinct (next token id, order n-1 id)
-    pairs. Token ids follow first occurrence; no float sum runs in gram-id order."""
+    """An eval set's sentences as interned token ids: sentence i is item i's candidate, then
+    come each item's references. Order n's table is built once, on first use, by one sort of
+    order n-1's gram starts. Token ids follow first occurrence; no float sum runs in gram order."""
 
     def __init__(self, items: Sequence[CaptionEvalItem]):
         sentences = [i.candidate for i in items] + [r for i in items for r in i.references]
-        tokens = list(chain.from_iterable(sentences))
-        vocab = {tok: k for k, tok in enumerate(dict.fromkeys(tokens))}
+        vocab = defaultdict(count().__next__)  # a new token takes the next id
         self.lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+        self.tokens = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)),
+                                  np.int32, int(self.lengths.sum()))
         self.num_items = len(items)
         self.ref_item = np.repeat(np.arange(len(items)), [len(i.references) for i in items])
+        self.first_ref = np.flatnonzero(np.diff(self.ref_item, prepend=-1))
         self.tables: list[GramTable] = []
         self.item = np.concatenate([np.arange(len(items)), self.ref_item])
-        self.tokens = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
-        self._sent = np.repeat(np.arange(len(sentences)), self.lengths)
-        self._ends = np.cumsum(self.lengths)[self._sent]
-        self._starts, self._ids, self._size = np.arange(len(tokens)), self.tokens, len(vocab)
+        # order 0: every position starts one empty gram; they run item by item,
+        # each item's candidate first, and every sort keeps that within a gram
+        self._ends, by_item = np.cumsum(self.lengths), np.argsort(self.item, kind="stable")
+        lens = self.lengths[by_item]
+        self._seq = np.repeat(self._ends[by_item] - np.cumsum(lens), lens) + np.arange(lens.sum())
+        self._sent, self._gram = np.repeat(by_item, lens), np.zeros(len(self.tokens), np.int32)
 
     def table(self, n: int) -> GramTable:
         while len(self.tables) < n:
@@ -92,27 +95,44 @@ class NGramTables:
         return self.tables[n - 1]
 
     def _build(self, n: int) -> GramTable:
-        if n > 1:
-            keep = self._starts + n <= self._ends[self._starts]
-            self._starts = self._starts[keep]
-            pairs = self.tokens[self._starts + n - 1] * self._size + self._ids[keep]
-            uniq, self._ids = np.unique(pairs, return_inverse=True)
-            self._size = len(uniq)
-        size, sent = self._size, self._sent[self._starts]
-        _, first, inverse, count = np.unique(sent * size + self._ids, return_index=True,
-                                             return_inverse=True, return_counts=True)
-        first = np.sort(first)
-        sent, gram, count = sent[first], self._ids[first], count[inverse[first]]
-        # (item, gram) groups, each headed by its first row: the candidate's, if any
-        keys, head, group = np.unique(self.item[sent] * size + gram, return_index=True,
-                                      return_inverse=True)
-        ref = sent >= self.num_items
-        held = np.bincount(group[ref], minlength=len(keys)) > 0  # groups with a reference row
-        pair_ref = np.flatnonzero(ref & (sent[head[group]] < self.num_items))
-        pair_cand = head[group[pair_ref]]
-        order = np.lexsort((count[pair_ref], pair_cand))
-        df = np.bincount(keys[held] % size, minlength=size)[gram]
-        return GramTable(sent, count, df, pair_ref[order], pair_cand[order])
+        keep = np.flatnonzero(self._seq < (self._ends - (n - 1))[self._sent])  # n tokens fit
+        seq, sent, gram = self._seq[keep], self._sent[keep], self._gram[keep]
+        # sorted by (n-th token, place in the order n-1 sort); this key and the pair key
+        # below stay under 2^62 for fewer than 2^31 token positions
+        bits = len(seq).bit_length()
+        key = np.left_shift(self.tokens[n - 1:][seq], bits, dtype=np.int64) | np.arange(len(seq))
+        key.sort()
+        place, key = key & ((1 << bits) - 1), key >> bits
+        seq, sent, split = seq[place], sent[place], _changes(key) | _changes(gram[place])
+        self._seq, self._sent, self._gram = seq, sent, np.cumsum(split, dtype=np.int32)
+        del keep, key, place, gram  # freed before the table is built: a lower peak
+        row = np.flatnonzero(split | _changes(sent))  # (gram, sentence) runs
+        counts, sent, gram = np.diff(np.append(row, len(seq))), sent[row], self._gram[row]
+        # rows by first occurrence: a scatter over the positions, not a sort
+        at, ids = np.full(len(self.tokens), -1), np.arange(len(row))
+        at[seq[row]] = ids
+        final = at[np.flatnonzero(at >= 0)]
+        rank = np.empty_like(final)
+        rank[final] = ids
+        # (item, gram) runs of rows, each headed by its candidate's row, if any;
+        # an item's first reference row of a gram counts once towards its df
+        cand = sent < self.num_items
+        group = split[row] | _changes(self.item[sent])
+        counted = np.flatnonzero(~cand & (group | np.roll(cand, 1)))
+        df = np.bincount(gram[counted], minlength=len(seq) + 1)[gram]
+        # pairs by candidate row (first occurrence), then count, then reference row
+        lead = final[:np.count_nonzero(cand)]  # candidates' rows come first
+        size = np.diff(np.append(np.flatnonzero(group), len(row)))
+        k = size[np.cumsum(group, dtype=np.int32)[lead] - 1] - 1  # the rest of each group
+        pair = np.repeat(lead + 1 + k - np.cumsum(k), k) + np.arange(k.sum())
+        pair_cand = np.repeat(np.arange(len(lead)), k)
+        order = np.argsort(pair_cand * (len(seq) + 1) + counts[pair], kind="stable")
+        return GramTable(sent[final], counts[final], df[final], rank[pair[order]], pair_cand[order])
+
+
+def _changes(a: np.ndarray) -> np.ndarray:
+    """True at each element of ``a`` that differs from the one before, and at the first."""
+    return np.append(True, a[1:] != a[:-1])[:len(a)]
 
 
 @dataclass(frozen=True)
@@ -144,20 +164,23 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
     uses, per item, the reference length closest to the candidate's
     (ties to the shorter); any p_n = 0 zeroes BLEU_k for all k >= n.
     """
-    cand_lens = [len(item.candidate) for item in eval_set.items]
-    cand_len_sum = sum(cand_lens)
+    grams = eval_set.grams
+    cand_len, ref_len = np.split(grams.lengths, [grams.num_items])
+    cand_len_sum = int(cand_len.sum())
     if cand_len_sum == 0:
         return (0.0,) * max_n
-    ref_len_sum = sum(min((len(r) for r in item.references),
-                          key=lambda length: (abs(length - c), length))
-                      for item, c in zip(eval_set.items, cand_lens))
+    # per item, the least (distance to the candidate's length, length) of its references
+    width = int(ref_len.max()) + 1
+    closest = np.minimum.reduceat(np.abs(ref_len - cand_len[grams.ref_item]) * width + ref_len,
+                                  grams.first_ref)
+    ref_len_sum = int((closest % width).sum())
     precisions = []
     for n in range(1, max_n + 1):
-        t = eval_set.grams.table(n)
+        t = grams.table(n)
         # the last pair of a candidate row holds its largest reference count
         last = np.diff(t.pair_cand, append=-1) != 0
         clipped = int(np.minimum(t.count[t.pair_cand[last]], t.count[t.pair_ref[last]]).sum())
-        total = sum(max(c - n + 1, 0) for c in cand_lens)
+        total = int(np.maximum(cand_len - (n - 1), 0).sum())
         precisions.append(clipped / total if total > 0 else 0.0)
     bp = min(1.0, math.exp(1.0 - ref_len_sum / cand_len_sum))
     return tuple(0.0 if 0.0 in precisions[:k] else
@@ -223,11 +246,10 @@ def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
     grams = eval_set.grams
     lcs = _lcs_lengths(grams)
     cand_len, ref_len = np.split(grams.lengths, [grams.num_items])
-    heads = np.flatnonzero(np.diff(grams.ref_item, prepend=-1))  # each item's first reference
-    p_max = np.divide(np.maximum.reduceat(lcs, heads), cand_len,
+    p_max = np.divide(np.maximum.reduceat(lcs, grams.first_ref), cand_len,
                       out=np.zeros(len(cand_len)), where=cand_len > 0)
     recall = np.divide(lcs, ref_len, out=np.zeros(len(lcs)), where=ref_len > 0)
-    r_max = np.maximum.reduceat(recall, heads)
+    r_max = np.maximum.reduceat(recall, grams.first_ref)
     denom = r_max + beta * beta * p_max
     scores = np.divide((1.0 + beta * beta) * p_max * r_max, denom,
                        out=np.zeros(len(denom)), where=denom != 0.0)

@@ -390,6 +390,41 @@ def cider_d_per_item_reference(eval_set, max_n=4, sigma=6.0):
     return scores
 
 
+def ngram_table_reference(grams, n):
+    """Order n's (sent, count, df, pair_ref, pair_cand) of an NGramTables
+    ``grams``, from its token ids alone by three np.unique calls per order.
+
+    Rows are the distinct (sentence, gram) pairs in first-occurrence order;
+    df counts the items whose references hold the row's gram; pair_ref and
+    pair_cand join each reference row to its item's candidate row of the
+    same gram, ordered by candidate row, then count, then reference row.
+    """
+    tokens = grams.tokens.astype(np.int64)
+    sent_of = np.repeat(np.arange(len(grams.lengths)), grams.lengths)
+    ends = np.cumsum(grams.lengths)[sent_of]
+    starts, ids, size = np.arange(len(tokens)), tokens, int(tokens.max(initial=0)) + 1
+    for k in range(2, n + 1):  # order k's gram ids number (next token, order k-1 id)
+        keep = starts + k <= ends[starts]
+        starts = starts[keep]
+        uniq, ids = np.unique(tokens[starts + k - 1] * size + ids[keep], return_inverse=True)
+        size = len(uniq)
+    sent = sent_of[starts]
+    _, first, inverse, count = np.unique(sent * size + ids, return_index=True,
+                                         return_inverse=True, return_counts=True)
+    first = np.sort(first)
+    sent, gram, count = sent[first], ids[first], count[inverse[first]]
+    # (item, gram) groups, each headed by its first row: the candidate's, if any
+    keys, head, group = np.unique(grams.item[sent] * size + gram, return_index=True,
+                                  return_inverse=True)
+    ref = sent >= grams.num_items
+    held = np.bincount(group[ref], minlength=len(keys)) > 0  # groups with a reference row
+    pair_ref = np.flatnonzero(ref & (sent[head[group]] < grams.num_items))
+    pair_cand = head[group[pair_ref]]
+    order = np.lexsort((count[pair_ref], pair_cand))
+    df = np.bincount(keys[held] % size, minlength=size)[gram]
+    return sent, count, df, pair_ref[order], pair_cand[order]
+
+
 # ---------------------------------------------------------------------------
 # retrieval metrics
 

@@ -246,6 +246,7 @@ BAD_CONFIG_CASES = [
     ("int_projection", "model: projection: must be an object with an out_dim, got 5"),
     ("int_data_path", "data.train_captions: must be a path string, got 5"),
     ("int_out_path", "out.checkpoint: must be a path string, got 5"),
+    ("null_out_path", "out.epoch_log: must be a path string, got None"),
     ("big_beta1", "model: beta1 must be in [0, 1), got 5.0"),
     ("one_beta1", "model: beta1 must be in [0, 1), got 1.0"),
     ("negative_beta2", "model: beta2 must be in [0, 1), got -1.0"),
@@ -269,6 +270,7 @@ _WRONG_TYPES = {
     "int_projection": ("model", "projection", 5),
     "int_data_path": ("data", "train_captions", 5),
     "int_out_path": ("out", "checkpoint", 5),
+    "null_out_path": ("out", "epoch_log", None),
 }
 
 # case -> (section, key, value) for the out-of-range settings above
@@ -780,6 +782,40 @@ def test_report_out_path_creates_parent_dirs(tmp_path):
                               "--references", str(refs_csv), "--out", str(out_path)])
     assert code == 0, err
     assert out_path.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("command", ["train:checkpoint", "train:epoch_log", "eval-retrieval",
+                                     "eval-captions", "rank"])
+def test_output_path_that_is_a_directory_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                                     command):
+    ds = make_dataset(tmp_path / "data")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("train", "load_captions", "load_checkpoint", "evaluate_captions"):
+        monkeypatch.setattr(cli, name, never)
+    if command.startswith("train"):
+        cfg = base_config_dict(ds, tmp_path / "run")
+        cfg["out"][command.partition(":")[2]] = str(taken)
+        argv = ["train", "--config", str(write_config(tmp_path / "run.json", cfg))]
+    elif command == "eval-captions":
+        argv = ["eval-captions", "--candidates", str(ds["val_csv"]),
+                "--references", str(ds["val_csv"]), "--out", str(taken)]
+    else:
+        argv = [command, "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
+                "--features-dir", str(ds["feats"]), "--feature-kind", "external",
+                "--word-embeddings", str(ds["words"]), "--out", str(taken)]
+        argv += ["--query", "w0"] if command == "rank" else []
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and err.startswith("error:") and err.endswith("\n")
+    assert f"{taken} is a directory" in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_eval_captions_rejects_uncovered_candidates(tmp_path):

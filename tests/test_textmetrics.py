@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from audiotext.textmetrics import (
     CaptionEvalItem,
     CaptionEvalSet,
     CorpusScores,
+    GramTable,
     MetricError,
     NGramTables,
     _alignment_stats,
@@ -50,6 +52,7 @@ from oracles import (
     cider_d_reference,
     lcs_length_reference,
     meteor_reference,
+    ngram_table_reference,
     ngrams,
     rouge_l_item_reference,
     rouge_l_reference,
@@ -618,6 +621,52 @@ def test_bleu_and_cider_bitwise_equal_to_dict_bodies():
         assert cider_d_per_item(s, max_n) == cider_d_per_item_reference(s, max_n), (items, max_n)
         # orders past max_n are built on demand from the same tables
         assert bleu_corpus(s, 6) == bleu_corpus_reference(s, 6), items
+
+
+def _assert_tables_equal_reference(items, max_n=6):
+    grams = _set(*items).grams
+    for n in range(1, max_n + 1):
+        got, want = grams.table(n), ngram_table_reference(grams, n)
+        for field, a, b in zip(GramTable._fields, got, want):
+            assert np.array_equal(a, b), (n, field, items)
+
+
+def test_ngram_tables_equal_reference_on_bitwise_cases():
+    for items, _ in _bitwise_cases():
+        _assert_tables_equal_reference(items)
+
+
+def test_ngram_tables_equal_reference_on_offline_shaped_corpus():
+    _assert_tables_equal_reference(_offline_shaped_corpus(np.random.default_rng(31), 300))
+
+
+@pytest.mark.parametrize("items", [
+    [((), (("a", "b"), ("b",))), (("b", "a"), (("a", "b", "a"),))],
+    [(("a", "b"), (("b",), ("a", "b"))), (("c",), (("c", "a"), ("a",)))],
+    [(("a",) * 5, (("a",) * 3, ("a",), ("a",) * 7)), (("a", "a"), (("a",) * 4,))],
+    [(("a", "b", "a", "b"), (("b", "a", "b"),))],
+    [(("a", "b", "c"), (("a", "b", "c"),) * 3), (("a", "b", "c"), (("a", "b", "c"), ("c",)))],
+    [((), ((),)), ((), ((), ()))],
+], ids=["empty_candidate", "all_shorter_than_n", "one_word_vocabulary",
+        "one_item_one_reference", "duplicate_sentences", "no_tokens"])
+def test_ngram_tables_equal_reference_on_edge_cases(items):
+    _assert_tables_equal_reference(items)
+
+
+def test_ngram_tables_peak_memory_not_above_reference():
+    # orders 1-4 of an offline-shaped corpus (~84k tokens), every table kept
+    items = _offline_shaped_corpus(np.random.default_rng(32), 1000)
+
+    def traced_peak(build):
+        grams = _set(*items).grams  # interned before the trace starts
+        tracemalloc.start()
+        try:
+            tables = [build(grams, n) for n in range(1, 5)]  # all kept, as in a scoring run
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(NGramTables.table) <= traced_peak(ngram_table_reference)
 
 
 def test_evaluate_captions_builds_each_order_once_per_call(tmp_path, monkeypatch):
