@@ -159,7 +159,7 @@ def load_run_config(path: str | Path) -> RunConfig:
                 raise RunConfigError(
                     f"{path}: {section}.{key}: must be a path string, got {value!r}")
     for key in _OUT_KEYS:
-        _refuse_directory(resolve(out[key]), f"{path}: out.{key}")
+        _check_out_path(resolve(out[key]), f"{path}: out.{key}")
 
     return RunConfig(
         model=model,
@@ -176,10 +176,16 @@ def load_run_config(path: str | Path) -> RunConfig:
     )
 
 
-def _refuse_directory(target, what: str) -> None:
-    """Refuse an output path that names an existing directory, before any work."""
-    if target and Path(target).is_dir():
+def _check_out_path(target, what: str) -> None:
+    """Refuse, before any work, an output path that names an existing
+    directory or whose nearest existing ancestor is not a directory."""
+    if not target:
+        return
+    if Path(target).is_dir():
         raise RunConfigError(f"{what}: {target} is a directory")
+    parent = next(p for p in Path(target).absolute().parents if p.exists())
+    if not parent.is_dir():
+        raise RunConfigError(f"{what}: {target}: {parent} is not a directory")
 
 
 def _emit(line: str, out_path: Optional[str]) -> None:
@@ -263,7 +269,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_retrieval(args) -> int:
-    _refuse_directory(args.out, "--out")
+    _check_out_path(args.out, "--out")
     checkpoint, config, manifest, features = _load_split(args)
     word_table, caption_table = _load_text_tables(
         config, args.word_embeddings, args.caption_embeddings)
@@ -275,7 +281,7 @@ def cmd_eval_retrieval(args) -> int:
 
 
 def cmd_eval_captions(args) -> int:
-    _refuse_directory(args.out, "--out")
+    _check_out_path(args.out, "--out")
     scores = evaluate_captions(args.candidates, args.references, args.spice)
     _emit(scores.to_json(), args.out)
     return 0
@@ -296,7 +302,7 @@ def _read_query_vector(path: str) -> np.ndarray:
 
 
 def cmd_rank(args) -> int:
-    _refuse_directory(args.out, "--out")
+    _check_out_path(args.out, "--out")
     checkpoint, config, manifest, features = _load_split(args)
     word_table = None
     query_vector = None

@@ -111,7 +111,8 @@ class Conv1d:
     """Same-length conv along time: x (T, C_in) -> y (T, C_out).
 
     Odd kernel width k, zero padding (k-1)/2 each side. Implemented as
-    im2col + matmul; kernels[o, c, j] multiplies x[t - (k-1)/2 + j, c].
+    one product with the transposed im2col matrix, built a contiguous row
+    at a time; kernels[o, c, j] multiplies x[t - (k-1)/2 + j, c].
     The cache is x itself, not a copy: x must not be written before the
     backward that reads it.
     """
@@ -137,11 +138,14 @@ class Conv1d:
         t = x.shape[0]
         if x.ndim != 2 or x.shape[1] != c_in:
             raise NnetError(f"conv1d: input shape {x.shape}, expected (T, {c_in})")
-        xp = self._padded(x)
-        # windows[t, j, c] = xp[t + j, c]; flatten to (T, C_in*k) in (c, j) order
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (k, c_in)).reshape(t, k, c_in)
-        cols = windows.transpose(0, 2, 1).reshape(t, c_in * k)
-        y = cols @ self.kernels.data.reshape(c_out, c_in * k).T + self.bias.data
+        pad = (k - 1) // 2
+        xpt = np.zeros((c_in, t + 2 * pad), dtype=x.dtype)
+        xpt[:, pad : pad + t] = x.T
+        # the im2col matrix transposed, rows in (c, j) order: row (c, j) is
+        # xp[j : j + T, c], one contiguous run of the padded channel c
+        cols_t = np.lib.stride_tricks.sliding_window_view(xpt, t, axis=1).reshape(c_in * k, t)
+        y = cols_t.T @ self.kernels.data.reshape(c_out, c_in * k).T
+        y += self.bias.data
         return y, x
 
     def backward(self, cache, dy: np.ndarray) -> np.ndarray:
@@ -172,6 +176,8 @@ def _windows(x: np.ndarray, stride: int, fill: float) -> np.ndarray:
     T); a partial last window is padded with ``fill``."""
     t = x.shape[0]
     stride = min(stride, t)  # a window past the clip end holds the same frames
+    if t % stride == 0:
+        return x.reshape(-1, stride, x.shape[1])  # a view of a C-contiguous x
     padded = np.full((-(-t // stride) * stride, x.shape[1]), fill, dtype=x.dtype)
     padded[:t] = x
     return padded.reshape(-1, stride, x.shape[1])
@@ -246,14 +252,24 @@ class MeanPoolTime:
 # pack_padded_sequence (Packing), so each step's recurrent products are
 # small GEMMs over every running clip. Each cell holds only its gate
 # algebra; _Cell owns the time loops. sweep keeps gates and states as the
-# cache of sweep_backward, projecting the inputs in one GEMM ahead of the
-# loop (Appleyard et al. 2016, arXiv:1604.01946). mean_states, for
-# inference, projects _CHUNK_STEPS steps at a time and keeps only the
-# running state and a per-clip state sum, so no (rows, gates*H) buffer of a
-# whole split is alive. Each product takes one gate's (H, H) block of a
-# contiguous U^T: a transposed view costs several times more at a few rows,
-# and at 5 to 10 rows one (H, 4H) product takes up to twice as long as four
-# (H, H) ones (at 1 and 32 rows it is about 10% faster).
+# cache of sweep_backward, projecting the inputs ahead of the loop
+# (Appleyard et al. 2016, arXiv:1604.01946). mean_states, for inference,
+# projects _CHUNK_STEPS steps at a time and keeps only the running state and
+# a per-clip state sum, so no gate buffer of a whole split is alive.
+#
+# Pre-activations and gates are stored gate-major, (G, rows, H), so each
+# gate of each step is one contiguous (n, H) block: at n <= 32 running clips
+# a ufunc over a strided (n, H) column of a (rows, G*H) buffer costs 2 to 3
+# times as much. Each gate has its own input projection, recurrent, dW and
+# dU products, against a contiguous W^T or U^T of its own (at 5 to 10 rows
+# one (H, 4H) recurrent product takes up to twice as long as four (H, H)
+# ones, at 1 and 32 rows about 10% less). The input
+# gradients and the LSTM's dh stay one product over all the gates, put back
+# in (rows, G*H) order: per-gate products summed would round differently.
+# Each float is thus the sum of the same terms in the same order as with
+# row-major buffers (tests/oracles.py keeps those sweeps), and with OpenBLAS
+# on x86-64 it keeps its bits; the exception is a lone 1-step clip's input
+# projection, a matrix-vector product, which BLAS rounds by operand layout.
 # sweep_backward walks the steps back _CHUNK_STEPS at a time; each step
 # writes its pre-activation gradients over the gate cache it has consumed
 # and dU is summed per chunk, so the backward needs little memory beyond
@@ -261,6 +277,10 @@ class MeanPoolTime:
 # raises NnetError.
 
 _CHUNK_STEPS = 32
+# Rows per product of the input gradients: blocks of at least half this many
+# rows take the BLAS kernel that the whole product takes (a block of a few
+# rows may take a small-matrix kernel, which rounds otherwise).
+_DX_ROWS = 512
 
 
 class Packing:
@@ -279,6 +299,10 @@ class Packing:
         self.rank = np.empty(len(lengths), dtype=np.intp)
         self.rank[order] = np.arange(len(lengths))
         self.rows = [self.offs[:t] + j for t, j in zip(lengths, self.rank)]
+        # each row's predecessor, the row of the same rank one step earlier;
+        # a step-0 row names itself
+        step_of_row = np.repeat(np.arange(len(active)), active)
+        self._prev = np.arange(self.offs[-1]) - np.append(0, active)[step_of_row]
 
     def gather(self, seqs, first: int = 0, stop: int | None = None) -> np.ndarray:
         """Packed rows of steps first..stop-1 from per-clip (T_i, ...)
@@ -297,11 +321,9 @@ class Packing:
     def previous(self, packed: np.ndarray, first: int, stop: int) -> np.ndarray:
         """Each row's predecessor in its clip for steps first..stop-1; zero
         at step 0, the initial state."""
-        base = self.offs[first]
-        out = np.zeros((self.offs[stop] - base, packed.shape[1]), dtype=packed.dtype)
-        for t in range(max(first, 1), stop):
-            (lo, n), prev = self.steps[t], self.steps[t - 1][0]
-            out[lo - base : lo - base + n] = packed[prev : prev + n]
+        out = packed[self._prev[self.offs[first] : self.offs[stop]]]
+        if first == 0:
+            out[: self.offs[1]] = 0
         return out
 
 
@@ -312,40 +334,49 @@ def _stack(p: dict[str, Tensor], kind: str, gates) -> np.ndarray:
 class _Cell:
     """The time loops around a subclass's gate algebra, on n running clips.
 
-    step(pre, *states, uts) overwrites pre, the (n, gates*H) projections
+    step(pre, *states, uts) overwrites pre, the (G, n, H) projections
     W x + b, with the gates and updates the (n, H) rows of each of STATES
-    (STATES[0] is the output h) in place; uts are U^T's per-gate blocks.
-    chunk_backward(gates, *states, *prevs) takes a chunk's rows of the gates,
-    of each state and of its predecessor; it returns the coefficients that
-    do not depend on the incoming gradient and the dU blocks as (rows of dU,
-    input) pairs. step_backward(d, dh_t, *dstates, coefs, u) overwrites d, a
-    step's gates, with the pre-activation gradients and the carried state
-    gradients with the previous step's."""
+    (STATES[0] is the output h) in place; uts are the gates' U^T.
+    chunk_backward(gates, *states, *prevs) takes a chunk's (G, rows, H)
+    gates and its rows of each state and of its predecessor; it returns the
+    coefficients that do not depend on the incoming gradient, each indexed by
+    row on its second-to-last axis, and per gate the input that dU takes.
+    step_backward(d, dh_t, *dstates, coefs, u) overwrites d, a step's gates,
+    with the pre-activation gradients and the carried state gradients with
+    the previous step's."""
 
     def __init__(self, p: dict[str, Tensor]):
         self.p = p  # keys: w_<gate>, u_<gate>, b_<gate> for each gate
 
     def _start(self, batch: int):
-        """Stacked W^T and b, the per-gate blocks of a contiguous U^T, and a
-        zero state for a batch of clips."""
-        ut = np.ascontiguousarray(_stack(self.p, "u", self.GATES).T)
-        state = [np.zeros((batch, ut.shape[0]), dtype=ut.dtype) for _ in self.STATES]
-        return (_stack(self.p, "w", self.GATES).T, _stack(self.p, "b", self.GATES),
-                np.split(ut, len(self.GATES), axis=1), state)
+        """Per gate a contiguous W^T, b and a contiguous U^T, and a zero
+        state for a batch of clips."""
+        w_ts, uts = ([np.ascontiguousarray(self.p[f"{kind}_{gate}"].data.T) for gate in self.GATES]
+                     for kind in "wu")
+        state = [np.zeros((batch, uts[0].shape[0]), dtype=uts[0].dtype) for _ in self.STATES]
+        return w_ts, [self.p[f"b_{gate}"].data for gate in self.GATES], uts, state
+
+    @staticmethod
+    def _project(xs, w_ts, bs, out) -> np.ndarray:
+        """out[k] = xs W_k^T + b_k for each gate k; returns out."""
+        for pre, w_t, b in zip(out, w_ts, bs):
+            np.matmul(xs, w_t, out=pre)
+            pre += b
+        return out
 
     def sweep(self, seqs):
         """Run over a list of (T_i, in) sequences, each from a zero state;
         returns the list of (T_i, H) output states and the cache."""
         pack = Packing([x.shape[0] for x in seqs])
         xs = pack.gather(seqs)
-        w_t, b, uts, state = self._start(len(seqs))
-        # (N, len(GATES)*H) pre-activations, overwritten step by step with the gates
-        gates = xs @ w_t
-        gates += b
-        kept = [np.empty((gates.shape[0], s.shape[1]), dtype=gates.dtype) for s in state]
+        w_ts, bs, uts, state = self._start(len(seqs))
+        # (G, N, H) pre-activations, overwritten step by step with the gates
+        gates = self._project(xs, w_ts, bs, np.empty(
+            (len(bs), xs.shape[0], bs[0].size), dtype=np.result_type(xs, w_ts[0])))
+        kept = [np.empty((xs.shape[0], s.shape[1]), dtype=gates.dtype) for s in state]
         for lo, n in pack.steps:
             rows = [s[:n] for s in state]
-            self.step(gates[lo : lo + n], *rows, uts)
+            self.step(gates[:, lo : lo + n], *rows, uts)
             for k, r in zip(kept, rows):
                 k[lo : lo + n] = r
         return pack.unpack(kept[0]), [pack, xs, *kept, gates]
@@ -360,19 +391,19 @@ class _Cell:
         pad = np.zeros((max(x.shape[0] for x in seqs), seqs[0].shape[1]), dtype=seqs[0].dtype)
         seqs = [pad, *seqs]
         pack = Packing([x.shape[0] for x in seqs])
-        w_t, b, uts, state = self._start(len(seqs))
+        w_ts, bs, uts, state = self._start(len(seqs))
         total = np.zeros(state[0].shape)
         # one buffer for every chunk's projections: the first chunk has the most rows
-        buf = np.empty((pack.offs[min(_CHUNK_STEPS, len(pack.steps))], b.size), b.dtype)
+        buf = np.empty((len(bs), pack.offs[min(_CHUNK_STEPS, len(pack.steps))], bs[0].size),
+                       bs[0].dtype)
         for first in range(0, len(pack.steps), _CHUNK_STEPS):
             stop = min(first + _CHUNK_STEPS, len(pack.steps))
             base = pack.offs[first]
-            pre = np.matmul(pack.gather(seqs, first, stop), w_t,
-                            out=buf[: pack.offs[stop] - base])
-            pre += b
+            pre = self._project(pack.gather(seqs, first, stop), w_ts, bs,
+                                buf[:, : pack.offs[stop] - base])
             for lo, n in pack.steps[first:stop]:
                 rows = [s[:n] for s in state]
-                self.step(pre[lo - base : lo - base + n], *rows, uts)
+                self.step(pre[:, lo - base : lo - base + n], *rows, uts)
                 total[:n] += rows[0]
         lengths = np.array([x.shape[0] for x in seqs])
         return (total[pack.rank] / lengths[:, None]).astype(state[0].dtype)[1:]
@@ -386,27 +417,36 @@ class _Cell:
             raise NnetError("sweep cache already consumed by a backward pass")
         cache[-1] = None
         u = _stack(self.p, "u", self.GATES)
-        du = np.zeros_like(u)
+        dus = np.zeros((len(self.GATES), u.shape[1], u.shape[1]), dtype=u.dtype)
         carried = [np.zeros((len(pack.rows), u.shape[1]), dtype=gates.dtype) for _ in kept]
         for stop in range(len(pack.steps), 0, -_CHUNK_STEPS):
             first = max(stop - _CHUNK_STEPS, 0)
             base, end = pack.offs[first], pack.offs[stop]
-            dpre = gates[base:end]
-            coefs, du_blocks = self.chunk_backward(
+            dpre = gates[:, base:end]
+            coefs, du_inputs = self.chunk_backward(
                 dpre, *[s[base:end] for s in kept], *[pack.previous(s, first, stop) for s in kept])
             dst = pack.gather(dstates, first, stop)
             for t in range(stop - 1, first - 1, -1):
                 lo, n = pack.steps[t]
                 at = slice(lo - base, lo - base + n)
                 rows = [c[:n] for c in carried]
-                self.step_backward(dpre[at], dst[at] + rows[0], *rows, [c[at] for c in coefs], u)
-            for block, prev in du_blocks:
-                du[block] += dpre[:, block].T @ prev
-            del coefs, du_blocks, prev  # freed before the next chunk builds its own
-        for kind, grad in (("w", gates.T @ xs), ("u", du), ("b", gates.sum(axis=0))):
-            for gate, part in zip(self.GATES, np.split(grad, len(self.GATES))):
-                self.p[f"{kind}_{gate}"].accumulate(part)
-        return pack.unpack(gates @ _stack(self.p, "w", self.GATES))
+                self.step_backward(dpre[:, at], dst[at] + rows[0], *rows,
+                                   [c[..., at, :] for c in coefs], u)
+            for du, d, prev in zip(dus, dpre, du_inputs):
+                du += d.T @ prev
+            del coefs, du_inputs, prev  # freed before the next chunk builds its own
+        for k, gate in enumerate(self.GATES):
+            self.p[f"w_{gate}"].accumulate(gates[k].T @ xs)
+            self.p[f"u_{gate}"].accumulate(dus[k])
+            self.p[f"b_{gate}"].accumulate(gates[k].sum(axis=0))
+        # d(xs): per block of rows one product over the gates in (rows, G*H) order
+        w = _stack(self.p, "w", self.GATES)
+        dxs = np.empty((xs.shape[0], w.shape[1]), dtype=np.result_type(gates, w))
+        parts = -(-len(dxs) // _DX_ROWS)
+        edges = [len(dxs) * i // parts for i in range(parts + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            np.matmul(gates[:, lo:hi].transpose(1, 0, 2).reshape(hi - lo, -1), w, out=dxs[lo:hi])
+        return pack.unpack(dxs)
 
 
 class GRUCell(_Cell):
@@ -425,37 +465,40 @@ class GRUCell(_Cell):
 
     @staticmethod
     def step(pre, h, uts) -> None:
-        hidden = h.shape[1]
         ut_z, ut_r, ut_h = uts
-        zr, h_tilde = pre[:, : 2 * hidden], pre[:, 2 * hidden :]
-        z, r = zr[:, :hidden], zr[:, hidden:]
+        z, r, h_tilde = pre
         z += h @ ut_z
         r += h @ ut_r
-        _sigmoid(zr, out=zr)
+        _sigmoid(pre[:2], out=pre[:2])
         h_tilde += (r * h) @ ut_h
         np.tanh(h_tilde, out=h_tilde)
-        h[:] = (1.0 - z) * h + z * h_tilde
+        z_h_tilde = z * h_tilde  # h' = (1-z)*h + z*h~, written in place
+        h *= 1.0 - z
+        h += z_h_tilde
 
     @staticmethod
     def chunk_backward(gates, h, h_prev):
-        z, r, h_tilde = np.split(gates, 3, axis=1)
+        z, r, h_tilde = gates
         r = r.copy()  # step_backward writes dr over r
         rh_prev = r * h_prev
         coefs = [(h_tilde - h_prev) * z * (1.0 - z), rh_prev * (1.0 - r),
                  z * (1.0 - h_tilde * h_tilde), 1.0 - z, r]
-        zr = slice(0, 2 * z.shape[1])  # z|r against h_prev, h~ against r*h_prev
-        return coefs, [(zr, h_prev), (slice(zr.stop, None), rh_prev)]
+        return coefs, [h_prev, h_prev, rh_prev]  # h~ against r*h_prev
 
     @staticmethod
     def step_backward(d, dh_t, dh, coefs, u) -> None:
         hidden = dh.shape[1]
         coef_z, coef_r, coef_h, coef_keep, r = coefs
-        dz, dr, dht = d[:, :hidden], d[:, hidden : 2 * hidden], d[:, 2 * hidden :]
+        dz, dr, dht = d
         np.multiply(dh_t, coef_z, out=dz)
         np.multiply(dh_t, coef_h, out=dht)
         drh = dht @ u[2 * hidden :]
         np.multiply(drh, coef_r, out=dr)
-        dh[:] = dh_t * coef_keep + drh * r + dz @ u[:hidden] + dr @ u[hidden : 2 * hidden]
+        # summed left to right, as dh_t * coef_keep + drh * r + dz U_z + dr U_r
+        np.multiply(dh_t, coef_keep, out=dh)
+        dh += drh * r
+        dh += dz @ u[:hidden]
+        dh += dr @ u[hidden : 2 * hidden]
 
 
 class LSTMCell(_Cell):
@@ -473,34 +516,35 @@ class LSTMCell(_Cell):
 
     @staticmethod
     def step(pre, h, c, uts) -> None:
-        hidden = h.shape[1]
-        for k, ut in enumerate(uts):
-            pre[:, k * hidden : (k + 1) * hidden] += h @ ut
-        ifo, g = pre[:, : 3 * hidden], pre[:, 3 * hidden :]
-        _sigmoid(ifo, out=ifo)
+        for pre_k, ut in zip(pre, uts):
+            pre_k += h @ ut
+        i, f, o, g = pre
+        _sigmoid(pre[:3], out=pre[:3])
         np.tanh(g, out=g)
-        c[:] = ifo[:, hidden : 2 * hidden] * c + ifo[:, :hidden] * g
-        h[:] = ifo[:, 2 * hidden :] * np.tanh(c)
+        c *= f
+        c += i * g
+        np.tanh(c, out=h)
+        h *= o
 
     @staticmethod
     def chunk_backward(gates, h, c, h_prev, c_prev):
-        i, f, o, g = np.split(gates, 4, axis=1)
+        i, f, o, g = gates
         tanh_c = np.tanh(c)
         # dpre = coef * (dc, dc, dh, dc) gate by gate, dc += dh * coef_c
         coef = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                         tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+                         tanh_c * o * (1.0 - o), i * (1.0 - g * g)])
         # f is copied because step_backward writes df over it
-        return [coef, o * (1.0 - tanh_c * tanh_c), f.copy()], [(slice(None), h_prev)]
+        return [coef, o * (1.0 - tanh_c * tanh_c), f.copy()], [h_prev] * 4
 
     @staticmethod
     def step_backward(d, dh_t, dh, dc, coefs, u) -> None:
         coef, coef_c, f = coefs
         dc += dh_t * coef_c
-        d_gates = d.reshape(coef.shape)  # a view: d is a run of whole rows
-        np.multiply(coef, dc[:, None], out=d_gates)
-        np.multiply(coef[:, 2], dh_t, out=d_gates[:, 2])
+        np.multiply(coef, dc, out=d)
+        np.multiply(coef[2], dh_t, out=d[2])
         dc *= f
-        dh[:] = d @ u
+        # one product over the gates in (n, G*H) order, as the input gradient
+        dh[:] = d.transpose(1, 0, 2).reshape(len(dh), -1) @ u
 
 
 # ---------------------------------------------------------------------------

@@ -684,6 +684,180 @@ class LSTMCellReference:
 
 
 # ---------------------------------------------------------------------------
+# recurrent cells on row-major gate buffers
+#
+# The packed sweeps of audiotext.nnet.layers before they stored their
+# pre-activations and gates gate-major: here each packed row holds all of a
+# step's gates side by side in one (rows, G*H) buffer, so a gate of a step is
+# a strided (n, H) view, and the input projection, dW and the input gradient
+# are one product each over all the gates. The gate-major sweeps must match
+# these bit for bit in float32. They share the package's row layout
+# (Packing), which has tests of its own.
+
+
+def _sigmoid_row_major(x, out=None):
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _stack_row_major(p, kind, gates):
+    return np.concatenate([p[f"{kind}_{gate}"].data for gate in gates])
+
+
+class _RowMajorCell:
+    CHUNK_STEPS = 32
+
+    def __init__(self, p):
+        self.p = p
+
+    def _start(self, batch):
+        ut = np.ascontiguousarray(_stack_row_major(self.p, "u", self.GATES).T)
+        state = [np.zeros((batch, ut.shape[0]), dtype=ut.dtype) for _ in self.STATES]
+        return (_stack_row_major(self.p, "w", self.GATES).T, _stack_row_major(self.p, "b", self.GATES),
+                np.split(ut, len(self.GATES), axis=1), state)
+
+    def sweep(self, seqs):
+        from audiotext.nnet.layers import Packing
+
+        pack = Packing([x.shape[0] for x in seqs])
+        xs = pack.gather(seqs)
+        w_t, b, uts, state = self._start(len(seqs))
+        gates = xs @ w_t
+        gates += b
+        kept = [np.empty((gates.shape[0], s.shape[1]), dtype=gates.dtype) for s in state]
+        for lo, n in pack.steps:
+            rows = [s[:n] for s in state]
+            self.step(gates[lo : lo + n], *rows, uts)
+            for k, r in zip(kept, rows):
+                k[lo : lo + n] = r
+        return pack.unpack(kept[0]), [pack, xs, *kept, gates]
+
+    def mean_states(self, seqs):
+        from audiotext.nnet.layers import Packing
+
+        pad = np.zeros((max(x.shape[0] for x in seqs), seqs[0].shape[1]), dtype=seqs[0].dtype)
+        seqs = [pad, *seqs]
+        pack = Packing([x.shape[0] for x in seqs])
+        w_t, b, uts, state = self._start(len(seqs))
+        total = np.zeros(state[0].shape)
+        chunk = self.CHUNK_STEPS
+        buf = np.empty((pack.offs[min(chunk, len(pack.steps))], b.size), b.dtype)
+        for first in range(0, len(pack.steps), chunk):
+            stop = min(first + chunk, len(pack.steps))
+            base = pack.offs[first]
+            pre = np.matmul(pack.gather(seqs, first, stop), w_t,
+                            out=buf[: pack.offs[stop] - base])
+            pre += b
+            for lo, n in pack.steps[first:stop]:
+                rows = [s[:n] for s in state]
+                self.step(pre[lo - base : lo - base + n], *rows, uts)
+                total[:n] += rows[0]
+        lengths = np.array([x.shape[0] for x in seqs])
+        return (total[pack.rank] / lengths[:, None]).astype(state[0].dtype)[1:]
+
+    def sweep_backward(self, cache, dstates):
+        pack, xs, *kept, gates = cache
+        cache[-1] = None
+        u = _stack_row_major(self.p, "u", self.GATES)
+        du = np.zeros_like(u)
+        carried = [np.zeros((len(pack.rows), u.shape[1]), dtype=gates.dtype) for _ in kept]
+        for stop in range(len(pack.steps), 0, -self.CHUNK_STEPS):
+            first = max(stop - self.CHUNK_STEPS, 0)
+            base, end = pack.offs[first], pack.offs[stop]
+            dpre = gates[base:end]
+            coefs, du_blocks = self.chunk_backward(
+                dpre, *[s[base:end] for s in kept], *[pack.previous(s, first, stop) for s in kept])
+            dst = pack.gather(dstates, first, stop)
+            for t in range(stop - 1, first - 1, -1):
+                lo, n = pack.steps[t]
+                at = slice(lo - base, lo - base + n)
+                rows = [c[:n] for c in carried]
+                self.step_backward(dpre[at], dst[at] + rows[0], *rows, [c[at] for c in coefs], u)
+            for block, prev in du_blocks:
+                du[block] += dpre[:, block].T @ prev
+        for kind, grad in (("w", gates.T @ xs), ("u", du), ("b", gates.sum(axis=0))):
+            for gate, part in zip(self.GATES, np.split(grad, len(self.GATES))):
+                self.p[f"{kind}_{gate}"].accumulate(part)
+        return pack.unpack(gates @ _stack_row_major(self.p, "w", self.GATES))
+
+
+class RowMajorGRUCell(_RowMajorCell):
+    GATES = ("z", "r", "h")
+    STATES = ("h",)
+
+    @staticmethod
+    def step(pre, h, uts):
+        hidden = h.shape[1]
+        ut_z, ut_r, ut_h = uts
+        zr, h_tilde = pre[:, : 2 * hidden], pre[:, 2 * hidden :]
+        z, r = zr[:, :hidden], zr[:, hidden:]
+        z += h @ ut_z
+        r += h @ ut_r
+        _sigmoid_row_major(zr, out=zr)
+        h_tilde += (r * h) @ ut_h
+        np.tanh(h_tilde, out=h_tilde)
+        h[:] = (1.0 - z) * h + z * h_tilde
+
+    @staticmethod
+    def chunk_backward(gates, h, h_prev):
+        z, r, h_tilde = np.split(gates, 3, axis=1)
+        r = r.copy()
+        rh_prev = r * h_prev
+        coefs = [(h_tilde - h_prev) * z * (1.0 - z), rh_prev * (1.0 - r),
+                 z * (1.0 - h_tilde * h_tilde), 1.0 - z, r]
+        zr = slice(0, 2 * z.shape[1])
+        return coefs, [(zr, h_prev), (slice(zr.stop, None), rh_prev)]
+
+    @staticmethod
+    def step_backward(d, dh_t, dh, coefs, u):
+        hidden = dh.shape[1]
+        coef_z, coef_r, coef_h, coef_keep, r = coefs
+        dz, dr, dht = d[:, :hidden], d[:, hidden : 2 * hidden], d[:, 2 * hidden :]
+        np.multiply(dh_t, coef_z, out=dz)
+        np.multiply(dh_t, coef_h, out=dht)
+        drh = dht @ u[2 * hidden :]
+        np.multiply(drh, coef_r, out=dr)
+        dh[:] = dh_t * coef_keep + drh * r + dz @ u[:hidden] + dr @ u[hidden : 2 * hidden]
+
+
+class RowMajorLSTMCell(_RowMajorCell):
+    GATES = ("i", "f", "o", "g")
+    STATES = ("h", "c")
+
+    @staticmethod
+    def step(pre, h, c, uts):
+        hidden = h.shape[1]
+        for k, ut in enumerate(uts):
+            pre[:, k * hidden : (k + 1) * hidden] += h @ ut
+        ifo, g = pre[:, : 3 * hidden], pre[:, 3 * hidden :]
+        _sigmoid_row_major(ifo, out=ifo)
+        np.tanh(g, out=g)
+        c[:] = ifo[:, hidden : 2 * hidden] * c + ifo[:, :hidden] * g
+        h[:] = ifo[:, 2 * hidden :] * np.tanh(c)
+
+    @staticmethod
+    def chunk_backward(gates, h, c, h_prev, c_prev):
+        i, f, o, g = np.split(gates, 4, axis=1)
+        tanh_c = np.tanh(c)
+        coef = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                         tanh_c * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        return [coef, o * (1.0 - tanh_c * tanh_c), f.copy()], [(slice(None), h_prev)]
+
+    @staticmethod
+    def step_backward(d, dh_t, dh, dc, coefs, u):
+        coef, coef_c, f = coefs
+        dc += dh_t * coef_c
+        d_gates = d.reshape(coef.shape)
+        np.multiply(coef, dc[:, None], out=d_gates)
+        np.multiply(coef[:, 2], dh_t, out=d_gates[:, 2])
+        dc *= f
+        dh[:] = d @ u
+
+
+# ---------------------------------------------------------------------------
 # time pools, one window at a time
 
 
@@ -739,7 +913,8 @@ def mean_pool_time_backward_reference(t, stride, dy):
 # reads: the conv kept its (T, C_in*k) im2col copy, an activation its input
 # and output, the max pool an intp flat index per output. Each forward
 # returns (y, cache); each backward returns the input gradient, the conv's
-# also its kernel and bias gradients.
+# also its kernel and bias gradients. The conv's forward is also the body
+# Conv1d.forward had before it built the im2col matrix transposed.
 
 
 def conv1d_im2col_reference(x, kernels, bias):

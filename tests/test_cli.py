@@ -818,6 +818,44 @@ def test_output_path_that_is_a_directory_is_refused_before_any_work(tmp_path, mo
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["train:checkpoint", "eval-retrieval", "eval-captions",
+                                     "rank"])
+def test_output_path_under_a_file_is_refused_before_any_work(tmp_path, monkeypatch, command):
+    ds = make_dataset(tmp_path / "data")
+    afile = tmp_path / "afile"
+    afile.write_text("taken\n", encoding="utf-8")
+    target = afile / "sub" / "x.json"
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    for name in ("train", "load_captions", "load_checkpoint", "evaluate_captions"):
+        monkeypatch.setattr(cli, name, never)
+    if command.startswith("train"):
+        cfg = base_config_dict(ds, tmp_path / "run")
+        cfg["out"]["checkpoint"] = str(target)
+        argv = ["train", "--config", str(write_config(tmp_path / "run.json", cfg))]
+        what = "out.checkpoint"
+    elif command == "eval-captions":
+        argv = ["eval-captions", "--candidates", str(ds["val_csv"]),
+                "--references", str(ds["val_csv"]), "--out", str(target)]
+        what = "--out"
+    else:
+        argv = [command, "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
+                "--features-dir", str(ds["feats"]), "--feature-kind", "external",
+                "--word-embeddings", str(ds["words"]), "--out", str(target)]
+        argv += ["--query", "w0"] if command == "rank" else []
+        what = "--out"
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and err.startswith("error:") and err.endswith("\n")
+    assert f"{what}: {target}: {afile} is not a directory" in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert afile.read_text(encoding="utf-8") == "taken\n"
+
+
 def test_eval_captions_rejects_uncovered_candidates(tmp_path):
     refs_csv = write_caption_csv(
         tmp_path / "refs.csv",

@@ -27,6 +27,7 @@ from audiotext.nnet.layers import (
     NnetError,
     Packing,
     Projection,
+    _windows,
 )
 from audiotext.nnet.model import (
     _ENCODE_GROUP,
@@ -53,6 +54,8 @@ from helpers import (
 from oracles import (
     GRUCellReference,
     LSTMCellReference,
+    RowMajorGRUCell,
+    RowMajorLSTMCell,
     activation_backward_reference,
     activation_reference,
     conv1d_im2col_backward_reference,
@@ -379,6 +382,75 @@ def test_packed_sweep_matches_per_step_oracle_clip_by_clip(packed_cls, reference
                                    rtol=1e-12, atol=1e-12, err_msg=name)
 
 
+def test_packing_previous_is_the_row_one_step_earlier():
+    lengths = [33, 70, 1, 32, 64, 70]
+    pack = Packing(lengths)
+    packed = np.random.default_rng(8).normal(size=(sum(lengths), 2))
+    for first, stop in [(0, 70), (0, 1), (1, 2), (6, 38), (38, 70), (69, 70)]:
+        want = np.zeros((pack.offs[stop] - pack.offs[first], 2))
+        for t in range(max(first, 1), stop):
+            (lo, n), prev = pack.steps[t], pack.steps[t - 1][0]
+            want[lo - pack.offs[first] : lo - pack.offs[first] + n] = packed[prev : prev + n]
+        assert np.array_equal(pack.previous(packed, first, stop), want), (first, stop)
+
+
+# Clip lengths in steps of the float32 paper-width sweeps: a lone clip over
+# three backward chunks, equal lengths (33 steps leave a last chunk of one
+# step), 1-step clips among longer ones, and 10 and 33 clips. A lone 1-step
+# clip is left out: its one-row input projection is a matrix-vector product,
+# which BLAS rounds by operand layout.
+_PAPER_WIDTH_LENGTHS = {
+    "1_clip": [70],
+    "2_equal": [33, 33],
+    "2_with_1_step": [1, 45],
+    "10_clips": [5, 1, 9, 3, 40, 40, 2, 1, 64, 33],
+    "33_clips": [1, 1, 33, 33, *np.random.default_rng(33).integers(1, 90, 29).tolist()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PAPER_WIDTH_LENGTHS))
+@pytest.mark.parametrize("cell_cls, oracle_cls", [(GRUCell, RowMajorGRUCell),
+                                                  (LSTMCell, RowMajorLSTMCell)],
+                         ids=["gru", "lstm"])
+def test_gate_major_sweeps_match_row_major_oracle_bitwise(cell_cls, oracle_cls, case):
+    # float32 at F = 64, H = 300: the gate-major buffers change where each
+    # float is stored, not how it is computed. Like the group-independence
+    # test of encode, this rests on OpenBLAS on x86-64 rounding a per-gate
+    # block of a product as it rounds those columns of the whole product.
+    lengths = _PAPER_WIDTH_LENGTHS[case]
+    rng = np.random.default_rng(len(lengths))
+    raw = {k: (t.data * 0.1).astype(np.float32)
+           for k, t in _random_cell_params(rng, cell_cls.GATES, 64, 300).items()}
+    xs = [rng.normal(size=(t, 64)).astype(np.float32) for t in lengths]
+    dstates = [rng.normal(size=(t, 300)).astype(np.float32) for t in lengths]
+    results = []
+    for cls in (cell_cls, oracle_cls):
+        params = {k: Tensor(v.copy()) for k, v in raw.items()}
+        cell = cls(params)
+        states, cache = cell.sweep(xs)
+        dxs = cell.sweep_backward(cache, dstates)
+        results.append((states, dxs, cell.mean_states(xs), {k: t.grad for k, t in params.items()}))
+    (states, dxs, means, grads), (ref_states, ref_dxs, ref_means, ref_grads) = results
+    assert states[0].dtype == dxs[0].dtype == means.dtype == np.float32
+    for i in range(len(lengths)):
+        assert np.array_equal(states[i], ref_states[i]), f"states of clip {i}"
+        assert np.array_equal(dxs[i], ref_dxs[i]), f"dx of clip {i}"
+    assert np.array_equal(means, ref_means)
+    for name in raw:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_gate_major_mean_states_of_a_lone_1_step_clip_match_row_major_oracle_bitwise():
+    rng = np.random.default_rng(1)
+    for cell_cls, oracle_cls in ((GRUCell, RowMajorGRUCell), (LSTMCell, RowMajorLSTMCell)):
+        raw = {k: (t.data * 0.1).astype(np.float32)
+               for k, t in _random_cell_params(rng, cell_cls.GATES, 64, 300).items()}
+        xs = [rng.normal(size=(1, 64)).astype(np.float32)]
+        means = [cls({k: Tensor(v) for k, v in raw.items()}).mean_states(xs)
+                 for cls in (cell_cls, oracle_cls)]
+        assert np.array_equal(*means), cell_cls.__name__
+
+
 _POOL_CASES = {
     "ties": (np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0], [3.0, 0.0], [3.0, 5.0]]), 2),
     "t_below_stride": (np.array([[0.5, -1.0], [2.0, -3.0]]), 4),
@@ -448,6 +520,28 @@ def test_conv1d_matches_im2col_oracle(t, dtype):
         bound = t * np.finfo(dtype).eps * (np.abs(dy).T @ np.abs(ref_cache[0]))
         assert layer.kernels.grad.dtype == dtype
         assert (np.abs(layer.kernels.grad - ref_dk) <= bound.reshape(ref_dk.shape)).all(), (k, c_in)
+
+
+@pytest.mark.parametrize("t", [300, 563, 1125])
+def test_conv1d_forward_matches_im2col_oracle_bitwise_at_paper_width(t):
+    # 64 channels at the benchmark's clip lengths. At 64 channels and fewer
+    # than about 20 frames OpenBLAS takes a small-matrix kernel, which rounds
+    # the transposed columns' product unlike the im2col one.
+    rng = np.random.default_rng(t)
+    for k, c_in in itertools.product((1, 3, 5), (1, 3, 64)):
+        kernels = rng.normal(size=(64, c_in, k)).astype(np.float32)
+        bias = rng.normal(size=64).astype(np.float32)
+        x = rng.normal(size=(t, c_in)).astype(np.float32)
+        y, _ = Conv1d(Tensor(kernels), Tensor(bias)).forward(x)
+        ref_y, _ = conv1d_im2col_reference(x, kernels, bias)
+        assert y.dtype == np.float32 and np.array_equal(y, ref_y), (k, c_in)
+
+
+def test_pool_windows_are_a_view_when_the_stride_divides_the_clip():
+    x = np.arange(24.0).reshape(12, 2)
+    for stride in (1, 3, 12, 50):
+        assert np.shares_memory(_windows(x, stride, -np.inf), x), stride
+    assert not np.shares_memory(_windows(x, 5, -np.inf), x)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
