@@ -21,6 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .corpus import (
+    FEATURE_KINDS,
+    SPLITS,
     CorpusError,
     FeatureDirectory,
     atomic_write,
@@ -44,11 +46,10 @@ _ERRORS = (CorpusError, DspError, NnetError, LossError, OptimError,
            RetrievalError, MetricError, CheckpointError, OSError, UnicodeDecodeError)
 
 _TOP_KEYS = {"seed", "model", "train", "data", "scorer", "out"}
-_PATH_KEYS = ("train_captions", "val_captions", "features_dir",
-              "word_embeddings", "caption_embeddings")
+_REQUIRED_DATA = ("train_captions", "val_captions", "features_dir")
+_PATH_KEYS = (*_REQUIRED_DATA, "word_embeddings", "caption_embeddings")
 _DATA_KEYS = {*_PATH_KEYS, "feature_kind"}
 _OUT_KEYS = ("checkpoint", "epoch_log")
-_FEATURE_KINDS = ("log_mel_64", "external")
 
 
 class RunConfigError(ValueError):
@@ -123,13 +124,13 @@ def load_run_config(path: str | Path) -> RunConfig:
     unknown = set(data) - _DATA_KEYS
     if unknown:
         raise RunConfigError(f"{path}: data: unknown keys {sorted(unknown)}")
-    for key in ("train_captions", "val_captions", "features_dir"):
+    for key in _REQUIRED_DATA:
         if key not in data:
             raise RunConfigError(f"{path}: data.{key}: required")
     feature_kind = data.get("feature_kind", "log_mel_64")
-    if feature_kind not in _FEATURE_KINDS:
+    if feature_kind not in FEATURE_KINDS:
         raise RunConfigError(
-            f"{path}: data.feature_kind: {feature_kind!r} not in {_FEATURE_KINDS}")
+            f"{path}: data.feature_kind: {feature_kind!r} not in {FEATURE_KINDS}")
     word_embeddings = data.get("word_embeddings")
     caption_embeddings = data.get("caption_embeddings")
     if model.text_mode == "word_average" and word_embeddings is None:
@@ -152,10 +153,11 @@ def load_run_config(path: str | Path) -> RunConfig:
     for key in _OUT_KEYS:
         if key not in out:
             raise RunConfigError(f"{path}: out.{key}: required")
-    for section, keys in (("data", _PATH_KEYS), ("out", _OUT_KEYS)):
+    for section, keys, required in (("data", _PATH_KEYS, _REQUIRED_DATA),
+                                    ("out", _OUT_KEYS, _OUT_KEYS)):
         for key in keys:
             value = raw[section].get(key)
-            if (value is not None or section == "out") and not isinstance(value, str):
+            if (value is not None or key in required) and not isinstance(value, str):
                 raise RunConfigError(
                     f"{path}: {section}.{key}: must be a path string, got {value!r}")
     for key in _OUT_KEYS:
@@ -346,10 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-dir", required=True)
     p.add_argument("--word-embeddings")
     p.add_argument("--caption-embeddings")
-    p.add_argument("--feature-kind", choices=_FEATURE_KINDS, default="log_mel_64")
+    p.add_argument("--feature-kind", choices=FEATURE_KINDS, default="log_mel_64")
     p.add_argument("--scorer", choices=SCORERS)
-    p.add_argument("--split", default="evaluation",
-                   choices=("development", "validation", "evaluation"))
+    p.add_argument("--split", default="evaluation", choices=SPLITS)
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_eval_retrieval)
 
@@ -368,10 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--word-embeddings")
     p.add_argument("--query-vector", help="vector file for sentence_table checkpoints")
-    p.add_argument("--feature-kind", choices=_FEATURE_KINDS, default="log_mel_64")
+    p.add_argument("--feature-kind", choices=FEATURE_KINDS, default="log_mel_64")
     p.add_argument("--scorer", choices=SCORERS)
-    p.add_argument("--split", default="evaluation",
-                   choices=("development", "validation", "evaluation"))
+    p.add_argument("--split", default="evaluation", choices=SPLITS)
     p.add_argument("--out", help="also write the ranking to this path")
     p.set_defaults(func=cmd_rank)
     return parser

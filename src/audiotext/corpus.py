@@ -38,6 +38,8 @@ from pathlib import Path
 import numpy as np
 
 CAPTIONS_PER_AUDIO = 5
+SPLITS = ("development", "validation", "evaluation")
+FEATURE_KINDS = ("log_mel_64", "external")
 _CAPTION_INDICES = range(1, CAPTIONS_PER_AUDIO + 1)
 _CSV_HEADER = ["file_name"] + [f"caption_{i}" for i in _CAPTION_INDICES]
 # UTF-8 byte -> itself for the token bytes [a-z0-9'], else a space; every
@@ -78,7 +80,7 @@ class FeatureSequence:
     """Time-major T x F matrix of audio frame features."""
 
     frames: np.ndarray  # float32, shape (T, F)
-    feature_kind: str  # "log_mel_64" or "external"
+    feature_kind: str  # one of FEATURE_KINDS
     source_file: str
 
     def __post_init__(self):
@@ -88,7 +90,7 @@ class FeatureSequence:
         if not np.isfinite(frames).all():
             raise CorpusError(f"non-finite value in features from {self.source_file!r}")
         object.__setattr__(self, "frames", frames)
-        if self.feature_kind not in ("log_mel_64", "external"):
+        if self.feature_kind not in FEATURE_KINDS:
             raise CorpusError(f"unknown feature_kind {self.feature_kind!r}")
 
 
@@ -132,7 +134,7 @@ class ManifestItem:
 class DatasetManifest:
     """One split's audio clips, each with the captions that describe it."""
 
-    split: str  # development | validation | evaluation
+    split: str  # one of SPLITS
     items: tuple[ManifestItem, ...]
 
 
@@ -526,7 +528,7 @@ def build_manifest(
     equal. Missing feature files are reported all at once. A split without
     clips is an error, as no command can use one.
     """
-    if split not in ("development", "validation", "evaluation"):
+    if split not in SPLITS:
         raise CorpusError(f"unknown split {split!r}")
     if not captions:
         raise CorpusError(f"no clips in the {split} split")

@@ -146,17 +146,17 @@ def mel_filterbank(
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_bins, dtype=np.float64) * sample_rate / n_fft
 
-    weights = np.zeros((n_mels, n_bins), dtype=np.float64)
-    for m in range(n_mels):
-        left, center, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        rising = (bin_freqs - left) / (center - left)
-        falling = (right - bin_freqs) / (right - center)
-        weights[m] = np.maximum(0.0, np.minimum(rising, falling))
-        if not (weights[m] > 0).any():
-            raise DspError(
-                f"mel filter {m} has empty support; n_fft={n_fft} is too small "
-                f"for {n_mels} bands over [{f_min}, {f_max}] Hz"
-            )
+    # band m rises over [hz[m], hz[m+1]] and falls over [hz[m+1], hz[m+2]]
+    left, center, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    rising = (bin_freqs - left) / (center - left)
+    falling = (right - bin_freqs) / (right - center)
+    weights = np.maximum(0.0, np.minimum(rising, falling))
+    empty = ~(weights > 0).any(axis=1)
+    if empty.any():
+        raise DspError(
+            f"mel filter {int(np.argmax(empty))} has empty support; n_fft={n_fft} is too "
+            f"small for {n_mels} bands over [{f_min}, {f_max}] Hz"
+        )
     return MelFilterbank(
         weights=weights, n_mels=n_mels, f_min=float(f_min), f_max=float(f_max),
         center_freqs=hz_points[1:-1].copy(),
@@ -196,9 +196,7 @@ def log_mel_features(
     n = len(wave.samples)
     t_frames = frame_count(n, win, hop)
 
-    n_fft = 1
-    while n_fft < win:
-        n_fft *= 2
+    n_fft = 1 << (win - 1).bit_length()  # the least power of two >= win
     fb = mel_filterbank(sr, n_fft, n_mels, f_min, f_max)
 
     window = np.hanning(win)

@@ -101,7 +101,7 @@ def triplet_margin_grads(s_pos: float, s_neg_text: float, s_neg_audio: float,
     return -(i_text + i_audio), i_text, i_audio
 
 
-def sample_imposters(batch: Sequence[tuple[str, str]], anchor_index: int,
+def sample_imposters(batch: Sequence[tuple[str, object]], anchor_index: int,
                      rng: SplitMix64) -> tuple[int, int]:
     """Draw (text_imposter, audio_imposter) positions for one anchor.
 

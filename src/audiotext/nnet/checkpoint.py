@@ -65,8 +65,12 @@ def _check_parameter_list(path, header) -> list[tuple[str, tuple[int, ...]]]:
     returns that list."""
     try:
         expected = parameter_shapes(ModelConfig.from_dict(header["config"]))
-        found = [(entry["name"], tuple(int(s) for s in entry["shape"]))
-                 for entry in header["parameters"]]
+        found = [(entry["name"], entry["shape"]) for entry in header["parameters"]]
+        for name, shape in found:  # a bool is not an int here
+            if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+                raise ValueError(f"parameter {name!r}: shape must be a list of "
+                                 f"non-negative integers, got {shape!r}")
+        found = [(name, tuple(shape)) for name, shape in found]
     except (KeyError, TypeError, ValueError) as e:  # ValueError covers NnetError
         raise CheckpointError(f"{path}: invalid config or parameter list: {e}") from e
     found_names = [name for name, _ in found]

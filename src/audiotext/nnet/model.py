@@ -149,15 +149,15 @@ class ModelConfig:
             raise NnetError(f"text_mode must be word_average|sentence_table, got {self.text_mode!r}")
         if self.loss not in ("triplet", "bce_expdist"):
             raise NnetError(f"loss must be triplet|bce_expdist, got {self.loss!r}")
-        if not self.margin > 0:  # NaN fails too
-            raise NnetError(f"margin must be positive, got {self.margin}")
-        if not self.lr > 0:
-            raise NnetError(f"lr must be positive, got {self.lr}")
+        for name in ("margin", "lr", "adam_eps"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails too
+                raise NnetError(f"{name} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise NnetError(f"{name} must be finite, got {value}")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise NnetError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise NnetError(f"adam_eps must be positive, got {self.adam_eps}")
 
         cur = self.feature_dim
         for i, spec in enumerate(self.audio_tower):

@@ -36,6 +36,7 @@ from .retrieval import build_score_matrix, report_from_matrix, RetrievalReport
 from .rng import SplitMix64
 
 EPOCH_LOG_HEADER = "epoch,train_loss,val_R1,val_R5,val_R10,val_mAP10,lr"
+PLATEAU_THRESHOLD = 1e-6  # the least rise in the metric that counts as improvement
 
 
 class OptimError(ValueError):
@@ -69,6 +70,8 @@ class TrainConfig:
             raise OptimError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         if not self.min_lr > 0.0:  # NaN fails too
             raise OptimError(f"min_lr must be positive, got {self.min_lr}")
+        if not np.isfinite(self.min_lr):
+            raise OptimError(f"min_lr must be finite, got {self.min_lr}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
@@ -139,7 +142,6 @@ class PlateauState:
     factor: float = 0.5
     patience: int = 5
     min_lr: float = 1e-6
-    threshold: float = 1e-6
     best: float = float("-inf")
     epochs_since_improve: int = 0
 
@@ -147,11 +149,11 @@ class PlateauState:
 def plateau_update(state: PlateauState, metric: float, lr: float) -> float:
     """Advance the scheduler by one epoch and return the new LR.
 
-    Improvement means metric > best + threshold; after `patience`
+    Improvement means metric > best + PLATEAU_THRESHOLD; after `patience`
     stagnant epochs the LR is multiplied by `factor` (floored at
     min_lr) and the counter resets.
     """
-    if metric > state.best + state.threshold:
+    if metric > state.best + PLATEAU_THRESHOLD:
         state.best = metric
         state.epochs_since_improve = 0
         return lr
@@ -160,17 +162,6 @@ def plateau_update(state: PlateauState, metric: float, lr: float) -> float:
         state.epochs_since_improve = 0
         return max(state.min_lr, lr * state.factor)
     return lr
-
-
-def early_stop_check(history: Sequence[float], patience: int) -> bool:
-    """True iff the best value occurred more than `patience` epochs ago.
-
-    Ties go to the earliest epoch, matching the best-checkpoint rule.
-    """
-    if not history:
-        return False
-    best_idx = int(np.argmax(history))
-    return (len(history) - 1 - best_idx) > patience
 
 
 @dataclass(frozen=True)
@@ -215,17 +206,15 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
     the objective is the mean per-anchor loss. The tower runs once over
     the distinct clips, backward with each clip's summed pair gradients.
     """
-    size = len(batch)
     slot_of: dict[str, int] = {}
     clip = [slot_of.setdefault(name, len(slot_of)) for name, _ in batch]
     audio, tower_cache = tower.forward_batch([features[name].frames for name in slot_of])
     texts = [embedder.embed(record) for _, record in batch]
-    keyed = [(name, record.key) for name, record in batch]
     d_audio = [np.zeros_like(emb) for emb in audio]
     d_text = [np.zeros_like(emb) for emb, _ in texts]
     total = 0.0
-    for i in range(size):
-        text_imp, audio_imp = sample_imposters(keyed, i, rng)
+    for i in range(len(batch)):
+        text_imp, audio_imp = sample_imposters(batch, i, rng)
         a_i = audio[clip[i]]
         t_i = texts[i][0]
         if config.loss == "triplet":
@@ -245,20 +234,14 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
             # bce_expdist: the positive pair plus the text imposter as
             # the balancing negative (the audio draw keeps the rng
             # stream identical across loss modes).
-            t_neg = texts[text_imp][0]
-            d_match = exp_neg_euclid(a_i, t_i)
-            total += bce_match_loss(d_match, True)
-            ga, gt = exp_neg_euclid_backward(a_i, t_i, d_match,
-                                             bce_match_grad(d_match, True))
-            d_audio[clip[i]] += ga
-            d_text[i] += gt
-            d_nomatch = exp_neg_euclid(a_i, t_neg)
-            total += bce_match_loss(d_nomatch, False)
-            ga, gt = exp_neg_euclid_backward(a_i, t_neg, d_nomatch,
-                                             bce_match_grad(d_nomatch, False))
-            d_audio[clip[i]] += ga
-            d_text[text_imp] += gt
-    scale = 1.0 / size
+            for j, match in ((i, True), (text_imp, False)):
+                t_j = texts[j][0]
+                dist = exp_neg_euclid(a_i, t_j)
+                total += bce_match_loss(dist, match)
+                ga, gt = exp_neg_euclid_backward(a_i, t_j, dist, bce_match_grad(dist, match))
+                d_audio[clip[i]] += ga
+                d_text[j] += gt
+    scale = 1.0 / len(batch)
     tower.backward_batch(tower_cache, [(grad * scale).astype(emb.dtype)
                                        for emb, grad in zip(audio, d_audio)])
     for (_, cache), grad in zip(texts, d_text):
@@ -301,10 +284,8 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
     # a trailing singleton cannot be contrasted; it joins the previous batch
     if len(starts) > 1 and len(pairs) - starts[-1] == 1:
         starts.pop()
-    bounds = [(s, starts[k + 1] if k + 1 < len(starts) else len(pairs))
-              for k, s in enumerate(starts)]
+    bounds = list(zip(starts, starts[1:] + [len(pairs)]))
 
-    history: list[float] = []
     rows: list[EpochLog] = []
     best_map10 = float("-inf")
     best_epoch = -1
@@ -329,7 +310,6 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
         report = report_from_matrix(build_score_matrix(
             config, params, val_manifest, features,
             word_table=word_table, caption_table=caption_table, scorer=scorer))
-        history.append(report.map10)
         if report.map10 > best_map10:
             best_map10 = report.map10
             best_epoch = epoch
@@ -340,7 +320,7 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
                              val_r10=report.r10, val_map10=report.map10,
                              lr=lr_this_epoch))
         adam.lr = plateau_update(plateau, report.map10, adam.lr)
-        if early_stop_check(history, train_config.early_stop_patience):
+        if epoch - best_epoch > train_config.early_stop_patience:
             break
 
     assert best_params is not None and best_report is not None

@@ -1139,6 +1139,23 @@ def decode_pcm16_reference(payload, channels):
     return raw
 
 
+def mel_filterbank_reference(sample_rate, n_fft, n_mels, f_min, f_max):
+    """The band-by-band loop `audiotext.dsp.mel_filterbank` replaced, on the
+    HTK mel scale: the (n_mels, n_fft // 2 + 1) weights, or the index of the
+    first band with no positive weight."""
+    mel_lo, mel_hi = (2595.0 * np.log10(1.0 + np.float64(f) / 700.0) for f in (f_min, f_max))
+    hz = 700.0 * (np.power(10.0, np.linspace(mel_lo, mel_hi, n_mels + 2) / 2595.0) - 1.0)
+    bin_freqs = np.arange(n_fft // 2 + 1, dtype=np.float64) * sample_rate / n_fft
+    weights = np.zeros((n_mels, n_fft // 2 + 1))
+    for m in range(n_mels):
+        rising = (bin_freqs - hz[m]) / (hz[m + 1] - hz[m])
+        falling = (hz[m + 2] - bin_freqs) / (hz[m + 2] - hz[m + 1])
+        weights[m] = np.maximum(0.0, np.minimum(rising, falling))
+        if not (weights[m] > 0).any():
+            return m
+    return weights
+
+
 def log_mel_reference(samples, sample_rate, weights, win_ms=40.0, hop_ms=20.0):
     """The body `audiotext.dsp.log_mel_features` replaced: every frame
     windowed and transformed in one call. ``weights`` is the

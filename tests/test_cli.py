@@ -247,6 +247,9 @@ BAD_CONFIG_CASES = [
     ("int_data_path", "data.train_captions: must be a path string, got 5"),
     ("int_out_path", "out.checkpoint: must be a path string, got 5"),
     ("null_out_path", "out.epoch_log: must be a path string, got None"),
+    ("null_train_captions", "data.train_captions: must be a path string, got None"),
+    ("null_val_captions", "data.val_captions: must be a path string, got None"),
+    ("null_features_dir", "data.features_dir: must be a path string, got None"),
     ("big_beta1", "model: beta1 must be in [0, 1), got 5.0"),
     ("one_beta1", "model: beta1 must be in [0, 1), got 1.0"),
     ("negative_beta2", "model: beta2 must be in [0, 1), got -1.0"),
@@ -254,6 +257,10 @@ BAD_CONFIG_CASES = [
     ("nan_lr", "model: lr must be positive, got nan"),
     ("nan_margin", "model: margin must be positive, got nan"),
     ("nan_min_lr", "train: min_lr must be positive, got nan"),
+    ("inf_lr", "model: lr must be finite, got inf"),
+    ("inf_margin", "model: margin must be finite, got inf"),
+    ("inf_adam_eps", "model: adam_eps must be finite, got inf"),
+    ("inf_min_lr", "train: min_lr must be finite, got inf"),
     ("huge_margin", "model: margin: integer too large for a float"),
     ("huge_min_lr", "train: min_lr: integer too large for a float"),
 ]
@@ -271,6 +278,9 @@ _WRONG_TYPES = {
     "int_data_path": ("data", "train_captions", 5),
     "int_out_path": ("out", "checkpoint", 5),
     "null_out_path": ("out", "epoch_log", None),
+    "null_train_captions": ("data", "train_captions", None),
+    "null_val_captions": ("data", "val_captions", None),
+    "null_features_dir": ("data", "features_dir", None),
 }
 
 # case -> (section, key, value) for the out-of-range settings above
@@ -282,6 +292,10 @@ _OUT_OF_RANGE = {
     "nan_lr": ("model", "lr", float("nan")),
     "nan_margin": ("model", "margin", float("nan")),
     "nan_min_lr": ("train", "min_lr", float("nan")),
+    "inf_lr": ("model", "lr", float("inf")),
+    "inf_margin": ("model", "margin", float("inf")),
+    "inf_adam_eps": ("model", "adam_eps", float("inf")),
+    "inf_min_lr": ("train", "min_lr", float("inf")),
     "huge_margin": ("model", "margin", 10 ** 400),
     "huge_min_lr": ("train", "min_lr", 10 ** 400),
 }
@@ -325,6 +339,7 @@ def test_train_rejects_bad_configs(tmp_path, case, needle):
     assert needle in err
     if case in _WRONG_TYPES or case in _OUT_OF_RANGE:
         assert err == f"error: {path}: {needle}\n"
+    assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
 def test_train_config_must_be_valid_json(tmp_path):
@@ -656,19 +671,23 @@ def test_eval_retrieval_sentence_checkpoint_needs_caption_table(tmp_path):
     assert json.loads(out)["queries"] == 20
 
 
-@pytest.mark.parametrize("case", ["missing_parameter", "wrong_shape"])
+@pytest.mark.parametrize("case", ["missing_parameter", "wrong_shape", "infinite_lr"])
 def test_eval_retrieval_rejects_checkpoint_disagreeing_with_config(tmp_path, case):
     ds = make_dataset(tmp_path)
     config = small_config(recurrent_cell="lstm")
+    header = config.to_dict()
     params = init_params(config, seed=3)
     if case == "missing_parameter":
         del params["lstm.u_f"]
         needle = "missing parameter 'lstm.u_f'"
-    else:
+    elif case == "wrong_shape":
         params["lstm.u_f"] = Tensor(np.zeros((3, 3), dtype=np.float32))
         needle = "'lstm.u_f' has shape (3, 3), config expects (6, 6)"
+    else:  # json writes inf as Infinity, which the loader's parser accepts
+        header["lr"] = float("inf")
+        needle = "invalid config or parameter list: lr must be finite, got inf"
     ckpt = tmp_path / "model.ckpt"
-    write_unchecked_checkpoint(ckpt, config.to_dict(), params)
+    write_unchecked_checkpoint(ckpt, header, params)
     code, out, err = run_cli([
         "eval-retrieval", "--checkpoint", str(ckpt),
         "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
@@ -679,6 +698,26 @@ def test_eval_retrieval_rejects_checkpoint_disagreeing_with_config(tmp_path, cas
     assert err.startswith("error:")
     assert needle in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval-retrieval", "rank"])
+@pytest.mark.parametrize("shape", [b'["6",8,3]', b"[6,8.0,3]", b"[6,8,3.5]", b"[6,Infinity,3]",
+                                   b"[true,8,3]", b"[6,-8,3]", b'"683"', b"null"])
+def test_scoring_refuses_a_checkpoint_shape_of_non_integers(tmp_path, command, shape):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    _replace_checkpoint_header(ckpt, b'"shape":[6,8,3]', b'"shape":' + shape)
+    code, out, err = run_cli([
+        command, "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--word-embeddings", str(ds["words"]),
+        *(["--query", "w0 w1"] if command == "rank" else []),
+    ])
+    assert (code, out) == (1, "")
+    shown = repr(json.loads(shape.replace(b"Infinity", b"1e999")))
+    assert err == (f"error: {ckpt}: invalid config or parameter list: parameter "
+                   f"'tower0.kernels': shape must be a list of non-negative integers, "
+                   f"got {shown}\n")
 
 
 def test_eval_retrieval_rejects_checkpoint_with_a_non_string_kind(tmp_path):

@@ -22,7 +22,7 @@ from audiotext.dsp import (
 )
 
 from helpers import sine_wav, write_wav
-from oracles import decode_pcm16_reference, log_mel_reference
+from oracles import decode_pcm16_reference, log_mel_reference, mel_filterbank_reference
 
 
 # ---------------------------------------------------------------- mel scale
@@ -253,6 +253,32 @@ def test_filterbank_rejects_empty_bands():
     # all straddle a bin
     with pytest.raises(DspError, match="empty support"):
         mel_filterbank(16000, 16, 64)
+
+
+def test_filterbank_matches_band_by_band_loop():
+    # seeded settings on both sides of the empty-band limit: the weights are
+    # bitwise those of the per-band loop, and the error names its first
+    # empty band
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(120):
+        sr = int(rng.choice([200, 8000, 16000, 22050, 44100, 48000]))
+        n_fft = int(rng.choice([2, 8, 64, 256, 1024, 2048]))
+        n_mels = int(rng.integers(1, 130))
+        f_min = float(rng.choice([0.0, rng.uniform(0.0, sr / 4)]))
+        f_max = float(rng.choice([sr / 2, rng.uniform(f_min + 1.0, sr / 2)]))
+        want = mel_filterbank_reference(sr, n_fft, n_mels, f_min, f_max)
+        if isinstance(want, int):
+            with pytest.raises(DspError) as err:
+                mel_filterbank(sr, n_fft, n_mels, f_min, f_max)
+            assert str(err.value) == (
+                f"mel filter {want} has empty support; n_fft={n_fft} is too small "
+                f"for {n_mels} bands over [{f_min}, {f_max}] Hz")
+        else:
+            assert mel_filterbank(sr, n_fft, n_mels, f_min, f_max).weights.tobytes() \
+                == want.tobytes()
+        outcomes.add(isinstance(want, int))
+    assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------- framing

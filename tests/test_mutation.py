@@ -1,0 +1,147 @@
+"""Seeded structured mutations of a run config and of a checkpoint header.
+
+Each case replaces one or two fields of a valid tiny input with an odd JSON
+value: a wrong type, null, 0, -1, 0.5, NaN, Infinity, [] or {}. Every
+field (containers included) meets every odd value alone; then a fixed
+number of seeded cases replace two fields at once. `train`
+gets the mutated run config; `eval-retrieval` and `rank` get a checkpoint
+whose header is mutated and whose payload is the valid one. Every command
+runs in-process through `cli.main` and must end in exit 0, or in exit 1
+with exactly one `error: ` line on stderr and no new file (directories
+aside); an exception out of `main` is a failure. No odd value is a size
+that is valid but large, so each case runs on the tiny inputs or stops.
+"""
+
+import copy
+import json
+import math
+import random
+import shutil
+import struct
+import time
+import warnings
+
+import pytest
+
+from test_cli import base_config_dict, make_checkpoint, make_dataset, run_cli, write_config
+from helpers import small_config
+
+SEED = 2024
+PAIR_CASES = 100  # two-field cases per command
+TIME_BOUND_S = 60.0  # per command; the cases take a few seconds on one core
+ODD_VALUES = ("x", True, None, 0, -1, 0.5, math.nan, math.inf, [], {})
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON tree, containers included, in document order."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _mutations(command, tree):
+    """The command's fixed list of cases, each a list of (path, value)
+    replacements: every single one, then PAIR_CASES seeded pairs of paths
+    of which neither lies under the other."""
+    rng = random.Random(f"{SEED}-{command}")
+    paths = list(_paths(tree))
+    cases = [[(p, v)] for p in paths for v in ODD_VALUES]
+    for _ in range(PAIR_CASES):
+        first = rng.choice(paths)
+        second = rng.choice([p for p in paths
+                             if p[:len(first)] != first and first[:len(p)] != p])
+        cases.append([(first, rng.choice(ODD_VALUES)), (second, rng.choice(ODD_VALUES))])
+    return cases
+
+
+def _mutate(tree, case):
+    tree = copy.deepcopy(tree)
+    for path, value in case:
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+    return tree
+
+
+def _files(root):
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+def _check(argv, root, case):
+    """The contract of one command, as a list of failures."""
+    before = _files(root)
+    try:
+        # a warning would reach stderr outside the test: count it as a line there
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv)
+    except Exception as e:  # any exception breaks the contract
+        return [f"{case}: {type(e).__name__}: {e}"]
+    err = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught) + err
+    if code == 0 and err == "":
+        return []
+    if code != 1 or not err.startswith("error: ") or err.count("\n") != 1:
+        return [f"{case}: exit {code}, stderr {err!r}"]
+    new = _files(root) - before
+    return [f"{case}: new files after a failure: {sorted(map(str, new))}"] if new else []
+
+
+def _run_cases(command, tree, run_one):
+    cases = _mutations(command, tree)
+    start = time.perf_counter()
+    failures = [f for case in cases for f in run_one(case)]
+    elapsed = time.perf_counter() - start
+    assert failures == [], "\n".join(failures)
+    assert elapsed < TIME_BOUND_S, f"{command}: {len(cases)} cases took {elapsed:.1f} s"
+
+
+def test_train_survives_mutated_run_configs(tmp_path):
+    ds = make_dataset(tmp_path / "data")
+    valid = base_config_dict(ds, tmp_path / "valid", epochs=2)
+    # the valid run also writes the word table's cache sidecar, so that
+    # no later case creates it
+    code, _, err = run_cli(["train", "--config", str(write_config(tmp_path / "valid.json",
+                                                                    valid))])
+    assert (code, err) == (0, "")
+
+    def run_one(case):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_mutate(base_config_dict(ds, tmp_path / "out", epochs=2),
+                                           case)), encoding="utf-8")
+        return _check(["train", "--config", str(path)], tmp_path, case)
+
+    _run_cases("train", valid, run_one)
+
+
+def _split_checkpoint(path):
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    return raw[:4], json.loads(raw[8:8 + hlen]), raw[8 + hlen:]
+
+
+@pytest.mark.parametrize("command", ["eval-retrieval", "rank"])
+def test_scoring_survives_mutated_checkpoint_headers(tmp_path, command):
+    ds = make_dataset(tmp_path / "data")
+    magic, header, payload = _split_checkpoint(
+        make_checkpoint(tmp_path / "valid.ckpt", small_config()))
+    extra = ["--query", "w0 w1", "--top-k", "2"] if command == "rank" else []
+
+    def argv(ckpt):
+        return [command, "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
+                "--features-dir", str(ds["feats"]), "--feature-kind", "external",
+                "--word-embeddings", str(ds["words"]), *extra]
+
+    code, _, err = run_cli(argv(tmp_path / "valid.ckpt"))
+    assert (code, err) == (0, "")
+
+    def run_one(case):
+        blob = json.dumps(_mutate(header, case), sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        ckpt = tmp_path / "case.ckpt"
+        ckpt.write_bytes(magic + struct.pack("<I", len(blob)) + blob + payload)
+        return _check(argv(ckpt), tmp_path, case)
+
+    _run_cases(command, header, run_one)
