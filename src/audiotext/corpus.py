@@ -16,7 +16,9 @@ EVEC          magic ``EVEC``, u32-LE count, u32-LE dim, then per record:
 Word vectors  text; first line ``count dim``, then ``word v1 ... v_dim``
               per line, space-separated.
 Word cache    sidecar ``.<name>.audiotext-cache`` beside a word-vector text:
-              magic ``WVCC``, u32-LE version (=1), the text's 32-byte SHA-256,
+              magic ``WVCC``, u32-LE version (=2), the text's 32-byte SHA-256,
+              the text's identity when it was hashed (u64-LE st_dev, u64-LE
+              st_ino, u64-LE size, i64-LE st_mtime_ns, i64-LE st_ctime_ns),
               u64-LE count, u64-LE dim, u64-LE byte-length of the words, the
               ``\n``-joined UTF-8 words, then count*dim binary32-LE values,
               row-major.
@@ -51,9 +53,10 @@ FMAT_MAGIC = b"FMAT"
 FMAT_VERSION = 1
 EVEC_MAGIC = b"EVEC"
 WORD_CACHE_MAGIC = b"WVCC"
-WORD_CACHE_VERSION = 1
-# magic, version, SHA-256 of the text, count, dim, byte-length of the words
-_WORD_CACHE_HEAD = struct.Struct("<4sI32sQQQ")
+WORD_CACHE_VERSION = 2
+# magic, version, SHA-256 of the text, the text's identity (see _file_identity),
+# count, dim, byte-length of the words
+_WORD_CACHE_HEAD = struct.Struct("<4sI32sQQQqqQQQ")
 _DIGEST_BLOCK = 1 << 20
 
 
@@ -283,33 +286,44 @@ def load_word_embeddings(path: str | Path) -> EmbeddingTable:
     regular file that parses gets a sidecar ``.<name>.audiotext-cache``
     keyed by the SHA-256 of its bytes; a later load of the same bytes reads
     the sidecar instead, giving the same index and a bitwise-equal matrix.
-    A sidecar that does not match, or cannot be read or written, is
-    silently ignored, so deleting one is always safe. Pipes and other
-    non-regular paths are parsed every time.
+    No byte of the text is read while the file's identity is the one the
+    sidecar records and that ctime is older than the sidecar's mtime (git's
+    racy-clean rule: any edit moves the ctime); otherwise the text is
+    hashed, and a digest match rewrites the sidecar with the identity. A
+    sidecar that does not match, or cannot be read or written, is silently
+    ignored, so deleting one is always safe. Pipes and other non-regular
+    paths are parsed every time.
     """
     path = Path(path)
+    try:
+        st = os.stat(path)
+    except OSError:
+        st = None
+    if st is None or not stat.S_ISREG(st.st_mode):
+        return _parse_word_embeddings(path)  # which reports a path it cannot open
+    cache = path.with_name(f".{path.name}.audiotext-cache")
+    table = _read_word_cache(cache, identity=_file_identity(st))
+    if table is not None:
+        return table
     source = _digest_regular_file(path)
     if source is None:
         return _parse_word_embeddings(path)
-    cache = path.with_name(f".{path.name}.audiotext-cache")
-    table = _read_word_cache(cache, source[0])
+    table = _read_word_cache(cache, digest=source[0])
     if table is None:
         table = _parse_word_embeddings(path)
-        _write_word_cache(path, cache, source, table)
+    _write_word_cache(path, cache, source, table)
     return table
 
 
-def _file_identity(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+def _file_identity(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _digest_regular_file(path: Path) -> tuple[bytes, tuple[int, int, int, int]] | None:
-    """The SHA-256 of a regular file, read in blocks, and the file's identity
-    when it was opened; None for any other kind of path or one that cannot
-    be read (the parse then reports it)."""
+def _digest_regular_file(path: Path) -> tuple[bytes, tuple[int, ...]] | None:
+    """The SHA-256 of a file, read in blocks, and the file's identity when it
+    was opened; None for a path that cannot be read (the parse then reports
+    it)."""
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
         with open(path, "rb") as fh:
             identity = _file_identity(os.fstat(fh.fileno()))
             sha = hashlib.sha256()
@@ -320,18 +334,25 @@ def _digest_regular_file(path: Path) -> tuple[bytes, tuple[int, int, int, int]] 
     return sha.digest(), identity
 
 
-def _read_word_cache(cache: Path, digest: bytes) -> EmbeddingTable | None:
-    """The table a sidecar holds for text of SHA-256 ``digest``; None when
-    it is missing, unreadable, another user's, of another format or text,
-    or its sizes do not add up (each checked before anything is allocated)."""
+def _read_word_cache(cache: Path, digest: bytes | None = None,
+                     identity: tuple[int, ...] | None = None) -> EmbeddingTable | None:
+    """The table a sidecar holds for text of SHA-256 ``digest``, or, without
+    one, for a text of ``identity`` that has not changed since the sidecar
+    was written; None when it is missing, unreadable, another user's, of
+    another format or text, or its sizes do not add up (each checked before
+    anything is allocated)."""
     try:
         with open(cache, "rb") as fh:
             st = os.fstat(fh.fileno())
             head = fh.read(_WORD_CACHE_HEAD.size)
             if st.st_uid != os.getuid() or len(head) != _WORD_CACHE_HEAD.size:
                 return None
-            magic, version, key, count, dim, words_size = _WORD_CACHE_HEAD.unpack(head)
-            if ((magic, version, key) != (WORD_CACHE_MAGIC, WORD_CACHE_VERSION, digest)
+            magic, version, key, *recorded, count, dim, words_size = _WORD_CACHE_HEAD.unpack(head)
+            if digest is None:  # recorded[-1] is the text's ctime when it was hashed
+                matches = tuple(recorded) == identity and recorded[-1] < st.st_mtime_ns
+            else:
+                matches = key == digest
+            if ((magic, version) != (WORD_CACHE_MAGIC, WORD_CACHE_VERSION) or not matches
                     or dim < 1 or len(head) + words_size + 4 * count * dim != st.st_size):
                 return None
             words = fh.read(words_size).decode("utf-8").split("\n") if words_size else []
@@ -355,7 +376,7 @@ def _write_word_cache(path: Path, cache: Path, source: tuple[bytes, tuple],
         with atomic_write(cache, "wb") as fh:
             words = "\n".join(table.index).encode("utf-8")
             fh.write(_WORD_CACHE_HEAD.pack(WORD_CACHE_MAGIC, WORD_CACHE_VERSION, digest,
-                                           len(table), table.dim, len(words)))
+                                           *identity, len(table), table.dim, len(words)))
             fh.write(words)
             fh.write(table.matrix.astype("<f4", copy=False).tobytes())
     except OSError:

@@ -50,7 +50,7 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
         "epoch": int(epoch),
         "best_validation_mAP10": float(best_validation_map10),
     }
-    _check_parameter_list(path, header)
+    _check_header(path, header)
     blob = _canonical_json(header)
     with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
@@ -60,9 +60,17 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
             f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def _check_parameter_list(path, header) -> list[tuple[str, tuple[int, ...]]]:
-    """Names, order and shapes must be exactly parameter_shapes(config);
-    returns that list."""
+def _check_header(path, header) -> list[tuple[str, tuple[int, ...]]]:
+    """An ``epoch`` integer >= 0 and a ``best_validation_mAP10`` number in
+    [0, 1], and parameter names, order and shapes exactly
+    parameter_shapes(config); returns that list."""
+    check_field_types(header, ints=("epoch",), numbers=("best_validation_mAP10",),
+                      error=lambda msg: CheckpointError(f"{path}: header {msg}"))
+    if header["epoch"] < 0:
+        raise CheckpointError(f"{path}: header epoch: must be >= 0, got {header['epoch']!r}")
+    if not 0.0 <= header["best_validation_mAP10"] <= 1.0:  # NaN fails both
+        raise CheckpointError(f"{path}: header best_validation_mAP10: must be in [0, 1], "
+                              f"got {header['best_validation_mAP10']!r}")
     try:
         expected = parameter_shapes(ModelConfig.from_dict(header["config"]))
         found = [(entry["name"], entry["shape"]) for entry in header["parameters"]]
@@ -100,11 +108,9 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("config", "parameters", "epoch", "best_validation_mAP10"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")
-    check_field_types(header, ints=("epoch",), numbers=("best_validation_mAP10",),
-                      error=lambda msg: CheckpointError(f"{path}: header {msg}"))
     params: Params = {}
     off = 8 + hlen
-    for name, shape in _check_parameter_list(path, header):
+    for name, shape in _check_header(path, header):
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 4
         if off + nbytes > len(raw):

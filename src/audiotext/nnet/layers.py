@@ -255,7 +255,11 @@ class MeanPoolTime:
 # cache of sweep_backward, projecting the inputs ahead of the loop
 # (Appleyard et al. 2016, arXiv:1604.01946). mean_states, for inference,
 # projects _CHUNK_STEPS steps at a time and keeps only the running state and
-# a per-clip state sum, so no gate buffer of a whole split is alive.
+# a per-clip state sum, so no gate buffer of a whole split is alive; it gives
+# each product that would have one row (a step where one clip runs alone, a
+# chunk of one row) a zero second row, so that, with OpenBLAS rounding each
+# row of a product of two rows or more alike, a clip's result does not
+# depend on the clips run with it.
 #
 # Pre-activations and gates are stored gate-major, (G, rows, H), so each
 # gate of each step is one contiguous (n, H) block: at n <= 32 running clips
@@ -384,29 +388,42 @@ class _Cell:
     def mean_states(self, seqs) -> np.ndarray:
         """(B, H) mean output state of each of B >= 1 (T_i, in) sequences,
         rows in input order; forward only, so it keeps no cache. The state
-        sums are float64."""
-        # a zero sequence as long as the longest gives every product two rows
-        # or more: a one-row product rounds unlike a row of a larger one, and
-        # a sequence's result would depend on the sequences run with it
-        pad = np.zeros((max(x.shape[0] for x in seqs), seqs[0].shape[1]), dtype=seqs[0].dtype)
-        seqs = [pad, *seqs]
+        sums are float64.
+
+        A one-row product rounds unlike a row of a larger one (BLAS takes a
+        matrix-vector kernel), so a sequence's result would depend on the
+        sequences run with it. A product that would have one row, in a step
+        where one sequence runs alone or a projection chunk of one row, gets
+        a zero second row in scratch instead."""
         pack = Packing([x.shape[0] for x in seqs])
-        w_ts, bs, uts, state = self._start(len(seqs))
+        # a second state row even for one sequence; once one sequence runs
+        # alone, row 1's clip has ended and its row is free to zero
+        w_ts, bs, uts, state = self._start(max(len(seqs), 2))
         total = np.zeros(state[0].shape)
-        # one buffer for every chunk's projections: the first chunk has the most rows
-        buf = np.empty((len(bs), pack.offs[min(_CHUNK_STEPS, len(pack.steps))], bs[0].size),
-                       bs[0].dtype)
+        # one buffer for every chunk's projections (the first chunk has the
+        # most rows) and the two-row scratch of a lone step
+        buf = np.empty((len(bs), max(pack.offs[min(_CHUNK_STEPS, len(pack.steps))], 2),
+                        bs[0].size), bs[0].dtype)
+        lone = np.empty_like(buf[:, :2])
         for first in range(0, len(pack.steps), _CHUNK_STEPS):
             stop = min(first + _CHUNK_STEPS, len(pack.steps))
             base = pack.offs[first]
-            pre = self._project(pack.gather(seqs, first, stop), w_ts, bs,
-                                buf[:, : pack.offs[stop] - base])
+            xs = pack.gather(seqs, first, stop)
+            if len(xs) == 1:
+                xs = np.concatenate([xs, np.zeros_like(xs)])
+            pre = self._project(xs, w_ts, bs, buf[:, : len(xs)])
             for lo, n in pack.steps[first:stop]:
-                rows = [s[:n] for s in state]
-                self.step(pre[:, lo - base : lo - base + n], *rows, uts)
-                total[:n] += rows[0]
+                gates = pre[:, lo - base : lo - base + n]
+                if n == 1:
+                    lone[:, :1], lone[:, 1] = gates, 0
+                    gates = lone
+                    for s in state:
+                        s[1] = 0
+                rows = [s[: gates.shape[1]] for s in state]
+                self.step(gates, *rows, uts)
+                total[:n] += rows[0][:n]
         lengths = np.array([x.shape[0] for x in seqs])
-        return (total[pack.rank] / lengths[:, None]).astype(state[0].dtype)[1:]
+        return (total[pack.rank] / lengths[:, None]).astype(state[0].dtype)
 
     def sweep_backward(self, cache, dstates) -> list[np.ndarray]:
         """Takes the list of (T_i, H) output state gradients and returns the

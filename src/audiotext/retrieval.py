@@ -92,15 +92,18 @@ def score_all(text_embs: np.ndarray, audio_embs: np.ndarray, scorer: str,
         raise RetrievalError(
             f"embedding dims differ: text {text_embs.shape[1]}, audio {audio_embs.shape[1]}")
     q, n = text_embs.shape[0], audio_embs.shape[0]
-    if scorer == "dot":
-        scores = text_embs @ audio_embs.T
-    elif scorer == "exp_neg_euclid":
-        sq = (np.sum(text_embs ** 2, axis=1)[:, None]
-              + np.sum(audio_embs ** 2, axis=1)[None, :]
-              - 2.0 * (text_embs @ audio_embs.T))
-        scores = np.exp(-np.sqrt(np.maximum(sq, 0.0)))
-    else:
-        raise RetrievalError(f"unknown scorer {scorer!r}, want one of {SCORERS}")
+    # a query vector from a file may be huge or not finite: an overflow gives
+    # inf or NaN scores, which ScoreMatrix refuses, or an exp_neg_euclid 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scorer == "dot":
+            scores = text_embs @ audio_embs.T
+        elif scorer == "exp_neg_euclid":
+            sq = (np.sum(text_embs ** 2, axis=1)[:, None]
+                  + np.sum(audio_embs ** 2, axis=1)[None, :]
+                  - 2.0 * (text_embs @ audio_embs.T))
+            scores = np.exp(-np.sqrt(np.maximum(sq, 0.0)))
+        else:
+            raise RetrievalError(f"unknown scorer {scorer!r}, want one of {SCORERS}")
     if ground_truth is None:
         ground_truth = [i % n for i in range(q)]
     return ScoreMatrix(scores=scores, ground_truth=tuple(int(g) for g in ground_truth))

@@ -7,6 +7,7 @@ capture fixture so the suite can run with output capture disabled.
 import contextlib
 import io
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -718,6 +719,28 @@ def test_scoring_refuses_a_checkpoint_shape_of_non_integers(tmp_path, command, s
     assert err == (f"error: {ckpt}: invalid config or parameter list: parameter "
                    f"'tower0.kernels': shape must be a list of non-negative integers, "
                    f"got {shown}\n")
+
+
+@pytest.mark.parametrize("command", ["eval-retrieval", "rank"])
+@pytest.mark.parametrize("epoch, map10, needle", [
+    (-1, 0.0, "epoch: must be >= 0, got -1"),
+    (1, math.nan, "best_validation_mAP10: must be in [0, 1], got nan"),
+    (1, math.inf, "best_validation_mAP10: must be in [0, 1], got inf"),
+    (1, -1, "best_validation_mAP10: must be in [0, 1], got -1"),
+])
+def test_scoring_refuses_a_checkpoint_header_out_of_range(tmp_path, command, epoch, map10,
+                                                           needle):
+    ds = make_dataset(tmp_path)
+    config = small_config()
+    ckpt = tmp_path / "model.ckpt"
+    write_unchecked_checkpoint(ckpt, config.to_dict(), init_params(config, seed=3), epoch, map10)
+    code, out, err = run_cli([
+        command, "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--word-embeddings", str(ds["words"]),
+        *(["--query", "w0 w1"] if command == "rank" else []),
+    ])
+    assert (code, out, err) == (1, "", f"error: {ckpt}: header {needle}\n")
 
 
 def test_eval_retrieval_rejects_checkpoint_with_a_non_string_kind(tmp_path):

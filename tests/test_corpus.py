@@ -3,6 +3,7 @@ import dataclasses
 import io
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -446,15 +447,50 @@ def test_word_cache_is_keyed_by_content_not_mtime(tmp_path):
     assert load_word_embeddings(p)["signed"][1] == 9.0
 
 
+def no_digest(path):
+    raise AssertionError(f"{path} hashed, expected its identity to be trusted")
+
+
+def test_unchanged_table_loads_from_its_cache_without_reading_the_text(tmp_path, monkeypatch):
+    p, cold = _cached_table(tmp_path)
+    ctime = p.stat().st_ctime_ns
+    os.utime(word_cache_path(p), ns=(ctime + 1, ctime + 1))  # past the recorded ctime
+    monkeypatch.setattr(corpus_module, "_digest_regular_file", no_digest)
+    monkeypatch.setattr(corpus_module, "_parse_word_embeddings", no_parse)
+    _assert_same_table(load_word_embeddings(p), cold)
+
+
+def test_cache_not_newer_than_the_recorded_ctime_is_hashed_then_trusted(tmp_path, monkeypatch):
+    # the racy case: a sidecar written in the timestamp tick of the text's
+    # last change could predate an edit in that tick
+    p, cold = _cached_table(tmp_path)
+    cache = word_cache_path(p)
+    good, ctime = cache.read_bytes(), p.stat().st_ctime_ns
+    os.utime(cache, ns=(ctime, ctime))
+    time.sleep(0.05)  # so that the rewrite lands in a later tick than the text's ctime
+    hashed = []
+    digest = corpus_module._digest_regular_file
+    monkeypatch.setattr(corpus_module, "_digest_regular_file",
+                        lambda path: hashed.append(path) or digest(path))
+    monkeypatch.setattr(corpus_module, "_parse_word_embeddings", no_parse)
+    _assert_same_table(load_word_embeddings(p), cold)
+    assert hashed == [p]
+    # the digest matched: the sidecar is rewritten once, and then trusted
+    assert cache.read_bytes() == good and cache.stat().st_mtime_ns > ctime
+    monkeypatch.setattr(corpus_module, "_digest_regular_file", no_digest)
+    _assert_same_table(load_word_embeddings(p), cold)
+
+
 def _bad_sidecars(good):
     head = corpus_module._WORD_CACHE_HEAD
-    magic, version, digest, count, dim, words_size = head.unpack_from(good)
+    names = ("magic", "version", "digest", "dev", "ino", "size", "mtime_ns", "ctime_ns",
+             "count", "dim", "words_size")
+    fields = dict(zip(names, head.unpack_from(good)))
+    count, dim, words_size = fields["count"], fields["dim"], fields["words_size"]
     body = good[head.size:]
 
-    def with_head(**fields):
-        values = {"magic": magic, "version": version, "digest": digest, "count": count,
-                  "dim": dim, "words_size": words_size, **fields}
-        return head.pack(*values.values()) + body
+    def with_head(**changed):
+        return head.pack(*{**fields, **changed}.values()) + body
 
     return {
         "empty": b"",
@@ -466,8 +502,11 @@ def _bad_sidecars(good):
         "huge_words_size": with_head(words_size=2**64 - 1),
         "garbage": bytes(range(256)) * 40,
         "wrong_magic": with_head(magic=b"FMAT"),
-        "wrong_version": with_head(version=version + 1),
-        "other_digest": with_head(digest=bytes(32)),
+        "wrong_version": with_head(version=fields["version"] + 1),
+        # another text's digest under another identity: hashed and refused
+        "other_digest": with_head(digest=bytes(32), ino=fields["ino"] + 1),
+        # the right digest under another identity: hashed, served and rewritten
+        "wrong_identity": with_head(ino=fields["ino"] + 1),
         "count_beyond_file": with_head(count=count + 1),
         "huge_count": with_head(count=2**63),
         "huge_dim": with_head(dim=2**64 - 1),

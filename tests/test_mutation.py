@@ -1,11 +1,13 @@
-"""Seeded structured mutations of a run config and of a checkpoint header.
+"""Seeded structured mutations of the structured-text inputs of the CLI.
 
 Each case replaces one or two fields of a valid tiny input with an odd JSON
 value: a wrong type, null, 0, -1, 0.5, NaN, Infinity, [] or {}. Every
 field (containers included) meets every odd value alone; then a fixed
 number of seeded cases replace two fields at once. `train`
 gets the mutated run config; `eval-retrieval` and `rank` get a checkpoint
-whose header is mutated and whose payload is the valid one. Every command
+whose header is mutated and whose payload is the valid one. The flat files,
+`rank --query-vector` and `eval-captions --spice`, also meet 2**63, 1e308
+and an array nested DEEP_LEVELS deep; they hold no sizes. Every command
 runs in-process through `cli.main` and must end in exit 0, or in exit 1
 with exactly one `error: ` line on stderr and no new file (directories
 aside); an exception out of `main` is a failure. No odd value is a size
@@ -23,13 +25,18 @@ import warnings
 
 import pytest
 
+from audiotext.retrieval import SCORERS
 from test_cli import base_config_dict, make_checkpoint, make_dataset, run_cli, write_config
-from helpers import small_config
+from helpers import small_config, write_candidates_csv, write_caption_csv
 
 SEED = 2024
 PAIR_CASES = 100  # two-field cases per command
 TIME_BOUND_S = 60.0  # per command; the cases take a few seconds on one core
 ODD_VALUES = ("x", True, None, 0, -1, 0.5, math.nan, math.inf, [], {})
+# DEEP stands for an array nested DEEP_LEVELS deep, which _dump writes out:
+# deeper than any parser recursion limit, and fixed before the run
+DEEP, DEEP_LEVELS = "<array nested DEEP_LEVELS deep>", 100_000
+FILE_VALUES = (*ODD_VALUES, 2**63, 1e308, DEEP)
 
 
 def _paths(node, prefix=()):
@@ -40,18 +47,18 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
-def _mutations(command, tree):
+def _mutations(command, tree, values):
     """The command's fixed list of cases, each a list of (path, value)
     replacements: every single one, then PAIR_CASES seeded pairs of paths
     of which neither lies under the other."""
     rng = random.Random(f"{SEED}-{command}")
     paths = list(_paths(tree))
-    cases = [[(p, v)] for p in paths for v in ODD_VALUES]
+    cases = [[(p, v)] for p in paths for v in values]
     for _ in range(PAIR_CASES):
         first = rng.choice(paths)
         second = rng.choice([p for p in paths
                              if p[:len(first)] != first and first[:len(p)] != p])
-        cases.append([(first, rng.choice(ODD_VALUES)), (second, rng.choice(ODD_VALUES))])
+        cases.append([(first, rng.choice(values)), (second, rng.choice(values))])
     return cases
 
 
@@ -63,6 +70,11 @@ def _mutate(tree, case):
             node = node[key]
         node[path[-1]] = copy.deepcopy(value)
     return tree
+
+
+def _dump(tree):
+    """The tree as structured text, with DEEP written out."""
+    return json.dumps(tree).replace(json.dumps(DEEP), "[" * DEEP_LEVELS + "]" * DEEP_LEVELS)
 
 
 def _files(root):
@@ -88,8 +100,8 @@ def _check(argv, root, case):
     return [f"{case}: new files after a failure: {sorted(map(str, new))}"] if new else []
 
 
-def _run_cases(command, tree, run_one):
-    cases = _mutations(command, tree)
+def _run_cases(command, tree, run_one, values=ODD_VALUES):
+    cases = _mutations(command, tree, values)
     start = time.perf_counter()
     failures = [f for case in cases for f in run_one(case)]
     elapsed = time.perf_counter() - start
@@ -145,3 +157,44 @@ def test_scoring_survives_mutated_checkpoint_headers(tmp_path, command):
         return _check(argv(ckpt), tmp_path, case)
 
     _run_cases(command, header, run_one)
+
+
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_rank_survives_mutated_query_vectors(tmp_path, scorer):
+    ds = make_dataset(tmp_path / "data")
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(text_mode="sentence_table"))
+    vector = [0.1, -0.2, 0.3, 0.0, 0.5, -0.4]
+    path = tmp_path / "query.json"
+    argv = ["rank", "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
+            "--features-dir", str(ds["feats"]), "--feature-kind", "external",
+            "--query", "unused", "--top-k", "2", "--query-vector", str(path),
+            "--scorer", scorer]
+    path.write_text(json.dumps(vector), encoding="utf-8")
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+
+    def run_one(case):
+        path.write_text(_dump(_mutate(vector, case)), encoding="utf-8")
+        return _check(argv, tmp_path, case)
+
+    _run_cases("rank --query-vector", vector, run_one, FILE_VALUES)
+
+
+def test_eval_captions_survives_mutated_spice_files(tmp_path):
+    refs = [(f"clip{i}.wav", [f"w{i} w{j} w{i + j}" for j in range(5)]) for i in range(3)]
+    refs_csv = write_caption_csv(tmp_path / "refs.csv", refs)
+    cands_csv = write_candidates_csv(tmp_path / "cands.csv",
+                                     [(name, caps[0]) for name, caps in refs])
+    spice = {name: 0.25 * i for i, (name, _) in enumerate(refs)}
+    path = tmp_path / "spice.json"
+    argv = ["eval-captions", "--candidates", str(cands_csv), "--references", str(refs_csv),
+            "--spice", str(path)]
+    path.write_text(json.dumps(spice), encoding="utf-8")
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+
+    def run_one(case):
+        path.write_text(_dump(_mutate(spice, case)), encoding="utf-8")
+        return _check(argv, tmp_path, case)
+
+    _run_cases("eval-captions --spice", spice, run_one, FILE_VALUES)

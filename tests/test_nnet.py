@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import re
 import struct
@@ -449,6 +450,24 @@ def test_gate_major_mean_states_of_a_lone_1_step_clip_match_row_major_oracle_bit
         means = [cls({k: Tensor(v) for k, v in raw.items()}).mean_states(xs)
                  for cls in (cell_cls, oracle_cls)]
         assert np.array_equal(*means), cell_cls.__name__
+
+
+@pytest.mark.parametrize("cell_cls, oracle_cls", [(GRUCell, RowMajorGRUCell),
+                                                  (LSTMCell, RowMajorLSTMCell)],
+                         ids=["gru", "lstm"])
+def test_mean_states_of_a_clip_whose_last_chunk_holds_one_row(cell_cls, oracle_cls):
+    # 33 steps: the clip runs past the others, so its last 32-step projection
+    # chunk holds one row, alone and in a group; the result keeps its bits
+    # and matches the oracle, which runs a zero sequence beside the clips
+    rng = np.random.default_rng(33)
+    raw = {k: (t.data * 0.1).astype(np.float32)
+           for k, t in _random_cell_params(rng, cell_cls.GATES, 64, 300).items()}
+    xs = [rng.normal(size=(t, 64)).astype(np.float32) for t in (33, 20, 1, 7)]
+    cell, oracle = (cls({k: Tensor(v) for k, v in raw.items()}) for cls in (cell_cls, oracle_cls))
+    alone, group = cell.mean_states(xs[:1]), cell.mean_states(xs)
+    assert np.array_equal(alone, oracle.mean_states(xs[:1]))
+    assert np.array_equal(group, oracle.mean_states(xs))
+    assert np.array_equal(alone[0], group[0])
 
 
 _POOL_CASES = {
@@ -1446,6 +1465,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     ("epoch", True, "header epoch: must be an integer, got True"),
     ("best_validation_mAP10", "x", "header best_validation_mAP10: must be a number"),
     ("best_validation_mAP10", [1], "header best_validation_mAP10: must be a number"),
+    ("epoch", -1, "header epoch: must be >= 0, got -1"),
+    ("best_validation_mAP10", math.nan, "header best_validation_mAP10: must be in [0, 1], got nan"),
+    ("best_validation_mAP10", math.inf, "header best_validation_mAP10: must be in [0, 1], got inf"),
+    ("best_validation_mAP10", -1, "header best_validation_mAP10: must be in [0, 1], got -1"),
+    ("best_validation_mAP10", 1.5, "header best_validation_mAP10: must be in [0, 1], got 1.5"),
 ])
 def test_checkpoint_rejects_malformed_header_fields(tmp_path, field, value, needle):
     config = small_config()
@@ -1489,6 +1513,15 @@ def test_checkpoint_rejects_parameter_list_disagreeing_with_config(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("epoch, map10", [(0, 0.0), (0, 1), (2**63, 1.0)])
+def test_checkpoint_header_range_ends_round_trip(tmp_path, epoch, map10):
+    config = small_config()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, config.to_dict(), init_params(config, seed=0), epoch, map10)
+    ck = load_checkpoint(path)
+    assert (ck.epoch, ck.best_validation_map10) == (epoch, map10)
+
+
 def test_save_checkpoint_refuses_what_load_checkpoint_refuses(tmp_path):
     config = small_config()
     params = init_params(config, seed=0)
@@ -1502,13 +1535,15 @@ def test_save_checkpoint_refuses_what_load_checkpoint_refuses(tmp_path):
 
     path = tmp_path / "model.ckpt"
     extra = {**params, "extra.w": Tensor(np.zeros(2, np.float32))}
-    bad_saves = [(stray, params), (config.to_dict(), extra)]
-    for bad_config, bad_params in bad_saves:
-        write_unchecked_checkpoint(unchecked, bad_config, bad_params)
+    bad_saves = [(stray, params, 1, 0.0), (config.to_dict(), extra, 1, 0.0),
+                 *[(config.to_dict(), params, epoch, map10)
+                   for epoch, map10 in ((-1, 0.0), (1, math.nan), (1, -math.inf), (1, 1.5))]]
+    for bad_config, bad_params, epoch, map10 in bad_saves:
+        write_unchecked_checkpoint(unchecked, bad_config, bad_params, epoch, map10)
         with pytest.raises(CheckpointError) as loading:
             load_checkpoint(unchecked)
         with pytest.raises(CheckpointError) as saving:
-            save_checkpoint(path, bad_config, bad_params, epoch=1, best_validation_map10=0.0)
+            save_checkpoint(path, bad_config, bad_params, epoch, map10)
         # the same message, naming the path given, and no file
         assert str(saving.value) == str(loading.value).replace(str(unchecked), str(path))
         assert sorted(os.listdir(tmp_path)) == ["unchecked.ckpt"]
