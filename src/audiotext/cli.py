@@ -37,6 +37,7 @@ from .corpus import (
 from .dsp import DspError, log_mel_features, read_wav
 from .losses import LossError
 from .nnet import ModelConfig, NnetError
+from .nnet.model import reject_unknown
 from .nnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .optim import OptimError, TrainConfig, train, write_epoch_log
 from .retrieval import SCORERS, RetrievalError, evaluate_retrieval, rank_query
@@ -88,45 +89,38 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = parse_json(fh.read(), path, RunConfigError, "not valid structured text")
     if not isinstance(raw, dict):
         raise RunConfigError(f"{path}: top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise RunConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    reject_unknown(raw, _TOP_KEYS, f"{path}: unknown keys", RunConfigError)
 
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise RunConfigError(f"{path}: seed: must be an integer")
 
-    model_raw = raw.get("model")
-    if not isinstance(model_raw, dict):
-        raise RunConfigError(f"{path}: model: required object")
-    if "seed" in model_raw:
-        raise RunConfigError(f"{path}: model.seed: set the top-level seed instead")
-    if "feature_dim" not in model_raw:
-        raise RunConfigError(f"{path}: model.feature_dim: required")
+    def section(name: str, required=(), allowed=None, default=None) -> dict:
+        """The object under ``name``. Without ``allowed`` its keys are left
+        to the config class it builds, and it takes the top-level seed."""
+        value = raw.get(name, default)
+        if not isinstance(value, dict):
+            kind = "required object" if default is None else "must be an object"
+            raise RunConfigError(f"{path}: {name}: {kind}")
+        if allowed is not None:
+            reject_unknown(value, allowed, f"{path}: {name}: unknown keys", RunConfigError)
+        elif "seed" in value:
+            raise RunConfigError(f"{path}: {name}.seed: set the top-level seed instead")
+        for key in required:
+            if key not in value:
+                raise RunConfigError(f"{path}: {name}.{key}: required")
+        return value
+
     try:
-        model = ModelConfig.from_dict({**model_raw, "seed": seed})
+        model = ModelConfig.from_dict({**section("model", ("feature_dim",)), "seed": seed})
     except NnetError as e:
         raise RunConfigError(f"{path}: model: {e}") from e
-
-    train_raw = raw.get("train", {})
-    if not isinstance(train_raw, dict):
-        raise RunConfigError(f"{path}: train: must be an object")
-    if "seed" in train_raw:
-        raise RunConfigError(f"{path}: train.seed: set the top-level seed instead")
     try:
-        train_cfg = TrainConfig.from_dict({**train_raw, "seed": seed + 1})
+        train_cfg = TrainConfig.from_dict({**section("train", default={}), "seed": seed + 1})
     except OptimError as e:
         raise RunConfigError(f"{path}: train: {e}") from e
 
-    data = raw.get("data")
-    if not isinstance(data, dict):
-        raise RunConfigError(f"{path}: data: required object")
-    unknown = set(data) - _DATA_KEYS
-    if unknown:
-        raise RunConfigError(f"{path}: data: unknown keys {sorted(unknown)}")
-    for key in _REQUIRED_DATA:
-        if key not in data:
-            raise RunConfigError(f"{path}: data.{key}: required")
+    data = section("data", _REQUIRED_DATA, _DATA_KEYS)
     feature_kind = data.get("feature_kind", "log_mel_64")
     if feature_kind not in FEATURE_KINDS:
         raise RunConfigError(
@@ -144,22 +138,14 @@ def load_run_config(path: str | Path) -> RunConfig:
     if scorer is not None and scorer not in SCORERS:
         raise RunConfigError(f"{path}: scorer: {scorer!r} not in {SCORERS}")
 
-    out = raw.get("out")
-    if not isinstance(out, dict):
-        raise RunConfigError(f"{path}: out: required object")
-    unknown = set(out).difference(_OUT_KEYS)
-    if unknown:
-        raise RunConfigError(f"{path}: out: unknown keys {sorted(unknown)}")
-    for key in _OUT_KEYS:
-        if key not in out:
-            raise RunConfigError(f"{path}: out.{key}: required")
-    for section, keys, required in (("data", _PATH_KEYS, _REQUIRED_DATA),
-                                    ("out", _OUT_KEYS, _OUT_KEYS)):
+    out = section("out", _OUT_KEYS, _OUT_KEYS)
+    for name, keys, required in (("data", _PATH_KEYS, _REQUIRED_DATA),
+                                 ("out", _OUT_KEYS, _OUT_KEYS)):
         for key in keys:
-            value = raw[section].get(key)
+            value = raw[name].get(key)
             if (value is not None or key in required) and not isinstance(value, str):
                 raise RunConfigError(
-                    f"{path}: {section}.{key}: must be a path string, got {value!r}")
+                    f"{path}: {name}.{key}: must be a path string, got {value!r}")
     for key in _OUT_KEYS:
         _check_out_path(resolve(out[key]), f"{path}: out.{key}")
 
@@ -290,11 +276,13 @@ def cmd_eval_captions(args) -> int:
 
 
 def _read_query_vector(path: str) -> np.ndarray:
-    """A flat structured-text array of numbers, as float64."""
+    """A flat structured-text array of finite numbers, as float64."""
     try:
         vec = json.loads(Path(path).read_text(encoding="utf-8"))
         if isinstance(vec, list) and all(type(v) in (int, float) for v in vec):
-            return np.array(vec, dtype=np.float64)
+            vec = np.array(vec, dtype=np.float64)
+            if np.isfinite(vec).all():  # NaN, Infinity, and 1e400 parsed as inf
+                return vec
     except (ValueError, OverflowError) as e:  # bad UTF-8 or syntax, an int beyond float range
         raise RunConfigError(f"{path}: query vector is not a flat array of numbers ({e})") from e
     except RecursionError:  # nesting too deep for the parser

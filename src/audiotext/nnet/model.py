@@ -84,6 +84,13 @@ def check_field_types(d: Mapping, ints=(), numbers=(), error=NnetError,
             raise error(f"{key}: integer too large for a float")
 
 
+def reject_unknown(d: Mapping, allowed, message: str, error=NnetError) -> None:
+    """Raise ``error`` with ``message`` and the sorted keys of ``d`` not in ``allowed``."""
+    unknown = set(d).difference(allowed)
+    if unknown:
+        raise error(f"{message} {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One audio-tower layer. Unused size fields stay None."""
@@ -102,9 +109,7 @@ class LayerSpec:
         if not isinstance(d, Mapping) or "kind" not in d:
             raise NnetError(f"audio_tower: each layer must be an object with a kind, got {d!r}")
         names = [f.name for f in fields(cls)]
-        unknown = set(d) - set(names)
-        if unknown:
-            raise NnetError(f"unknown LayerSpec keys {sorted(unknown)}")
+        reject_unknown(d, names, "unknown LayerSpec keys")
         check_field_types(d, ints=names[1:], optional=True)  # every field after kind is a size
         return cls(**d)
 
@@ -117,7 +122,7 @@ class ProjectionSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Full architecture/loss description; serialized with checkpoints."""
+    """Full architecture/loss description, validated when built; serialized with checkpoints."""
 
     feature_dim: int
     audio_tower: tuple[LayerSpec, ...]
@@ -132,6 +137,9 @@ class ModelConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def scoring_dim(self) -> int:
@@ -223,9 +231,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise NnetError(f"unknown ModelConfig keys {sorted(unknown)}")
+        reject_unknown(d, [f.name for f in fields(cls)], "unknown ModelConfig keys")
         if "feature_dim" not in d:
             raise NnetError("ModelConfig requires feature_dim")
         check_field_types(d, ints=("feature_dim", "embed_dim", "seed"),
@@ -239,14 +245,11 @@ class ModelConfig:
         if proj is not None:
             if not isinstance(proj, Mapping) or "out_dim" not in proj:
                 raise NnetError(f"projection: must be an object with an out_dim, got {proj!r}")
-            unknown = set(proj) - {f.name for f in fields(ProjectionSpec)}
-            if unknown:
-                raise NnetError(f"unknown projection keys {sorted(unknown)}")
+            reject_unknown(proj, [f.name for f in fields(ProjectionSpec)],
+                           "unknown projection keys")
             check_field_types(proj, ints=("out_dim",))
             d["projection"] = ProjectionSpec(**proj)
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 def default_tower(feature_dim: int, channels: tuple[int, int] = (64, 64)) -> tuple[LayerSpec, ...]:
@@ -264,7 +267,6 @@ def default_tower(feature_dim: int, channels: tuple[int, int] = (64, 64)) -> tup
 
 def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Deterministic (name, shape) list; the canonical parameter order."""
-    config.validate()
     return [(name, shape) for _, name, shape in _sized_shapes(config)]
 
 

@@ -30,7 +30,7 @@ from .losses import (
     triplet_margin_loss,
 )
 from .nnet import AudioTower, ModelConfig, Params, TextEmbedder, init_params, zero_grads, clone_params
-from .nnet.model import check_field_types
+from .nnet.model import check_field_types, reject_unknown
 from .nnet.checkpoint import Checkpoint
 from .retrieval import build_score_matrix, report_from_matrix, RetrievalReport
 from .rng import SplitMix64
@@ -46,7 +46,7 @@ class OptimError(ValueError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Loop hyperparameters. Only the optimizer/scheduler family is fixed;
-    budgets, patience, and batch size are all overridable."""
+    budgets, patience, and batch size are all overridable. Validated when built."""
 
     epochs: int = 50
     batch_size: int = 32
@@ -55,6 +55,9 @@ class TrainConfig:
     plateau_factor: float = 0.5
     plateau_patience: int = 5
     min_lr: float = 1e-6
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -75,15 +78,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "TrainConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise OptimError(f"unknown training config keys: {sorted(unknown)}")
+        reject_unknown(d, [f.name for f in fields(cls)], "unknown training config keys:",
+                       OptimError)
         check_field_types(d, ints=("epochs", "batch_size", "seed", "early_stop_patience",
                                    "plateau_patience"),
                           numbers=("plateau_factor", "min_lr"), error=OptimError)
-        cfg = cls(**{k: d[k] for k in d})
-        cfg.validate()
-        return cfg
+        return cls(**d)
 
 
 class AdamState:
@@ -264,8 +264,6 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
     mAP10, scored with ``scorer`` (default: the loss's scorer). A batch
     whose items all share one clip cannot be contrasted and raises.
     """
-    config.validate()
-    train_config.validate()
     params = init_params(config, seed=config.seed)
     tower = AudioTower(config, params)
     embedder = TextEmbedder(config, params, word_table=word_table,

@@ -225,121 +225,135 @@ def test_load_run_config_resolves_and_seeds(tmp_path):
     assert rc.checkpoint_out == tmp_path / "run" / "model.ckpt"
 
 
-BAD_CONFIG_CASES = [
-    ("unknown_top", "unknown keys ['optimizer']"),
-    ("model_seed", "model.seed: set the top-level seed instead"),
-    ("train_seed", "train.seed: set the top-level seed instead"),
-    ("missing_out_key", "out.epoch_log: required"),
-    ("bad_feature_kind", "data.feature_kind: 'mfcc' not in"),
-    ("bad_batch_size", "batch_size"),
-    ("missing_word_embeddings", "data.word_embeddings: required"),
-    ("bool_seed", "seed: must be an integer"),
-    ("missing_feature_dim", "model.feature_dim: required"),
-    ("unknown_data_key", "data: unknown keys ['clips']"),
-    ("missing_model", "model: required object"),
-    ("str_embed_dim", "model: embed_dim: must be an integer, got '8'"),
-    ("str_margin", "model: margin: must be a number, got 'x'"),
-    ("str_epochs", "train: epochs: must be an integer, got '2'"),
-    ("float_epochs", "train: epochs: must be an integer, got 1.5"),
-    ("bool_epochs", "train: epochs: must be an integer, got True"),
-    ("float_batch_size", "train: batch_size: must be an integer, got 4.5"),
-    ("int_audio_tower", "model: audio_tower: must be a list of layer objects, got 5"),
-    ("int_projection", "model: projection: must be an object with an out_dim, got 5"),
-    ("int_data_path", "data.train_captions: must be a path string, got 5"),
-    ("int_out_path", "out.checkpoint: must be a path string, got 5"),
-    ("null_out_path", "out.epoch_log: must be a path string, got None"),
-    ("null_train_captions", "data.train_captions: must be a path string, got None"),
-    ("null_val_captions", "data.val_captions: must be a path string, got None"),
-    ("null_features_dir", "data.features_dir: must be a path string, got None"),
-    ("big_beta1", "model: beta1 must be in [0, 1), got 5.0"),
-    ("one_beta1", "model: beta1 must be in [0, 1), got 1.0"),
-    ("negative_beta2", "model: beta2 must be in [0, 1), got -1.0"),
-    ("zero_adam_eps", "model: adam_eps must be positive, got 0.0"),
-    ("nan_lr", "model: lr must be positive, got nan"),
-    ("nan_margin", "model: margin must be positive, got nan"),
-    ("nan_min_lr", "train: min_lr must be positive, got nan"),
-    ("inf_lr", "model: lr must be finite, got inf"),
-    ("inf_margin", "model: margin must be finite, got inf"),
-    ("inf_adam_eps", "model: adam_eps must be finite, got inf"),
-    ("inf_min_lr", "train: min_lr must be finite, got inf"),
-    ("huge_margin", "model: margin: integer too large for a float"),
-    ("huge_min_lr", "train: min_lr: integer too large for a float"),
-]
+def _set(*path_and_value):
+    """An edit of the run config that sets the value at path."""
+    *path, value = path_and_value
 
-# case -> (section, key, value) for the wrong-type cases above
-_WRONG_TYPES = {
-    "str_embed_dim": ("model", "embed_dim", "8"),
-    "str_margin": ("model", "margin", "x"),
-    "str_epochs": ("train", "epochs", "2"),
-    "float_epochs": ("train", "epochs", 1.5),
-    "bool_epochs": ("train", "epochs", True),
-    "float_batch_size": ("train", "batch_size", 4.5),
-    "int_audio_tower": ("model", "audio_tower", 5),
-    "int_projection": ("model", "projection", 5),
-    "int_data_path": ("data", "train_captions", 5),
-    "int_out_path": ("out", "checkpoint", 5),
-    "null_out_path": ("out", "epoch_log", None),
-    "null_train_captions": ("data", "train_captions", None),
-    "null_val_captions": ("data", "val_captions", None),
-    "null_features_dir": ("data", "features_dir", None),
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return cfg
+    return edit
+
+
+def _drop(*path):
+    """An edit of the run config that deletes the key at path."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return cfg
+    return edit
+
+
+def _sentence_table_without_table(cfg):
+    cfg["model"]["text_mode"] = "sentence_table"
+    return cfg
+
+
+# case -> (edit of a valid run config, the whole error line after "error: {path}: ")
+BAD_CONFIGS = {
+    "unknown_top": (_set("optimizer", "adam"), "unknown keys ['optimizer']"),
+    "model_seed": (_set("model", "seed", 4), "model.seed: set the top-level seed instead"),
+    "train_seed": (_set("train", "seed", 4), "train.seed: set the top-level seed instead"),
+    "missing_out_key": (_drop("out", "epoch_log"), "out.epoch_log: required"),
+    "bad_feature_kind": (_set("data", "feature_kind", "mfcc"),
+                         "data.feature_kind: 'mfcc' not in ('log_mel_64', 'external')"),
+    "bad_batch_size": (_set("train", "batch_size", 1),
+                       "train: batch_size must be >= 2 (imposter sampling), got 1"),
+    "missing_word_embeddings": (_drop("data", "word_embeddings"),
+                                "data.word_embeddings: required for word_average text mode"),
+    "bool_seed": (_set("seed", True), "seed: must be an integer"),
+    "missing_feature_dim": (_drop("model", "feature_dim"), "model.feature_dim: required"),
+    "unknown_data_key": (_set("data", "clips", "x"), "data: unknown keys ['clips']"),
+    "missing_model": (_drop("model"), "model: required object"),
+    "str_embed_dim": (_set("model", "embed_dim", "8"),
+                      "model: embed_dim: must be an integer, got '8'"),
+    "str_margin": (_set("model", "margin", "x"), "model: margin: must be a number, got 'x'"),
+    "str_epochs": (_set("train", "epochs", "2"), "train: epochs: must be an integer, got '2'"),
+    "float_epochs": (_set("train", "epochs", 1.5),
+                     "train: epochs: must be an integer, got 1.5"),
+    "bool_epochs": (_set("train", "epochs", True),
+                    "train: epochs: must be an integer, got True"),
+    "float_batch_size": (_set("train", "batch_size", 4.5),
+                         "train: batch_size: must be an integer, got 4.5"),
+    "int_audio_tower": (_set("model", "audio_tower", 5),
+                        "model: audio_tower: must be a list of layer objects, got 5"),
+    "int_projection": (_set("model", "projection", 5),
+                       "model: projection: must be an object with an out_dim, got 5"),
+    "int_data_path": (_set("data", "train_captions", 5),
+                      "data.train_captions: must be a path string, got 5"),
+    "int_out_path": (_set("out", "checkpoint", 5), "out.checkpoint: must be a path string, got 5"),
+    "null_out_path": (_set("out", "epoch_log", None),
+                      "out.epoch_log: must be a path string, got None"),
+    "null_train_captions": (_set("data", "train_captions", None),
+                            "data.train_captions: must be a path string, got None"),
+    "null_val_captions": (_set("data", "val_captions", None),
+                          "data.val_captions: must be a path string, got None"),
+    "null_features_dir": (_set("data", "features_dir", None),
+                          "data.features_dir: must be a path string, got None"),
+    "big_beta1": (_set("model", "beta1", 5.0), "model: beta1 must be in [0, 1), got 5.0"),
+    "one_beta1": (_set("model", "beta1", 1.0), "model: beta1 must be in [0, 1), got 1.0"),
+    "negative_beta2": (_set("model", "beta2", -1.0),
+                       "model: beta2 must be in [0, 1), got -1.0"),
+    "zero_adam_eps": (_set("model", "adam_eps", 0.0),
+                      "model: adam_eps must be positive, got 0.0"),
+    "nan_lr": (_set("model", "lr", math.nan), "model: lr must be positive, got nan"),
+    "nan_margin": (_set("model", "margin", math.nan), "model: margin must be positive, got nan"),
+    "nan_min_lr": (_set("train", "min_lr", math.nan), "train: min_lr must be positive, got nan"),
+    "inf_lr": (_set("model", "lr", math.inf), "model: lr must be finite, got inf"),
+    "inf_margin": (_set("model", "margin", math.inf), "model: margin must be finite, got inf"),
+    "inf_adam_eps": (_set("model", "adam_eps", math.inf),
+                     "model: adam_eps must be finite, got inf"),
+    "inf_min_lr": (_set("train", "min_lr", math.inf), "train: min_lr must be finite, got inf"),
+    "huge_margin": (_set("model", "margin", 10 ** 400),
+                    "model: margin: integer too large for a float"),
+    "huge_min_lr": (_set("train", "min_lr", 10 ** 400),
+                    "train: min_lr: integer too large for a float"),
+    # the rules below had no exact-text test before
+    "list_top": (lambda cfg: [cfg], "top level must be an object"),
+    "list_train": (_set("train", []), "train: must be an object"),
+    "str_data": (_set("data", "x"), "data: required object"),
+    "null_out": (_set("out", None), "out: required object"),
+    "unknown_out_key": (_set("out", "report", "r.json"), "out: unknown keys ['report']"),
+    "missing_caption_embeddings": (
+        _sentence_table_without_table,
+        "data.caption_embeddings: required for sentence_table text mode"),
+    "bad_scorer": (_set("scorer", "cosine"),
+                   "scorer: 'cosine' not in ('dot', 'exp_neg_euclid')"),
+    "layer_without_kind": (_drop("model", "audio_tower", 1, "kind"),
+                           "model: audio_tower: each layer must be an object with a kind, "
+                           "got {}"),
+    "unknown_layer_key": (_set("model", "audio_tower", 0, "stride", 2),
+                          "model: unknown LayerSpec keys ['stride']"),
+    "unknown_projection_key": (_set("model", "projection", {"out_dim": 4, "bias": False}),
+                               "model: unknown projection keys ['bias']"),
+    "one_plateau_factor": (_set("train", "plateau_factor", 1.0),
+                           "train: plateau_factor must be in (0,1), got 1.0"),
+    "zero_plateau_factor": (_set("train", "plateau_factor", 0),
+                            "train: plateau_factor must be in (0,1), got 0"),
+    "bad_recurrent_cell": (_set("model", "recurrent_cell", "rnn"),
+                           "model: recurrent_cell must be gru|lstm|none, got 'rnn'"),
+    "bad_text_mode": (_set("model", "text_mode", "chars"),
+                      "model: text_mode must be word_average|sentence_table, got 'chars'"),
+    "bad_loss": (_set("model", "loss", "mse"),
+                 "model: loss must be triplet|bce_expdist, got 'mse'"),
 }
 
-# case -> (section, key, value) for the out-of-range settings above
-_OUT_OF_RANGE = {
-    "big_beta1": ("model", "beta1", 5.0),
-    "one_beta1": ("model", "beta1", 1.0),
-    "negative_beta2": ("model", "beta2", -1.0),
-    "zero_adam_eps": ("model", "adam_eps", 0.0),
-    "nan_lr": ("model", "lr", float("nan")),
-    "nan_margin": ("model", "margin", float("nan")),
-    "nan_min_lr": ("train", "min_lr", float("nan")),
-    "inf_lr": ("model", "lr", float("inf")),
-    "inf_margin": ("model", "margin", float("inf")),
-    "inf_adam_eps": ("model", "adam_eps", float("inf")),
-    "inf_min_lr": ("train", "min_lr", float("inf")),
-    "huge_margin": ("model", "margin", 10 ** 400),
-    "huge_min_lr": ("train", "min_lr", 10 ** 400),
-}
 
-
-@pytest.mark.parametrize("case,needle", BAD_CONFIG_CASES, ids=[c for c, _ in BAD_CONFIG_CASES])
-def test_train_rejects_bad_configs(tmp_path, case, needle):
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_train_rejects_bad_configs(tmp_path, case):
     ds = make_dataset(tmp_path)
-    cfg = base_config_dict(ds, tmp_path / "run")
-    if case == "unknown_top":
-        cfg["optimizer"] = "adam"
-    elif case == "model_seed":
-        cfg["model"]["seed"] = 4
-    elif case == "train_seed":
-        cfg["train"]["seed"] = 4
-    elif case == "missing_out_key":
-        del cfg["out"]["epoch_log"]
-    elif case == "bad_feature_kind":
-        cfg["data"]["feature_kind"] = "mfcc"
-    elif case == "bad_batch_size":
-        cfg["train"]["batch_size"] = 1
-    elif case == "missing_word_embeddings":
-        del cfg["data"]["word_embeddings"]
-    elif case == "bool_seed":
-        cfg["seed"] = True
-    elif case == "missing_feature_dim":
-        del cfg["model"]["feature_dim"]
-    elif case == "unknown_data_key":
-        cfg["data"]["clips"] = "x"
-    elif case == "missing_model":
-        del cfg["model"]
-    elif case in _WRONG_TYPES or case in _OUT_OF_RANGE:
-        section, key, value = {**_WRONG_TYPES, **_OUT_OF_RANGE}[case]
-        cfg[section][key] = value
-    path = write_config(tmp_path / "run.json", cfg)
+    edit, line = BAD_CONFIGS[case]
+    path = write_config(tmp_path / "run.json", edit(base_config_dict(ds, tmp_path / "run")))
 
     code, out, err = run_cli(["train", "--config", str(path)])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
-    assert needle in err
-    if case in _WRONG_TYPES or case in _OUT_OF_RANGE:
-        assert err == f"error: {path}: {needle}\n"
+    assert err == f"error: {path}: {line}\n"
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
@@ -1084,6 +1098,25 @@ def test_rank_bad_query_vector_file_is_an_error(tmp_path, content):
     assert err.startswith("error:")
     assert str(vec_path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_rank_non_finite_query_vector_entry_is_an_error(tmp_path, entry):
+    # such a vector used to load and end in "score matrix contains non-finite
+    # values", which does not name the file
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(text_mode="sentence_table"))
+    vec_path = tmp_path / "query.json"
+    vec_path.write_text(f"[0.1, -0.2, {entry}, 0.0, 0.5, -0.4]", encoding="utf-8")
+    code, out, err = run_cli([
+        "rank", "--checkpoint", str(ckpt),
+        "--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+        "--feature-kind", "external", "--query", "unused", "--top-k", "2",
+        "--query-vector", str(vec_path),
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {vec_path}: query vector is not a flat array of numbers\n"
 
 
 def test_rank_query_vector_nested_too_deeply_is_an_error(tmp_path):

@@ -7,7 +7,9 @@ number of seeded cases replace two fields at once. `train`
 gets the mutated run config; `eval-retrieval` and `rank` get a checkpoint
 whose header is mutated and whose payload is the valid one. The flat files,
 `rank --query-vector` and `eval-captions --spice`, also meet 2**63, 1e308
-and an array nested DEEP_LEVELS deep; they hold no sizes. Every command
+and an array nested DEEP_LEVELS deep; they hold no sizes. Byte mutations
+(a byte set, bytes deleted or inserted, the file cut short) of one FMAT file
+and of the caption CSV go through `eval-retrieval`. Every command
 runs in-process through `cli.main` and must end in exit 0, or in exit 1
 with exactly one `error: ` line on stderr and no new file (directories
 aside); an exception out of `main` is a failure. No odd value is a size
@@ -37,6 +39,8 @@ ODD_VALUES = ("x", True, None, 0, -1, 0.5, math.nan, math.inf, [], {})
 # deeper than any parser recursion limit, and fixed before the run
 DEEP, DEEP_LEVELS = "<array nested DEEP_LEVELS deep>", 100_000
 FILE_VALUES = (*ODD_VALUES, 2**63, 1e308, DEEP)
+BYTE_CASES = 300  # seeded byte mutations per binary or text input file
+HEAD_BYTES = 16  # the FMAT header's length; half the byte mutations fall before it
 
 
 def _paths(node, prefix=()):
@@ -100,8 +104,7 @@ def _check(argv, root, case):
     return [f"{case}: new files after a failure: {sorted(map(str, new))}"] if new else []
 
 
-def _run_cases(command, tree, run_one, values=ODD_VALUES):
-    cases = _mutations(command, tree, values)
+def _run_cases(command, cases, run_one):
     start = time.perf_counter()
     failures = [f for case in cases for f in run_one(case)]
     elapsed = time.perf_counter() - start
@@ -125,7 +128,7 @@ def test_train_survives_mutated_run_configs(tmp_path):
                                            case)), encoding="utf-8")
         return _check(["train", "--config", str(path)], tmp_path, case)
 
-    _run_cases("train", valid, run_one)
+    _run_cases("train", _mutations("train", valid, ODD_VALUES), run_one)
 
 
 def _split_checkpoint(path):
@@ -156,7 +159,7 @@ def test_scoring_survives_mutated_checkpoint_headers(tmp_path, command):
         ckpt.write_bytes(magic + struct.pack("<I", len(blob)) + blob + payload)
         return _check(argv(ckpt), tmp_path, case)
 
-    _run_cases(command, header, run_one)
+    _run_cases(command, _mutations(command, header, ODD_VALUES), run_one)
 
 
 @pytest.mark.parametrize("scorer", SCORERS)
@@ -177,7 +180,8 @@ def test_rank_survives_mutated_query_vectors(tmp_path, scorer):
         path.write_text(_dump(_mutate(vector, case)), encoding="utf-8")
         return _check(argv, tmp_path, case)
 
-    _run_cases("rank --query-vector", vector, run_one, FILE_VALUES)
+    _run_cases("rank --query-vector", _mutations("rank --query-vector", vector, FILE_VALUES),
+               run_one)
 
 
 def test_eval_captions_survives_mutated_spice_files(tmp_path):
@@ -197,4 +201,46 @@ def test_eval_captions_survives_mutated_spice_files(tmp_path):
         path.write_text(_dump(_mutate(spice, case)), encoding="utf-8")
         return _check(argv, tmp_path, case)
 
-    _run_cases("eval-captions --spice", spice, run_one, FILE_VALUES)
+    _run_cases("eval-captions --spice",
+               _mutations("eval-captions --spice", spice, FILE_VALUES), run_one)
+
+
+def _byte_mutations(name, data):
+    """BYTE_CASES seeded mutations of data, each a (label, bytes) pair: one
+    byte set to a random value, a run of 1-8 bytes deleted, 1-8 random bytes
+    inserted, or the data cut short."""
+    rng = random.Random(f"{SEED}-{name}")
+    cases = []
+    for _ in range(BYTE_CASES):
+        i = rng.randrange(min(HEAD_BYTES, len(data)) if rng.random() < 0.5 else len(data))
+        kind, n = rng.choice(("set", "delete", "insert", "truncate")), rng.randint(1, 8)
+        if kind == "set":
+            mutated = data[:i] + bytes([rng.randrange(256)]) + data[i + 1:]
+        elif kind == "delete":
+            mutated = data[:i] + data[i + n:]
+        elif kind == "insert":
+            mutated = data[:i] + rng.randbytes(n) + data[i:]
+        else:
+            mutated = data[:i]
+        cases.append((f"{name}: {kind} at byte {i}", mutated))
+    return cases
+
+
+@pytest.mark.parametrize("target", ["fmat", "captions"])
+def test_eval_retrieval_survives_byte_mutations(tmp_path, target):
+    ds = make_dataset(tmp_path / "data")
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    argv = ["eval-retrieval", "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
+            "--features-dir", str(ds["feats"]), "--feature-kind", "external",
+            "--word-embeddings", str(ds["words"])]
+    # the valid run also writes the word table's cache sidecar
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    path = ds["val_csv"] if target == "captions" else ds["feats"] / f"{ds['names'][0]}.fmat"
+
+    def run_one(case):
+        label, data = case
+        path.write_bytes(data)
+        return _check(argv, tmp_path, label)
+
+    _run_cases(f"eval-retrieval {target}", _byte_mutations(target, path.read_bytes()), run_one)

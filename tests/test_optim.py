@@ -1,12 +1,14 @@
 """Optimizer, scheduler, early stopping, and training loop tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from audiotext.losses import LossError
-from audiotext.nnet import AudioTower, ProjectionSpec, TextEmbedder, init_params
+from audiotext.nnet import (AudioTower, ModelConfig, NnetError, ProjectionSpec, TextEmbedder,
+                            init_params)
 from audiotext.nnet.tensor import Tensor, zero_grads
 from audiotext.optim import (
     EPOCH_LOG_HEADER,
@@ -196,6 +198,24 @@ def test_train_config_rejects_bad_values():
         TrainConfig(early_stop_patience=0).validate()
     with pytest.raises(OptimError, match="min_lr"):
         TrainConfig(min_lr=0.0).validate()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ModelConfig(feature_dim=8, audio_tower=(), embed_dim=8, recurrent_cell="none",
+                         lr=0.0), NnetError, "lr must be positive, got 0.0"),
+    (lambda: dataclasses.replace(small_config(), lr=0.0), NnetError,
+     "lr must be positive, got 0.0"),
+    (lambda: dataclasses.replace(small_config(), recurrent_cell="rnn"), NnetError,
+     "recurrent_cell must be gru|lstm|none, got 'rnn'"),
+    (lambda: TrainConfig(batch_size=1), OptimError,
+     "batch_size must be >= 2 (imposter sampling), got 1"),
+    (lambda: dataclasses.replace(TrainConfig(), min_lr=float("inf")), OptimError,
+     "min_lr must be finite, got inf"),
+], ids=["model", "model_replace", "model_replace_cell", "train", "train_replace"])
+def test_configs_are_checked_when_built(build, error, message):
+    # a config built in Python, not read from a dict, is checked as it is built
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # ---------------------------------------------------------------- training loop
