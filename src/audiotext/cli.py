@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,6 +206,11 @@ def _load_text_tables(config: ModelConfig, word_path, caption_path):
 
 
 def cmd_features(args) -> int:
+    # files run in worker threads, since the rfft, the ufuncs, the mel product
+    # and the file I/O release the GIL; imported here, so that the other
+    # commands do not pay for its import
+    from concurrent.futures import ThreadPoolExecutor
+
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir)
     wavs = sorted(in_dir.glob("*.wav"))
@@ -212,23 +218,31 @@ def cmd_features(args) -> int:
         print(f"error: no input files (searched {in_dir}/*.wav)", file=sys.stderr)
         return 1
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = 0
-    frames_total = 0
-    failed = 0
-    for wav in wavs:
+
+    def one_file(wav: Path) -> tuple[int, Optional[str]]:
+        """(frames written, error line) of one WAV file."""
         try:
-            wave = read_wav(wav)
-            feats = log_mel_features(wave, n_mels=args.n_mels, win_ms=args.win_ms,
+            feats = log_mel_features(read_wav(wav), n_mels=args.n_mels, win_ms=args.win_ms,
                                      hop_ms=args.hop_ms, source=wav.name)
             write_fmat(out_dir / f"{wav.name}.fmat", feats)
         except _ERRORS as e:
-            print(f"error: {wav.name}: {e}", file=sys.stderr)
-            failed += 1
-            continue
-        written += 1
-        frames_total += feats.frames.shape[0]
-        del wave, feats  # before the next file is read
-    print(f"files={written}, frames_total={frames_total}")
+            return 0, f"error: {wav.name}: {e}"
+        return feats.frames.shape[0], None
+
+    frames_total = 0
+    failed = 0
+    # one worker per CPU in the affinity mask, so taskset limits them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ThreadPoolExecutor(max_workers=min(cpus or 1, len(wavs)))
+    try:
+        for frames, error in pool.map(one_file, wavs):
+            if error is not None:
+                print(error, file=sys.stderr)
+                failed += 1
+            frames_total += frames
+    finally:  # on an interrupt, files in flight finish and no queued file starts
+        pool.shutdown(cancel_futures=True)
+    print(f"files={len(wavs) - failed}, frames_total={frames_total}")
     return 1 if failed else 0
 
 

@@ -8,10 +8,12 @@ symmetric Hann window, FFT size = smallest power of two >= window length,
 no pre-emphasis, no per-clip normalization. Stereo input is averaged to
 mono; clips are processed at their native sample rate.
 
-Frames are windowed and transformed in fixed chunks through one reused
-zero-padded buffer, so transient memory does not grow with clip length;
-the mel product and log run once over the whole power matrix. The
-output is bitwise the same as transforming every frame at once.
+Frames are windowed, transformed, projected onto the filterbank and
+log-compressed in fixed chunks through reused buffers, straight into the
+float32 output, so transient memory does not grow with clip length. The
+output is bitwise the same as transforming every frame at once, as long
+as BLAS rounds each row of the mel product alike whatever its row block
+(OpenBLAS on x86-64 does, at 1 and 2 threads).
 """
 
 from __future__ import annotations
@@ -203,18 +205,17 @@ def log_mel_features(
     frames = np.lib.stride_tricks.sliding_window_view(wave.samples, win)[::hop]
     chunk = min(t_frames, max(1, _FRAME_BUFFER_VALUES // n_fft))
     padded = np.zeros((chunk, n_fft))  # columns from win on stay zero
-    power = np.empty((t_frames, n_fft // 2 + 1))
+    power = np.empty((chunk, n_fft // 2 + 1))
+    mel = np.empty((chunk, n_mels))
+    out = np.empty((t_frames, n_mels), dtype=np.float32)
     for start in range(0, t_frames, chunk):
-        rows = power[start : start + chunk]
-        m = len(rows)
+        m = min(chunk, t_frames - start)
         np.multiply(frames[start : start + m], window, out=padded[:m, :win])
         spectrum = np.fft.rfft(padded[:m], axis=1).view(np.float64)
         np.square(spectrum, out=spectrum)
-        np.add(spectrum[:, 0::2], spectrum[:, 1::2], out=rows)  # re*re + im*im
+        np.add(spectrum[:, 0::2], spectrum[:, 1::2], out=power[:m])  # re*re + im*im
         del spectrum  # free it before the next chunk's spectrum is allocated
-    mel = power @ fb.weights.T
-    mel += LOG_FLOOR
-    np.log(mel, out=mel)
-    return FeatureSequence(
-        frames=mel.astype(np.float32), feature_kind="log_mel_64", source_file=source
-    )
+        rows = np.matmul(power[:m], fb.weights.T, out=mel[:m])
+        rows += LOG_FLOOR
+        out[start : start + m] = np.log(rows, out=rows)
+    return FeatureSequence(frames=out, feature_kind="log_mel_64", source_file=source)

@@ -249,6 +249,9 @@ def _batch_step(batch: list[tuple[str, CaptionRecord]],
     return total * scale
 
 
+# a huge finite lr or adam_eps overflows to inf or nan, which the finiteness
+# checks report as one error, not as NumPy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
           features: Mapping[str, FeatureSequence], config: ModelConfig,
           train_config: TrainConfig,

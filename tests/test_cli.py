@@ -4,12 +4,17 @@ Output is captured with redirect_stdout/redirect_stderr rather than a
 capture fixture so the suite can run with output capture disabled.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import json
 import math
 import os
 import struct
+import subprocess
+import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,11 +174,137 @@ def test_features_reports_corrupt_file_and_continues(tmp_path):
     code, out, err = run_cli(["features", "--in-dir", str(in_dir),
                               "--out-dir", str(out_dir)])
     assert code == 1
-    assert "bad.wav" in err
-    assert err.startswith("error:")
+    assert err == f"error: bad.wav: {in_dir / 'bad.wav'}: not a RIFF/WAVE file\n"
     assert out == "files=1, frames_total=49\n"
     assert (out_dir / "good.wav.fmat").is_file()
     assert not (out_dir / "bad.wav.fmat").exists()
+
+
+def _five_wavs_two_corrupt(in_dir):
+    """a..e.wav, 0.5-1.3 s at 16 kHz; b.wav is not a RIFF file and d.wav is
+    cut inside its data chunk."""
+    in_dir.mkdir()
+    for i, name in enumerate("abcde"):
+        sine_wav(in_dir / f"{name}.wav", 300.0 + 200.0 * i, 16000, seconds=0.5 + 0.2 * i)
+    (in_dir / "b.wav").write_bytes(b"RIFF" + b"\x00" * 40)
+    d = in_dir / "d.wav"
+    d.write_bytes(d.read_bytes()[:-3])
+    return (f"error: b.wav: {in_dir / 'b.wav'}: not a RIFF/WAVE file\n"
+            f"error: d.wav: {in_dir / 'd.wav'}: truncated chunk b'data'\n")
+
+
+def test_features_reports_corrupt_files_in_file_order(tmp_path):
+    in_dir, out_dir = tmp_path / "wav", tmp_path / "fmat"
+    expected_err = _five_wavs_two_corrupt(in_dir)
+
+    code, out, err = run_cli(["features", "--in-dir", str(in_dir), "--out-dir", str(out_dir)])
+    assert code == 1
+    assert err == expected_err
+    # 0.5, 0.9 and 1.3 s: 24, 44 and 64 frames
+    assert out == "files=3, frames_total=132\n"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.wav.fmat", "c.wav.fmat",
+                                                        "e.wav.fmat"]
+    for name in ("a.wav", "c.wav", "e.wav"):
+        direct = log_mel_features(read_wav(in_dir / name))
+        assert np.array_equal(read_fmat(out_dir / f"{name}.fmat").frames, direct.frames)
+
+
+def _run_features_on_cpus(monkeypatch, cpus, in_dir, out_dir, *flags):
+    """``features`` as if the process could run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    return run_cli(["features", "--in-dir", str(in_dir), "--out-dir", str(out_dir), *flags])
+
+
+# at 400 ms / 10 ms, f.wav has 161 frames: five chunks of 32 and a one-row one
+@pytest.mark.parametrize("flags", [(), ("--win-ms", "400", "--hop-ms", "10")],
+                         ids=["defaults", "long_window"])
+def test_features_output_does_not_depend_on_worker_count(tmp_path, monkeypatch, flags):
+    in_dir = tmp_path / "wav"
+    expected_err = _five_wavs_two_corrupt(in_dir)
+    sine_wav(in_dir / "f.wav", 3000.0, 16000, seconds=2.0)
+    sine_wav(in_dir / "g.wav", 700.0, 22050, seconds=1.5)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # workers switch often; 8 CPUs give one per file
+    try:
+        for cpus in (1, 2, 4, 8):
+            out_dir = tmp_path / f"fmat{cpus}"
+            code, out, err = _run_features_on_cpus(monkeypatch, cpus, in_dir, out_dir, *flags)
+            runs[cpus] = (code, out, err, {p.name: p.read_bytes() for p in out_dir.iterdir()})
+    finally:
+        sys.setswitchinterval(interval)
+    code, out, err, fmats = runs[1]
+    assert (code, err) == (1, expected_err)
+    assert sorted(fmats) == ["a.wav.fmat", "c.wav.fmat", "e.wav.fmat", "f.wav.fmat",
+                             "g.wav.fmat"]
+    assert runs[2] == runs[4] == runs[8] == runs[1]
+
+
+def test_features_starts_one_worker_per_cpu_and_no_more_than_files(tmp_path, monkeypatch):
+    in_dir = tmp_path / "wav"
+    in_dir.mkdir()
+    for name in ("a.wav", "b.wav", "c.wav"):
+        sine_wav(in_dir / name, 440.0, 16000, seconds=0.1)
+    workers = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    for cpus in (1, 2, 8):
+        assert _run_features_on_cpus(monkeypatch, cpus, in_dir, tmp_path / "fmat")[0] == 0
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity mask here
+    for cpus in (2, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_cli(["features", "--in-dir", str(in_dir),
+                        "--out-dir", str(tmp_path / "fmat")])[0] == 0
+    assert workers == [1, 2, 3, 2, 1]
+
+
+def test_features_interrupt_finishes_only_the_files_in_flight(tmp_path, monkeypatch):
+    in_dir = tmp_path / "wav"
+    in_dir.mkdir()
+    names = [f"{i}.wav" for i in range(8)]
+    for i, name in enumerate(names):
+        sine_wav(in_dir / name, 200.0 + 300.0 * i, 16000, seconds=0.3)
+    code, _, _ = _run_features_on_cpus(monkeypatch, 1, in_dir, tmp_path / "one")
+    assert code == 0
+
+    k = 3
+    started = []
+
+    def read_wav_interrupted_at_k(path):
+        index = names.index(Path(path).name)
+        started.append(index)
+        if index == k:
+            raise KeyboardInterrupt
+        if index > k:
+            time.sleep(0.3)  # the main thread cancels the queue meanwhile
+        return read_wav(path)
+
+    monkeypatch.setattr(cli, "read_wav", read_wav_interrupted_at_k)
+    out_dir = tmp_path / "two"
+    with pytest.raises(KeyboardInterrupt):
+        _run_features_on_cpus(monkeypatch, 2, in_dir, out_dir)
+    assert max(started) <= k + 2
+    assert sorted(started)[:k + 1] == list(range(k + 1))
+    written = sorted(p.name for p in out_dir.iterdir())
+    assert [p for p in written if p.endswith(".tmp")] == []
+    # every file started but k was finished before the interrupt propagated
+    assert written == sorted(f"{names[i]}.fmat" for i in started if i != k)
+    for name in written:
+        assert (out_dir / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_importing_the_cli_does_not_load_the_executor():
+    # concurrent.futures costs a few ms of import time that rank should not pay
+    probe = "import sys, audiotext.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("flag, value, shown", [
@@ -446,6 +577,34 @@ def test_train_rejects_a_model_no_array_can_hold(tmp_path, case):
     assert out == ""
     assert err == f"error: {path}: model: {message}\n"
     assert not Path(cfg["out"]["checkpoint"]).exists()
+
+
+_NAN_GRADIENT = "error: non-finite gradient in parameter 'tower0.kernels' at step 2\n"
+# model key -> (finite but huge value, exit code, stderr): the first update
+# overflows the weights, or with such an adam_eps every update is 0
+_HUGE_FINITE = {
+    "lr_1e308": ("lr", 1e308, 1, _NAN_GRADIENT),
+    "lr_2_63": ("lr", 2**63, 1, _NAN_GRADIENT),
+    "adam_eps_1e308": ("adam_eps", 1e308, 0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_FINITE))
+def test_train_huge_finite_step_values_print_no_numpy_warning(tmp_path, case):
+    ds = make_dataset(tmp_path)
+    cfg = base_config_dict(ds, tmp_path / "run")
+    key, value, want_code, want_err = _HUGE_FINITE[case]
+    cfg["model"][key] = value
+    path = write_config(tmp_path / "run.json", cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["train", "--config", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (want_code, want_err)
+    if want_code == 0:
+        assert out.startswith("best epoch ")
+    else:
+        assert out == ""
 
 
 # command -> (the cli name to patch, argv builder)

@@ -477,23 +477,40 @@ def test_log_mel_matches_reference_with_custom_parameters(params):
     _assert_log_mel_matches_reference(_noise(3 * 16000, 7), 16000, **params)
 
 
-@pytest.mark.parametrize("sr, win_ms, seconds", [(44100, 40.0, 30), (16000, 1000.0, 5)],
-                         ids=["30s_44k", "long_window"])
+@pytest.mark.parametrize("sr, win_ms, t_frames", [(16000, 1000.0, 17), (16000, 1000.0, 33),
+                                                 (44100, 1000.0, 9)])
+def test_log_mel_matches_reference_with_one_row_last_chunk_at_long_window(sr, win_ms,
+                                                                         t_frames):
+    # a few frames per chunk (16 at 16 kHz, 4 at 44.1 kHz), and one in the last
+    win, hop = int(round(sr * win_ms / 1000.0)), int(round(sr * 0.02))
+    n_fft = 1 << (win - 1).bit_length()
+    assert (t_frames - 1) % (dsp._FRAME_BUFFER_VALUES // n_fft) == 0
+    feats = _assert_log_mel_matches_reference(_noise(win + (t_frames - 1) * hop, 31), sr,
+                                              win_ms=win_ms)
+    assert feats.frames.shape == (t_frames, 64)
+
+
+@pytest.mark.parametrize("sr, win_ms, seconds", [(44100, 40.0, 30), (16000, 1000.0, 5),
+                                                 (44100, 1000.0, 10)],
+                         ids=["30s_44k", "long_window", "long_window_44k"])
 def test_log_mel_peak_memory_is_bounded_by_its_buffers(sr, win_ms, seconds):
     # the whole-clip transform holds (T, win) windowed frames and a (T, n_bins)
-    # complex spectrum at once; framing in chunks must peak below the power
-    # matrix, the output, two chunk buffers and the filterbank
+    # complex spectrum at once, and a whole-clip mel product the (T, n_bins)
+    # power matrix (118 MB for the 10 s clip at win_ms=1000, n_fft = 65536);
+    # working in chunks must peak below the chunk buffers, one chunk's power
+    # and mel rows, the float32 output and the filterbank with its build
+    # temporaries (rising, falling and their minimum alive with the weights)
     win, hop = int(round(sr * win_ms / 1000.0)), int(round(sr * 0.02))
     n_fft = 1 << (win - 1).bit_length()
     n_bins = n_fft // 2 + 1
     wave = WaveForm(samples=_noise(seconds * sr, 23), sample_rate=sr)
     t_frames = frame_count(len(wave.samples), win, hop)
-    chunk = min(t_frames, dsp._FRAME_BUFFER_VALUES // n_fft)
-    power = t_frames * n_bins * 8
-    output = t_frames * 64 * (8 + 4)  # float64 log-mel and its float32 copy
+    chunk = min(t_frames, max(1, dsp._FRAME_BUFFER_VALUES // n_fft))
     chunk_buffers = 2 * chunk * (n_fft + 2) * 8  # padded frames, their spectrum
-    filterbank = 64 * n_bins * 8
-    bound = power + output + chunk_buffers + filterbank
+    chunk_rows = chunk * (n_bins + 64) * 8  # power and mel rows
+    output = t_frames * 64 * 4
+    filterbank = 4 * 64 * n_bins * 8
+    bound = chunk_buffers + chunk_rows + output + filterbank
     tracemalloc.start()
     try:
         feats = log_mel_features(wave, win_ms=win_ms)
