@@ -187,12 +187,11 @@ def _emit(line: str, out_path: Optional[str]) -> None:
 
 
 def _load_split(args):
-    """(checkpoint, model config, manifest, features) of a scored split."""
+    """(checkpoint, manifest, features) of a scored split."""
     checkpoint = load_checkpoint(args.checkpoint)
-    config = ModelConfig.from_dict(checkpoint.config)
     manifest = build_manifest(load_captions(args.captions), args.features_dir, args.split)
     features = FeatureDirectory(args.features_dir, feature_kind=args.feature_kind)
-    return checkpoint, config, manifest, features
+    return checkpoint, manifest, features
 
 
 def _load_text_tables(config: ModelConfig, word_path, caption_path):
@@ -266,15 +265,15 @@ def cmd_train(args) -> int:
     save_checkpoint(rc.checkpoint_out, ckpt.config, ckpt.params, ckpt.epoch,
                     ckpt.best_validation_map10)
     write_epoch_log(rc.epoch_log_out, result.log)
-    print(f"best epoch {result.best_epoch}: {result.final_report.to_json()}")
+    print(f"best epoch {ckpt.epoch}: {result.final_report.to_json()}")
     return 0
 
 
 def cmd_eval_retrieval(args) -> int:
     _check_out_path(args.out, "--out")
-    checkpoint, config, manifest, features = _load_split(args)
+    checkpoint, manifest, features = _load_split(args)
     word_table, caption_table = _load_text_tables(
-        config, args.word_embeddings, args.caption_embeddings)
+        checkpoint.model, args.word_embeddings, args.caption_embeddings)
     report = evaluate_retrieval(checkpoint, manifest, features,
                                 word_table=word_table, caption_table=caption_table,
                                 scorer=args.scorer)
@@ -307,11 +306,11 @@ def _read_query_vector(path: str) -> np.ndarray:
 
 def cmd_rank(args) -> int:
     _check_out_path(args.out, "--out")
-    checkpoint, config, manifest, features = _load_split(args)
+    checkpoint, manifest, features = _load_split(args)
     word_table = None
     query_vector = None
-    if config.text_mode == "word_average":
-        word_table, _ = _load_text_tables(config, args.word_embeddings, None)
+    if checkpoint.model.text_mode == "word_average":
+        word_table, _ = _load_text_tables(checkpoint.model, args.word_embeddings, None)
     else:
         if args.query_vector is None:
             raise RunConfigError(

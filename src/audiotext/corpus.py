@@ -535,9 +535,6 @@ class FeatureDirectory:
             self._cache[file_name] = cached
         return cached
 
-    def __contains__(self, file_name: str) -> bool:
-        return file_name in self._cache or (self.root / f"{file_name}.fmat").is_file()
-
 
 def build_manifest(
     captions: list[CaptionRecord], feature_dir: str | Path, split: str

@@ -148,17 +148,23 @@ def mel_filterbank(
     hz_points = mel_to_hz(mel_points)
     bin_freqs = np.arange(n_bins, dtype=np.float64) * sample_rate / n_fft
 
-    # band m rises over [hz[m], hz[m+1]] and falls over [hz[m+1], hz[m+2]]
-    left, center, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
-    rising = (bin_freqs - left) / (center - left)
-    falling = (right - bin_freqs) / (right - center)
-    weights = np.maximum(0.0, np.minimum(rising, falling))
-    empty = ~(weights > 0).any(axis=1)
+    # band m rises over [hz[m], hz[m+1]] and falls over [hz[m+1], hz[m+2]], so it
+    # has a nonzero weight exactly where a bin lies strictly inside (hz[m], hz[m+2])
+    empty = (np.searchsorted(bin_freqs, hz_points[:-2], side="right")
+             >= np.searchsorted(bin_freqs, hz_points[2:], side="left"))
     if empty.any():
         raise DspError(
             f"mel filter {int(np.argmax(empty))} has empty support; n_fft={n_fft} is too "
             f"small for {n_mels} bands over [{f_min}, {f_max}] Hz"
         )
+    # max(0, min(rising, falling)) built in place: two (n_mels, n_bins) matrices
+    left, center, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    weights = np.subtract(bin_freqs, left)
+    weights /= center - left
+    falling = np.subtract(right, bin_freqs)
+    falling /= right - center
+    np.minimum(weights, falling, out=weights)
+    np.maximum(0.0, weights, out=weights)
     return MelFilterbank(
         weights=weights, n_mels=n_mels, f_min=float(f_min), f_max=float(f_max),
         center_freqs=hz_points[1:-1].copy(),

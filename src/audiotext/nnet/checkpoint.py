@@ -3,9 +3,10 @@
 Layout: magic "CKPT", a u32-LE header length, a canonical JSON header,
 then each parameter's float32 little-endian buffer concatenated in
 header order. The header's parameter list is ordered, so the byte
-stream is fully determined by (config, params, epoch, metric) and a
-save/load/save round trip is byte-identical. Loading checks the
-parameter list against the one the header's model config implies.
+stream is fully determined by (config, params, epoch, metric). Loading
+parses the header's model config once, into ``Checkpoint.model``, and
+checks the parameter list against the one it implies; a save/load/save
+round trip of a ``ModelConfig.to_dict()`` config is byte-identical.
 """
 
 from __future__ import annotations
@@ -29,10 +30,15 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class Checkpoint:
-    config: dict
+    model: ModelConfig
     params: Params
     epoch: int
     best_validation_map10: float
+
+    @property
+    def config(self) -> dict:
+        """The model config as the header holds it: ``model.to_dict()``."""
+        return self.model.to_dict()
 
 
 def _canonical_json(obj) -> bytes:
@@ -60,10 +66,10 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
             f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
 
 
-def _check_header(path, header) -> list[tuple[str, tuple[int, ...]]]:
+def _check_header(path, header) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...]]]]:
     """An ``epoch`` integer >= 0 and a ``best_validation_mAP10`` number in
     [0, 1], and parameter names, order and shapes exactly
-    parameter_shapes(config); returns that list."""
+    parameter_shapes(config); returns the config and that list."""
     check_field_types(header, ints=("epoch",), numbers=("best_validation_mAP10",),
                       error=lambda msg: CheckpointError(f"{path}: header {msg}"))
     if header["epoch"] < 0:
@@ -72,7 +78,8 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...]]]:
         raise CheckpointError(f"{path}: header best_validation_mAP10: must be in [0, 1], "
                               f"got {header['best_validation_mAP10']!r}")
     try:
-        expected = parameter_shapes(ModelConfig.from_dict(header["config"]))
+        config = ModelConfig.from_dict(header["config"])
+        expected = parameter_shapes(config)
         found = [(entry["name"], entry["shape"]) for entry in header["parameters"]]
         for name, shape in found:  # a bool is not an int here
             if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
@@ -91,7 +98,7 @@ def _check_header(path, header) -> list[tuple[str, tuple[int, ...]]]:
         if shape != want:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {shape}, config expects {want}")
-    return expected
+    return config, expected
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -108,9 +115,10 @@ def load_checkpoint(path) -> Checkpoint:
     for key in ("config", "parameters", "epoch", "best_validation_mAP10"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")
+    config, expected = _check_header(path, header)
     params: Params = {}
     off = 8 + hlen
-    for name, shape in _check_header(path, header):
+    for name, shape in expected:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 4
         if off + nbytes > len(raw):
@@ -121,7 +129,7 @@ def load_checkpoint(path) -> Checkpoint:
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} trailing bytes after payload")
     return Checkpoint(
-        config=header["config"],
+        model=config,
         params=params,
         epoch=header["epoch"],
         best_validation_map10=float(header["best_validation_mAP10"]),

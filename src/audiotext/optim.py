@@ -137,30 +137,27 @@ def adam_step(params: Params, grads: Mapping[str, np.ndarray], state: AdamState)
 
 @dataclass
 class PlateauState:
-    """Reduce-on-plateau bookkeeping; monitors a maximized metric."""
+    """Reduce-on-plateau running state; monitors a maximized metric."""
 
-    factor: float = 0.5
-    patience: int = 5
-    min_lr: float = 1e-6
     best: float = float("-inf")
     epochs_since_improve: int = 0
 
 
-def plateau_update(state: PlateauState, metric: float, lr: float) -> float:
+def plateau_update(state: PlateauState, metric: float, lr: float, config: TrainConfig) -> float:
     """Advance the scheduler by one epoch and return the new LR.
 
-    Improvement means metric > best + PLATEAU_THRESHOLD; after `patience`
-    stagnant epochs the LR is multiplied by `factor` (floored at
-    min_lr) and the counter resets.
+    Improvement means metric > best + PLATEAU_THRESHOLD; after the config's
+    `plateau_patience` stagnant epochs the LR is multiplied by its
+    `plateau_factor` (floored at `min_lr`) and the counter resets.
     """
     if metric > state.best + PLATEAU_THRESHOLD:
         state.best = metric
         state.epochs_since_improve = 0
         return lr
     state.epochs_since_improve += 1
-    if state.epochs_since_improve >= state.patience:
+    if state.epochs_since_improve >= config.plateau_patience:
         state.epochs_since_improve = 0
-        return max(state.min_lr, lr * state.factor)
+        return max(config.min_lr, lr * config.plateau_factor)
     return lr
 
 
@@ -189,10 +186,11 @@ def write_epoch_log(path, rows: Sequence[EpochLog]) -> None:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """The best-epoch checkpoint, every epoch's log row, and the best
+    epoch's validation report."""
+
     checkpoint: Checkpoint
     log: tuple[EpochLog, ...]
-    best_epoch: int
-    best_val_map10: float
     final_report: RetrievalReport
 
 
@@ -274,9 +272,7 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
     rng = SplitMix64(train_config.seed)
     adam = AdamState(params, lr=config.lr, beta1=config.beta1,
                      beta2=config.beta2, eps=config.adam_eps)
-    plateau = PlateauState(factor=train_config.plateau_factor,
-                           patience=train_config.plateau_patience,
-                           min_lr=train_config.min_lr)
+    plateau = PlateauState()
     pairs = [(item.file_name, record)
              for item in train_manifest.items for record in item.captions]
     if len(pairs) < 2:
@@ -288,9 +284,7 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
     bounds = list(zip(starts, starts[1:] + [len(pairs)]))
 
     rows: list[EpochLog] = []
-    best_map10 = float("-inf")
-    best_epoch = -1
-    best_params: Optional[Params] = None
+    best: Optional[Checkpoint] = None
     best_report: Optional[RetrievalReport] = None
 
     for epoch in range(1, train_config.epochs + 1):
@@ -311,22 +305,16 @@ def train(train_manifest: DatasetManifest, val_manifest: DatasetManifest,
         report = report_from_matrix(build_score_matrix(
             config, params, val_manifest, features,
             word_table=word_table, caption_table=caption_table, scorer=scorer))
-        if report.map10 > best_map10:
-            best_map10 = report.map10
-            best_epoch = epoch
-            best_params = clone_params(params)
+        if best is None or report.map10 > best.best_validation_map10:
+            best = Checkpoint(model=config, params=clone_params(params), epoch=epoch,
+                              best_validation_map10=report.map10)
             best_report = report
         rows.append(EpochLog(epoch=epoch, train_loss=float(train_loss),
                              val_r1=report.r1, val_r5=report.r5,
                              val_r10=report.r10, val_map10=report.map10,
                              lr=lr_this_epoch))
-        adam.lr = plateau_update(plateau, report.map10, adam.lr)
-        if epoch - best_epoch > train_config.early_stop_patience:
+        adam.lr = plateau_update(plateau, report.map10, adam.lr, train_config)
+        if epoch - best.epoch > train_config.early_stop_patience:
             break
 
-    assert best_params is not None and best_report is not None
-    checkpoint = Checkpoint(config=config.to_dict(), params=best_params,
-                            epoch=best_epoch, best_validation_map10=best_map10)
-    return TrainResult(checkpoint=checkpoint, log=tuple(rows),
-                       best_epoch=best_epoch, best_val_map10=best_map10,
-                       final_report=best_report)
+    return TrainResult(checkpoint=best, log=tuple(rows), final_report=best_report)

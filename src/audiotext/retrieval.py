@@ -171,8 +171,7 @@ def evaluate_retrieval(checkpoint: Checkpoint, manifest: DatasetManifest,
                        caption_table: Optional[CaptionEmbeddingTable] = None,
                        scorer: Optional[str] = None) -> RetrievalReport:
     """Retrieval metrics of a checkpointed model over one dataset split."""
-    config = ModelConfig.from_dict(checkpoint.config)
-    matrix = build_score_matrix(config, checkpoint.params, manifest,
+    matrix = build_score_matrix(checkpoint.model, checkpoint.params, manifest,
                                 features, word_table=word_table,
                                 caption_table=caption_table, scorer=scorer)
     return report_from_matrix(matrix)
@@ -189,8 +188,7 @@ def rank_query(checkpoint: Checkpoint, query_text: str, manifest: DatasetManifes
     sentence_table mode has no text tower to run, so the caller must
     supply the externally computed query vector.
     """
-    config = ModelConfig.from_dict(checkpoint.config)
-    params = checkpoint.params
+    config, params = checkpoint.model, checkpoint.params
     if scorer is None:
         scorer = default_scorer(config)
     audio_ids = tuple(item.file_name for item in manifest.items)

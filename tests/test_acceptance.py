@@ -383,7 +383,7 @@ def test_null_model_calibration():
     manifest, _, features = synthetic_dataset(100, feature_shape=(12, 24), seed=2)
     table = random_word_table(VOCAB10, 20, seed=4)
     config = small_config(feature_dim=24, embed_dim=20, audio_tower=small_tower(24))
-    checkpoint = Checkpoint(config=config.to_dict(),
+    checkpoint = Checkpoint(model=config,
                             params=init_params(config, seed=5),
                             epoch=1, best_validation_map10=0.0)
     report = evaluate_retrieval(checkpoint, manifest, features, word_table=table)

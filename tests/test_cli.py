@@ -28,7 +28,8 @@ from audiotext.corpus import (
     write_fmat,
 )
 from audiotext.dsp import log_mel_features, read_wav
-from audiotext.nnet import AudioTower, Tensor, init_params, load_checkpoint, save_checkpoint
+from audiotext.nnet import (AudioTower, ModelConfig, Tensor, init_params, load_checkpoint,
+                            save_checkpoint)
 from audiotext.optim import EPOCH_LOG_HEADER
 
 from helpers import (
@@ -805,6 +806,34 @@ def test_eval_retrieval_scorer_override_accepted(tmp_path):
     ])
     assert code == 0, err
     assert set(json.loads(out)) == {"R1", "R5", "R10", "mAP10", "queries", "audio"}
+
+
+@pytest.mark.parametrize("command, builds", [("eval-retrieval", 1), ("rank", 1), ("train", 2)])
+def test_command_builds_each_model_config_once(tmp_path, monkeypatch, command, builds):
+    # a scoring command parses the checkpoint header's config once, in
+    # load_checkpoint; train builds the run config's, and save_checkpoint
+    # checks the config it writes
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    split = ["--captions", str(ds["val_csv"]), "--features-dir", str(ds["feats"]),
+             "--word-embeddings", str(ds["words"]), "--feature-kind", "external",
+             "--split", "validation"]
+    argv = {"eval-retrieval": ["eval-retrieval", "--checkpoint", str(ckpt), *split],
+            "rank": ["rank", "--checkpoint", str(ckpt), *split,
+                     "--query", "w0 w1", "--top-k", "2"],
+            "train": ["train", "--config", str(write_config(
+                tmp_path / "run.json", base_config_dict(ds, tmp_path / "run", epochs=1)))]}
+    validated = []
+    validate = ModelConfig.validate
+
+    def counted(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ModelConfig, "validate", counted)
+    code, _, err = run_cli(argv[command])
+    assert code == 0, err
+    assert len(validated) == builds
 
 
 def test_eval_retrieval_missing_feature_file(tmp_path):

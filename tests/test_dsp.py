@@ -498,8 +498,8 @@ def test_log_mel_peak_memory_is_bounded_by_its_buffers(sr, win_ms, seconds):
     # complex spectrum at once, and a whole-clip mel product the (T, n_bins)
     # power matrix (118 MB for the 10 s clip at win_ms=1000, n_fft = 65536);
     # working in chunks must peak below the chunk buffers, one chunk's power
-    # and mel rows, the float32 output and the filterbank with its build
-    # temporaries (rising, falling and their minimum alive with the weights)
+    # and mel rows, the float32 output and the filterbank with its one build
+    # temporary (the falling slopes, alive with the weights)
     win, hop = int(round(sr * win_ms / 1000.0)), int(round(sr * 0.02))
     n_fft = 1 << (win - 1).bit_length()
     n_bins = n_fft // 2 + 1
@@ -509,7 +509,7 @@ def test_log_mel_peak_memory_is_bounded_by_its_buffers(sr, win_ms, seconds):
     chunk_buffers = 2 * chunk * (n_fft + 2) * 8  # padded frames, their spectrum
     chunk_rows = chunk * (n_bins + 64) * 8  # power and mel rows
     output = t_frames * 64 * 4
-    filterbank = 4 * 64 * n_bins * 8
+    filterbank = 2 * 64 * n_bins * 8
     bound = chunk_buffers + chunk_rows + output + filterbank
     tracemalloc.start()
     try:

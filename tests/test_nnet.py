@@ -7,6 +7,7 @@ import os
 import re
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -1425,6 +1426,27 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     ck = load_checkpoint(p1)
     save_checkpoint(p2, ck.config, ck.params, ck.epoch, ck.best_validation_map10)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_header_without_defaulted_keys_reads_back_filled_in(tmp_path):
+    # a hand-written header may leave out the keys that have defaults; the
+    # loaded config holds them, and the file saved from it round-trips exactly
+    config = small_config()
+    full = config.to_dict()
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    partial = {key: value for key, value in full.items() if defaults.get(key) != value}
+    assert {"beta1", "beta2", "adam_eps", "projection"} <= set(full) - set(partial)
+    params = init_params(config, seed=2)
+    p1, p2, p3 = (tmp_path / f"{name}.ckpt" for name in "abc")
+    save_checkpoint(p1, partial, params, epoch=2, best_validation_map10=0.25)
+    ck = load_checkpoint(p1)
+    assert ck.model == config
+    assert ck.config == full
+    save_checkpoint(p2, ck.config, ck.params, ck.epoch, ck.best_validation_map10)
+    assert p2.read_bytes() != p1.read_bytes()
+    ck2 = load_checkpoint(p2)
+    save_checkpoint(p3, ck2.config, ck2.params, ck2.epoch, ck2.best_validation_map10)
+    assert p3.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):

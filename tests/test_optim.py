@@ -100,51 +100,55 @@ def test_adam_rejects_bad_gradients():
 
 
 def test_plateau_halves_after_patience_stagnant_epochs():
-    state = PlateauState(factor=0.5, patience=5, min_lr=1e-6)
+    state = PlateauState()
+    tc = TrainConfig(plateau_factor=0.5, plateau_patience=5, min_lr=1e-6)
     lr = 1e-3
-    lr = plateau_update(state, 0.30, lr)  # first observation improves on -inf
+    lr = plateau_update(state, 0.30, lr, tc)  # first observation improves on -inf
     assert lr == 1e-3
     for _ in range(4):
-        lr = plateau_update(state, 0.30, lr)
+        lr = plateau_update(state, 0.30, lr, tc)
         assert lr == 1e-3
-    lr = plateau_update(state, 0.30, lr)  # fifth stagnant epoch
+    lr = plateau_update(state, 0.30, lr, tc)  # fifth stagnant epoch
     assert lr == 5e-4
     for _ in range(4):
-        lr = plateau_update(state, 0.30, lr)
-    lr = plateau_update(state, 0.30, lr)
+        lr = plateau_update(state, 0.30, lr, tc)
+    lr = plateau_update(state, 0.30, lr, tc)
     assert lr == 2.5e-4
 
 
 def test_plateau_improvement_resets_counter():
-    state = PlateauState(factor=0.5, patience=3, min_lr=1e-6)
+    state = PlateauState()
+    tc = TrainConfig(plateau_factor=0.5, plateau_patience=3, min_lr=1e-6)
     lr = 1e-3
-    lr = plateau_update(state, 0.1, lr)
-    lr = plateau_update(state, 0.1, lr)  # stagnant x1
-    lr = plateau_update(state, 0.1, lr)  # stagnant x2
-    lr = plateau_update(state, 0.2, lr)  # improvement
-    lr = plateau_update(state, 0.2, lr)
-    lr = plateau_update(state, 0.2, lr)
+    lr = plateau_update(state, 0.1, lr, tc)
+    lr = plateau_update(state, 0.1, lr, tc)  # stagnant x1
+    lr = plateau_update(state, 0.1, lr, tc)  # stagnant x2
+    lr = plateau_update(state, 0.2, lr, tc)  # improvement
+    lr = plateau_update(state, 0.2, lr, tc)
+    lr = plateau_update(state, 0.2, lr, tc)
     assert lr == 1e-3  # never hit 3 consecutive stagnant epochs
 
 
 def test_plateau_threshold_requires_strict_improvement():
-    state = PlateauState(factor=0.5, patience=1, min_lr=1e-6)
-    lr = plateau_update(state, 0.5, 1e-3)
+    state = PlateauState()
+    tc = TrainConfig(plateau_factor=0.5, plateau_patience=1, min_lr=1e-6)
+    lr = plateau_update(state, 0.5, 1e-3, tc)
     # within the 1e-6 threshold: stagnant, and patience 1 fires at once
-    lr = plateau_update(state, 0.5 + 1e-6, lr)
+    lr = plateau_update(state, 0.5 + 1e-6, lr, tc)
     assert lr == 5e-4
     # beyond the threshold: improvement
-    lr = plateau_update(state, 0.5 + 2e-6, lr)
+    lr = plateau_update(state, 0.5 + 2e-6, lr, tc)
     assert lr == 5e-4
     assert state.best == pytest.approx(0.5 + 2e-6)
 
 
 def test_plateau_respects_min_lr():
-    state = PlateauState(factor=0.5, patience=1, min_lr=1e-6)
-    lr = plateau_update(state, 0.9, 2e-6)
-    lr = plateau_update(state, 0.1, lr)
+    state = PlateauState()
+    tc = TrainConfig(plateau_factor=0.5, plateau_patience=1, min_lr=1e-6)
+    lr = plateau_update(state, 0.9, 2e-6, tc)
+    lr = plateau_update(state, 0.1, lr, tc)
     assert lr == 1e-6
-    lr = plateau_update(state, 0.1, lr)
+    lr = plateau_update(state, 0.1, lr, tc)
     assert lr == 1e-6  # floored, never below
 
 
@@ -238,7 +242,7 @@ def test_train_is_deterministic():
     for name in r1.checkpoint.params:
         assert (r1.checkpoint.params[name].data.tobytes()
                 == r2.checkpoint.params[name].data.tobytes())
-    assert r1.best_epoch == r2.best_epoch
+    assert r1.checkpoint.epoch == r2.checkpoint.epoch
 
 
 def test_train_log_and_checkpoint_consistency():
@@ -248,12 +252,12 @@ def test_train_log_and_checkpoint_consistency():
     result = train(manifest, manifest, features, config, tc, word_table=table)
     assert [row.epoch for row in result.log] == list(range(1, len(result.log) + 1))
     best_in_log = max(row.val_map10 for row in result.log)
-    assert result.best_val_map10 == best_in_log
     assert result.checkpoint.best_validation_map10 == best_in_log
-    assert result.checkpoint.epoch == result.best_epoch
+    assert result.final_report.map10 == result.checkpoint.best_validation_map10
     # first epoch attaining the maximum wins
     first = next(r.epoch for r in result.log if r.val_map10 == best_in_log)
-    assert result.best_epoch == first
+    assert result.checkpoint.epoch == first
+    assert result.checkpoint.model == config
     assert result.checkpoint.config == config.to_dict()
     for row in result.log:
         assert np.isfinite(row.train_loss)
@@ -280,7 +284,7 @@ def test_train_early_stops_on_flat_validation(patience):
                    small_config(), TrainConfig(epochs=10, batch_size=8, seed=0,
                                                early_stop_patience=patience),
                    word_table=frozen)
-    assert result.best_epoch == 1
+    assert result.checkpoint.epoch == 1
     # stops at the first epoch more than `patience` epochs after the best
     assert len(result.log) == patience + 2
 

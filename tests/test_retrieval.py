@@ -230,7 +230,7 @@ def test_build_score_matrix_shape_and_keys():
 
 def test_evaluate_retrieval_smoke():
     manifest, features, table, config, params = _problem()
-    ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
+    ck = Checkpoint(model=config, params=params, epoch=1,
                     best_validation_map10=0.0)
     report = evaluate_retrieval(ck, manifest, features, word_table=table)
     assert report.queries == 20 and report.audio == 4
@@ -249,7 +249,7 @@ def test_evaluate_retrieval_scorer_override_changes_scores():
 
 def test_rank_query_single_clip():
     manifest, features, table, config, params = _problem(n_clips=1)
-    ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
+    ck = Checkpoint(model=config, params=params, epoch=1,
                     best_validation_map10=0.0)
     ranked = rank_query(ck, "w0 w1", manifest, features, top_k=1, word_table=table)
     assert len(ranked) == 1
@@ -258,7 +258,7 @@ def test_rank_query_single_clip():
 
 def test_rank_query_orders_by_score():
     manifest, features, table, config, params = _problem()
-    ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
+    ck = Checkpoint(model=config, params=params, epoch=1,
                     best_validation_map10=0.0)
     ranked = rank_query(ck, "w0 w1 w2", manifest, features, top_k=4, word_table=table)
     assert len(ranked) == 4
@@ -277,7 +277,7 @@ def test_rank_query_exp_scorer_perfect_match_scores_one():
 
     target = manifest.items[2].file_name
     qvec = encode_audio(features[target], config, params)
-    ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
+    ck = Checkpoint(model=config, params=params, epoch=1,
                     best_validation_map10=0.0)
     ranked = rank_query(ck, "", manifest, features, top_k=4, query_vector=qvec)
     assert ranked[0][0] == target
@@ -286,7 +286,7 @@ def test_rank_query_exp_scorer_perfect_match_scores_one():
 
 def test_rank_query_errors():
     manifest, features, table, config, params = _problem()
-    ck = Checkpoint(config=config.to_dict(), params=params, epoch=1,
+    ck = Checkpoint(model=config, params=params, epoch=1,
                     best_validation_map10=0.0)
     with pytest.raises(RetrievalError, match="top_k"):
         rank_query(ck, "w0", manifest, features, top_k=0, word_table=table)
@@ -298,7 +298,7 @@ def test_rank_query_errors():
         rank_query(ck, "w0", manifest, features, top_k=2)
 
     sent_config = small_config(text_mode="sentence_table")
-    sent_ck = Checkpoint(config=sent_config.to_dict(),
+    sent_ck = Checkpoint(model=sent_config,
                          params=init_params(sent_config, seed=0), epoch=1,
                          best_validation_map10=0.0)
     with pytest.raises(RetrievalError, match="query vector"):
