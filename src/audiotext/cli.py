@@ -195,6 +195,7 @@ def _load_split(args):
 
 
 def _load_text_tables(config: ModelConfig, word_path, caption_path):
+    """(word table, caption table): only the one the text mode reads is loaded."""
     if config.text_mode == "word_average":
         if word_path is None:
             raise RunConfigError("word_average checkpoint needs --word-embeddings")
@@ -255,10 +256,8 @@ def cmd_train(args) -> int:
     val_manifest = build_manifest(load_captions(rc.val_captions), rc.features_dir,
                                   "validation")
     features = FeatureDirectory(rc.features_dir, feature_kind=rc.feature_kind)
-    word_table = (load_word_embeddings(rc.word_embeddings)
-                  if rc.word_embeddings is not None else None)
-    caption_table = (load_caption_embeddings(rc.caption_embeddings)
-                     if rc.caption_embeddings is not None else None)
+    word_table, caption_table = _load_text_tables(rc.model, rc.word_embeddings,
+                                                  rc.caption_embeddings)
     result = train(train_manifest, val_manifest, features, rc.model, rc.train,
                    word_table=word_table, caption_table=caption_table, scorer=rc.scorer)
     ckpt = result.checkpoint
@@ -307,15 +306,14 @@ def _read_query_vector(path: str) -> np.ndarray:
 def cmd_rank(args) -> int:
     _check_out_path(args.out, "--out")
     checkpoint, manifest, features = _load_split(args)
-    word_table = None
-    query_vector = None
+    word_table = query_vector = None
     if checkpoint.model.text_mode == "word_average":
         word_table, _ = _load_text_tables(checkpoint.model, args.word_embeddings, None)
+    elif args.query_vector is None:
+        raise RunConfigError(
+            "sentence_table checkpoint needs --query-vector (a structured-text "
+            "array of floats; there is no text tower to embed raw words)")
     else:
-        if args.query_vector is None:
-            raise RunConfigError(
-                "sentence_table checkpoint needs --query-vector (a structured-text "
-                "array of floats; there is no text tower to embed raw words)")
         query_vector = _read_query_vector(args.query_vector)
     ranked = rank_query(checkpoint, args.query, manifest, features, args.top_k,
                         word_table=word_table, query_vector=query_vector,
@@ -343,16 +341,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval-retrieval", help="score a checkpoint on a split")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--captions", required=True, help="caption CSV of the split")
-    p.add_argument("--features-dir", required=True)
-    p.add_argument("--word-embeddings")
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--checkpoint", required=True)
+    scoring.add_argument("--captions", required=True, help="caption CSV of the split")
+    scoring.add_argument("--features-dir", required=True)
+    scoring.add_argument("--word-embeddings")
+    scoring.add_argument("--feature-kind", choices=FEATURE_KINDS, default="log_mel_64")
+    scoring.add_argument("--scorer", choices=SCORERS)
+    scoring.add_argument("--split", default="evaluation", choices=SPLITS)
+    scoring.add_argument("--out", help="also write the printed output to this path")
+
+    p = sub.add_parser("eval-retrieval", parents=[scoring], help="score a checkpoint on a split")
     p.add_argument("--caption-embeddings")
-    p.add_argument("--feature-kind", choices=FEATURE_KINDS, default="log_mel_64")
-    p.add_argument("--scorer", choices=SCORERS)
-    p.add_argument("--split", default="evaluation", choices=SPLITS)
-    p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_eval_retrieval)
 
     p = sub.add_parser("eval-captions", help="score candidate captions against references")
@@ -362,18 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report to this path")
     p.set_defaults(func=cmd_eval_captions)
 
-    p = sub.add_parser("rank", help="rank a split's clips against a text query")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--captions", required=True, help="caption CSV defining the clip set")
-    p.add_argument("--features-dir", required=True)
+    p = sub.add_parser("rank", parents=[scoring], help="rank a split's clips against a text query")
     p.add_argument("--query", required=True)
     p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--word-embeddings")
     p.add_argument("--query-vector", help="vector file for sentence_table checkpoints")
-    p.add_argument("--feature-kind", choices=FEATURE_KINDS, default="log_mel_64")
-    p.add_argument("--scorer", choices=SCORERS)
-    p.add_argument("--split", default="evaluation", choices=SPLITS)
-    p.add_argument("--out", help="also write the ranking to this path")
     p.set_defaults(func=cmd_rank)
     return parser
 

@@ -5,8 +5,9 @@ then each parameter's float32 little-endian buffer concatenated in
 header order. The header's parameter list is ordered, so the byte
 stream is fully determined by (config, params, epoch, metric). Loading
 parses the header's model config once, into ``Checkpoint.model``, and
-checks the parameter list against the one it implies; a save/load/save
-round trip of a ``ModelConfig.to_dict()`` config is byte-identical.
+checks the parameter list against the one it implies. Saving writes the
+config's full ``ModelConfig.to_dict()`` form, so a save/load/save round
+trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def _canonical_json(obj) -> bytes:
 
 def save_checkpoint(path, config: dict, params: Params, epoch: int,
                     best_validation_map10: float) -> None:
-    """Write a checkpoint; a config or parameter list that ``load_checkpoint``
-    would refuse raises its CheckpointError, and nothing is written."""
+    """Write a checkpoint, its header config in the full ``to_dict()`` form; a
+    config or parameter list that ``load_checkpoint`` would refuse raises its
+    CheckpointError, and nothing is written."""
     header = {
         "config": config,
         "parameters": [{"name": name, "shape": list(t.data.shape)}
@@ -56,8 +58,8 @@ def save_checkpoint(path, config: dict, params: Params, epoch: int,
         "epoch": int(epoch),
         "best_validation_mAP10": float(best_validation_map10),
     }
-    _check_header(path, header)
-    blob = _canonical_json(header)
+    config, _ = _check_header(path, header)
+    blob = _canonical_json({**header, "config": config.to_dict()})
     with atomic_write(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(blob)))

@@ -473,6 +473,10 @@ BAD_CONFIGS = {
                       "model: text_mode must be word_average|sentence_table, got 'chars'"),
     "bad_loss": (_set("model", "loss", "mse"),
                  "model: loss must be triplet|bce_expdist, got 'mse'"),
+    "zero_projection_out_dim": (_set("model", "projection", {"out_dim": 0}),
+                                "model: projection out_dim must be >= 1"),
+    "tanh_projection": (_set("model", "projection", {"out_dim": 4, "activation": "tanh"}),
+                        "model: projection activation 'tanh'"),
 }
 
 
@@ -771,6 +775,35 @@ def test_train_validates_with_the_run_config_scorer(tmp_path, monkeypatch):
     ])
     assert code == 0, err
     assert out.partition(": ")[2] == report
+
+
+def _write_caption_table(ds, path, dim=6, seed=5):
+    """An EVEC table covering every caption of the dataset's train split
+    (its validation split holds the same rows)."""
+    write_caption_embeddings(path, caption_table_for(load_captions(ds["train_csv"]), dim, seed))
+    return path
+
+
+@pytest.mark.parametrize("text_mode", ["sentence_table", "word_average"])
+def test_train_reads_only_the_table_its_text_mode_needs(tmp_path, monkeypatch, text_mode):
+    # the run config names both tables; the one the text mode does not read
+    # is malformed, and is never opened
+    ds = make_dataset(tmp_path)
+    cfg = base_config_dict(ds, tmp_path / "run", epochs=1)
+    evec = tmp_path / "caps.evec"
+    if text_mode == "sentence_table":
+        cfg["model"]["text_mode"] = "sentence_table"
+        _write_caption_table(ds, evec)
+        ds["words"].write_text("1 6\nw0 1 2\n", encoding="utf-8")
+        monkeypatch.setattr(corpus, "_parse_word_embeddings", no_parse)
+    else:
+        evec.write_bytes(b"XXXX")
+    cfg["data"]["caption_embeddings"] = str(evec)
+    code, out, err = run_cli(["train", "--config", str(write_config(tmp_path / "run.json", cfg))])
+    assert code == 0, err
+    assert out.startswith("best epoch 1: ") and err == ""
+    assert (tmp_path / "run" / "model.ckpt").is_file()
+    assert word_cache_path(ds["words"]).exists() == (text_mode == "word_average")
 
 
 def test_eval_retrieval_prints_and_writes_report(tmp_path):
@@ -1607,3 +1640,105 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     assert json.loads(lines[0])["audio"] == 6
     assert {line.split()[0] for line in lines[1:6]} <= set(ds["names"])
     assert "BLEU_1" in json.loads(lines[6])
+
+
+def test_module_entry_point_lists_the_shared_scoring_options():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "audiotext.cli", "rank", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    for option in ("--checkpoint", "--captions", "--features-dir", "--word-embeddings",
+                   "--feature-kind", "--scorer", "--split", "--out", "--query", "--top-k",
+                   "--query-vector"):
+        assert option in done.stdout
+    assert "--caption-embeddings" not in done.stdout
+
+
+def _scoring_argv(command, ds, ckpt, *extra):
+    argv = [command, "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
+            "--features-dir", str(ds["feats"]), "--feature-kind", "external", *extra]
+    return argv + (["--query", "w0 w1", "--top-k", "2"] if command == "rank" else [])
+
+
+def _fails_with(argv, message):
+    """Run argv; it must fail with exactly one error line and no output."""
+    assert run_cli(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["eval-retrieval", "rank"])
+def test_word_average_checkpoint_needs_word_embeddings(tmp_path, command):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    _fails_with(_scoring_argv(command, ds, ckpt),
+                "word_average checkpoint needs --word-embeddings")
+
+
+@pytest.mark.parametrize("case", ["nan", "zero_rows"])
+def test_scoring_refuses_a_malformed_feature_file(tmp_path, case):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    fmat = ds["feats"] / "clip001.wav.fmat"
+    raw = bytearray(fmat.read_bytes())
+    if case == "nan":  # write_fmat refuses one, so the value goes in by hand
+        raw[16 + 4 * 26:16 + 4 * 27] = struct.pack("<f", math.nan)
+        message = f"non-finite value in features from '{fmat}'"
+    else:
+        raw[8:12] = struct.pack("<I", 0)  # rows; the payload is left as it was
+        message = f"{fmat}: zero dimension (0 x 8)"
+    fmat.write_bytes(bytes(raw))
+    _fails_with(_scoring_argv("rank", ds, ckpt, "--word-embeddings", str(ds["words"])),
+                message)
+
+
+def test_caption_row_with_empty_file_name_is_an_error(tmp_path):
+    ds = make_dataset(tmp_path)
+    write_caption_csv(ds["train_csv"], [("", ["w0 w1"] * 5)])
+    _fails_with(["train", "--config", str(write_config(
+        tmp_path / "run.json", base_config_dict(ds, tmp_path / "run")))],
+        f"{ds['train_csv']}: row 2: empty file_name")
+
+
+def _second_key_as_first(raw):
+    first, second = b"clip000.wav#1", b"clip000.wav#2"
+    assert raw.count(first) == raw.count(second) == 1
+    return raw.replace(second, first)
+
+
+_BAD_EVEC = {
+    "truncated": (lambda raw: raw[:10], "truncated header"),
+    "bad_magic": (lambda raw: b"XVEC" + raw[4:], "bad magic b'XVEC'"),
+    "zero_dim": (lambda raw: raw[:8] + struct.pack("<I", 0) + raw[12:], "zero dimension"),
+    "duplicate_key": (_second_key_as_first, "record 1: duplicate key 'clip000.wav#1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_EVEC))
+def test_eval_retrieval_refuses_a_malformed_caption_table(tmp_path, case):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(text_mode="sentence_table"))
+    evec = _write_caption_table(ds, tmp_path / "caps.evec")
+    edit, message = _BAD_EVEC[case]
+    evec.write_bytes(edit(evec.read_bytes()))
+    _fails_with(_scoring_argv("eval-retrieval", ds, ckpt, "--caption-embeddings", str(evec)),
+                f"{evec}: {message}")
+
+
+def test_features_reports_a_short_fmt_chunk(tmp_path):
+    in_dir = tmp_path / "wav"
+    in_dir.mkdir()
+    fmt = struct.pack("<HHI", 1, 1, 16000)  # 8 of the 16 bytes a fmt chunk needs
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    wav = in_dir / "short.wav"
+    wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    code, out, err = run_cli(["features", "--in-dir", str(in_dir),
+                              "--out-dir", str(tmp_path / "fmat")])
+    assert (code, out) == (1, "files=0, frames_total=0\n")
+    assert err == f"error: short.wav: {wav}: fmt chunk too short\n"
+
+
+def test_scoring_refuses_a_checkpoint_header_without_epoch(tmp_path):
+    ds = make_dataset(tmp_path)
+    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(), epoch=4)
+    _replace_checkpoint_header(ckpt, b'"epoch":4,', b"")
+    _fails_with(_scoring_argv("eval-retrieval", ds, ckpt, "--word-embeddings", str(ds["words"])),
+                f"{ckpt}: header missing 'epoch'")
