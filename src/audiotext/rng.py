@@ -44,12 +44,9 @@ class SplitMix64:
             raise ValueError(f"bounded() needs n >= 1, got {n}")
         return (self.next_u64() * n) >> 64
 
-    def uniform(self) -> float:
-        """Uniform float64 in [0, 1) using the top 53 bits."""
-        return (self.next_u64() >> 11) * (2.0**-53)
-
     def uniform_array(self, n: int):
-        """n uniforms in [0, 1), bit-identical to n uniform() calls.
+        """n uniforms in [0, 1): the i-th is (x_i >> 11) * 2**-53, the top 53
+        bits of x_i, the i-th of the next n next_u64() outputs.
 
         SplitMix64's state walk is affine, so a batch is computed as
         finalize(state + i*gamma) for i = 1..n with numpy uint64

@@ -68,8 +68,9 @@ GramTable = namedtuple("GramTable", "sent count df pair_ref pair_cand")
 
 class NGramTables:
     """An eval set's sentences as interned token ids: sentence i is item i's candidate, then
-    come each item's references. Order n's table is built once, on first use, by one sort of
-    order n-1's gram starts. Token ids follow first occurrence; no float sum runs in gram order."""
+    come each item's references, whose lengths are ``cand_len`` and ``ref_len``. Order n's
+    table is built once, on first use, by one sort of order n-1's gram starts. Token ids follow
+    first occurrence; no float sum runs in gram order."""
 
     def __init__(self, items: Sequence[CaptionEvalItem]):
         sentences = [i.candidate for i in items] + [r for i in items for r in i.references]
@@ -78,6 +79,7 @@ class NGramTables:
         self.tokens = np.fromiter(map(vocab.__getitem__, chain.from_iterable(sentences)),
                                   np.int32, int(self.lengths.sum()))
         self.num_items = len(items)
+        self.cand_len, self.ref_len = np.split(self.lengths, [len(items)])
         self.ref_item = np.repeat(np.arange(len(items)), [len(i.references) for i in items])
         self.first_ref = np.flatnonzero(np.diff(self.ref_item, prepend=-1))
         self.tables: list[GramTable] = []
@@ -165,7 +167,7 @@ def bleu_corpus(eval_set: CaptionEvalSet, max_n: int = 4) -> tuple[float, ...]:
     (ties to the shorter); any p_n = 0 zeroes BLEU_k for all k >= n.
     """
     grams = eval_set.grams
-    cand_len, ref_len = np.split(grams.lengths, [grams.num_items])
+    cand_len, ref_len = grams.cand_len, grams.ref_len
     cand_len_sum = int(cand_len.sum())
     if cand_len_sum == 0:
         return (0.0,) * max_n
@@ -194,10 +196,9 @@ def _lcs_lengths(grams: NGramTables) -> np.ndarray:
     pairs at once. Pairs with ceil(L/64) uint64 words per lane (L the
     reference length, at least one word) run together, longest candidate
     first."""
-    lengths, first_ref = grams.lengths, grams.num_items
-    starts = np.cumsum(lengths) - lengths
-    ref_len, cand = lengths[first_ref:], grams.ref_item
-    cand_len = lengths[cand]
+    starts, first_ref = np.cumsum(grams.lengths) - grams.lengths, grams.num_items
+    ref_len, cand = grams.ref_len, grams.ref_item
+    cand_len = grams.cand_len[cand]
     pad = int(grams.tokens.max(initial=-1)) + 1  # matches no token
     ids = np.append(grams.tokens, pad).astype(np.min_scalar_type(pad))
     words = np.maximum(-(-ref_len // 64), 1)
@@ -245,7 +246,7 @@ def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
     an empty reference giving no recall; an empty candidate scores 0.0."""
     grams = eval_set.grams
     lcs = _lcs_lengths(grams)
-    cand_len, ref_len = np.split(grams.lengths, [grams.num_items])
+    cand_len, ref_len = grams.cand_len, grams.ref_len
     p_max = np.divide(np.maximum.reduceat(lcs, grams.first_ref), cand_len,
                       out=np.zeros(len(cand_len)), where=cand_len > 0)
     recall = np.divide(lcs, ref_len, out=np.zeros(len(lcs)), where=ref_len > 0)
@@ -256,30 +257,19 @@ def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
     return sum(scores.tolist()) / len(eval_set.items)
 
 
-def _candidate_index(candidate: Sequence[str]) -> dict[tuple[str, str], list[int]]:
-    """The start positions of each bigram of a candidate."""
-    starts: dict[tuple[str, str], list[int]] = {}
+def _alignment_stats(candidate: Sequence[str], reference: Sequence[str],
+                     m: int) -> tuple[int, int]:
+    """(matches m, min chunks) of the optimal exact-token alignment: one to
+    one, m the sum of per-word min counts (the caller's unigram join), then
+    fewest chunks (runs contiguous in both sentences). Chunks are m minus
+    links (candidate i, i+1 on reference j, j+1); as a word's quota is the
+    min of its counts, any one-to-one partial alignment extends to m matches
+    keeping its links, so min chunks = m - L, L the most links one alignment
+    holds: all unless two clash (give a position two partners), when
+    ``_min_chunks_search`` runs. A pair with no matches has no links."""
+    starts: dict[tuple[str, str], list[int]] = {}  # the candidate's bigrams by start
     for i, gram in enumerate(zip(candidate, candidate[1:])):
         starts.setdefault(gram, []).append(i)
-    return starts
-
-
-def _alignment_stats(candidate: Sequence[str], reference: Sequence[str],
-                     index: Optional[dict] = None, m: Optional[int] = None) -> tuple[int, int]:
-    """(matches m, min chunks) of the optimal exact-token alignment: one to
-    one, m the sum of per-word min counts, then fewest chunks (runs
-    contiguous in both sentences). Chunks are m minus links (candidate i,
-    i+1 on reference j, j+1); as a word's quota is the min of its counts,
-    any one-to-one partial alignment extends to m matches keeping its
-    links, so min chunks = m - L, L the most links one alignment holds:
-    all unless two clash (give a position two partners), when
-    ``_min_chunks_search`` runs. ``index``/``m``: the candidate's
-    ``_candidate_index`` and the matches, when the caller has them."""
-    if m is None:
-        m = sum((Counter(candidate) & Counter(reference)).values())
-    if m == 0:
-        return 0, 0
-    starts = index or _candidate_index(candidate)
     links = [(i, j) for j, gram in enumerate(zip(reference, reference[1:]))
              for i in starts.get(gram, ())]
     pairs = {*links, *((i + 1, j + 1) for i, j in links)}
@@ -303,10 +293,13 @@ def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
     clash, so free links add at most min(distinct candidate starts, distinct
     reference starts), and when one diagonal already holds that many links
     it is the answer, found before any mask is built: a pair of one word
-    repeated costs no search. Fewest chunks is minimum common string
-    partition, NP-hard (Goldstein, Kilman & Zheng 2005): the worst case is
-    exponential, e.g. on ``aab...`` against ``aba...``, whose fullest
-    diagonal falls one link short of the bound (398 of 399 at 400 tokens)."""
+    repeated costs no search. The masks by position and by diagonal hold
+    positions x links bits; a link's clash mask is built each time it is
+    read, as one held per link would take links^2. Fewest chunks is minimum
+    common string partition, NP-hard (Goldstein, Kilman & Zheng 2005): the
+    worst case is exponential, e.g. on ``aab...`` against ``aba...``, whose
+    fullest diagonal falls one link short of the bound (398 of 399 at 400
+    tokens)."""
     fullest = max(Counter(i - j for i, j in links).values())
     if fullest == min(len({i for i, _ in links}), len({j for _, j in links})):
         return m - fullest
@@ -315,8 +308,11 @@ def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
     for k, (i, j) in enumerate(links):
         for groups, key in ((at_i, i), (at_j, j), (on_diagonal, i - j)):
             groups[key] = groups.get(key, 0) | 1 << k
-    clash = [(at_i.get(i - 1, 0) | at_i[i] | at_i.get(i + 1, 0) | at_j.get(j - 1, 0) | at_j[j]
-              | at_j.get(j + 1, 0)) & ~on_diagonal[i - j] for i, j in links]
+
+    def clash(k: int) -> int:
+        i, j = links[k]
+        return (at_i.get(i - 1, 0) | at_i[i] | at_i.get(i + 1, 0) | at_j.get(j - 1, 0)
+                | at_j[j] | at_j.get(j + 1, 0)) & ~on_diagonal[i - j]
 
     def most(free: int, size: int, best: int) -> int:
         # the larger of ``best`` and ``size`` plus the most links of ``free``
@@ -326,20 +322,20 @@ def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
             return max(bound, best)
         group = at_i[links[(free & -free).bit_length() - 1][0]] & free
         for k in _bits(group):
-            best = most(free & ~clash[k] & ~group, size + 1, best)
+            best = most(free & ~clash(k) & ~group, size + 1, best)
         return most(free & ~group, size, best)
 
     total, rest = 0, (1 << len(links)) - 1
     while rest:
         component = grow = rest & -rest
         while grow:  # the links that clash with one added last
-            grow = reduce(or_, map(clash.__getitem__, _bits(grow))) & ~component
+            grow = reduce(or_, map(clash, _bits(grow))) & ~component
             component |= grow
         rest &= ~component
         seed = 0
         for d in sorted(on_diagonal, key=lambda d: (-(on_diagonal[d] & component).bit_count(), d)):
             for k in _bits(on_diagonal[d] & component):
-                seed |= 0 if seed & clash[k] else 1 << k
+                seed |= 0 if seed & clash(k) else 1 << k
         total += most(component, 0, seed.bit_count())
     return m - total
 
@@ -349,26 +345,28 @@ def meteor_lite(eval_set: CaptionEvalSet, alpha: float = 0.9, beta: float = 3.0,
     """Mean over items of the best exact-match METEOR over each candidate's
     references. A pair's matches m sum the min counts of the unigram join of
     ``eval_set.grams``; a pair sharing no bigram (order-2 join) has no links,
-    so m chunks, and only the others go through ``_alignment_stats``."""
+    so m chunks and the penalty gamma, and only the others go through
+    ``_alignment_stats``. The rest runs on arrays over all pairs."""
     grams = eval_set.grams
-    ones, twos, size, first_ref = grams.table(1), grams.table(2), len(grams.item), grams.num_items
+    ones, twos, size, refs = grams.table(1), grams.table(2), len(grams.item), grams.num_items
     shared = np.minimum(ones.count[ones.pair_cand], ones.count[ones.pair_ref])
-    matched = np.bincount(ones.sent[ones.pair_ref], shared, size)[first_ref:].astype(np.int64)
-    linked = np.bincount(twos.sent[twos.pair_ref], minlength=size)[first_ref:] > 0
-    scores, pairs = [], zip(matched.tolist(), linked.tolist())
-    for item in eval_set.items:
-        candidate, starts, best = item.candidate, _candidate_index(item.candidate), 0.0
-        for ref, (m, link) in zip(item.references, pairs):
-            if m == 0:
-                continue
-            chunks = _alignment_stats(candidate, ref, starts, m)[1] if link else m
-            precision = m / len(candidate)
-            recall = m / len(ref)
-            f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
-            penalty = gamma * (chunks / m) ** beta
-            best = max(best, f_mean * (1.0 - penalty))
-        scores.append(best)
-    return sum(scores) / len(scores)
+    m = np.bincount(ones.sent[ones.pair_ref], shared, size)[refs:].astype(np.int64)
+    linked = np.flatnonzero(np.bincount(twos.sent[twos.pair_ref], minlength=size)[refs:])
+    # an unlinked pair has m chunks, so the penalty gamma; a linked pair's power
+    # runs on a scalar, as an array np.power may round otherwise
+    penalty = np.full(len(m), gamma)
+    for k, i in zip(linked.tolist(), grams.ref_item[linked].tolist()):
+        item, matches = eval_set.items[i], int(m[k])
+        ref = item.references[k - int(grams.first_ref[i])]
+        penalty[k] = gamma * (_alignment_stats(item.candidate, ref, matches)[1] / matches) ** beta
+    scored = np.flatnonzero(m)
+    precision = m[scored] / grams.cand_len[grams.ref_item[scored]]
+    recall = m[scored] / grams.ref_len[scored]
+    f_mean = precision * recall / (alpha * precision + (1.0 - alpha) * recall)
+    score = np.zeros(len(m))
+    score[scored] = f_mean * (1.0 - penalty[scored])
+    best = np.maximum(np.maximum.reduceat(score, grams.first_ref), 0.0)
+    return sum(best.tolist()) / len(best)
 
 
 def cider_d_per_item(eval_set: CaptionEvalSet, max_n: int = 4,
@@ -384,8 +382,8 @@ def cider_d_per_item(eval_set: CaptionEvalSet, max_n: int = 4,
         raise MetricError(f"CIDEr-D needs a corpus of >= 2 items, got {num_items}")
     grams = eval_set.grams
     idf = np.array([0.0] + [math.log(num_items / k) for k in range(1, num_items + 1)])
-    penalty = np.array([math.exp(-(d * d) / (2.0 * sigma * sigma)) for item in eval_set.items
-                        for d in (len(item.candidate) - len(r) for r in item.references)])
+    penalty = np.array([math.exp(-(d * d) / (2.0 * sigma * sigma))
+                        for d in (grams.cand_len[grams.ref_item] - grams.ref_len).tolist()])
     num_refs = np.bincount(grams.ref_item)
     per_item = 0.0
     for n in range(1, max_n + 1):

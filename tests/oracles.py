@@ -1169,3 +1169,14 @@ def log_mel_reference(samples, sample_rate, weights, win_ms=40.0, hop_ms=20.0):
     power = spectrum.real**2 + spectrum.imag**2
     mel = power @ weights.T
     return np.log(mel + 1e-10).astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# random numbers, one draw at a time
+
+
+def uniform_reference(gen):
+    """The scalar draw ``SplitMix64.uniform`` made before ``uniform_array``
+    was the only one: a float64 in [0, 1) from the top 53 bits of the
+    generator's next output."""
+    return (gen.next_u64() >> 11) * (2.0**-53)

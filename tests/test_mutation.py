@@ -8,8 +8,10 @@ gets the mutated run config; `eval-retrieval` and `rank` get a checkpoint
 whose header is mutated and whose payload is the valid one. The flat files,
 `rank --query-vector` and `eval-captions --spice`, also meet 2**63, 1e308
 and an array nested DEEP_LEVELS deep; they hold no sizes. Byte mutations
-(a byte set, bytes deleted or inserted, the file cut short) of one FMAT file
-and of the caption CSV go through `eval-retrieval`. Every command
+(a byte set, bytes deleted or inserted, the file cut short) of one FMAT file,
+the caption CSV and the word table go through `eval-retrieval`, of the
+candidate and the reference CSV through `eval-captions`, and of one stereo
+WAV through `features`. Every command
 runs in-process through `cli.main` and must end in exit 0, or in exit 1
 with exactly one `error: ` line on stderr and no new file (directories
 aside); an exception out of `main` is a failure. No odd value is a size
@@ -29,7 +31,7 @@ import pytest
 
 from audiotext.retrieval import SCORERS
 from test_cli import base_config_dict, make_checkpoint, make_dataset, run_cli, write_config
-from helpers import small_config, write_candidates_csv, write_caption_csv
+from helpers import small_config, write_candidates_csv, write_caption_csv, write_wav
 
 SEED = 2024
 PAIR_CASES = 100  # two-field cases per command
@@ -226,7 +228,7 @@ def _byte_mutations(name, data):
     return cases
 
 
-@pytest.mark.parametrize("target", ["fmat", "captions"])
+@pytest.mark.parametrize("target", ["fmat", "captions", "words"])
 def test_eval_retrieval_survives_byte_mutations(tmp_path, target):
     ds = make_dataset(tmp_path / "data")
     ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
@@ -236,7 +238,8 @@ def test_eval_retrieval_survives_byte_mutations(tmp_path, target):
     # the valid run also writes the word table's cache sidecar
     code, _, err = run_cli(argv)
     assert (code, err) == (0, "")
-    path = ds["val_csv"] if target == "captions" else ds["feats"] / f"{ds['names'][0]}.fmat"
+    path = {"captions": ds["val_csv"], "words": ds["words"],
+            "fmat": ds["feats"] / f"{ds['names'][0]}.fmat"}[target]
 
     def run_one(case):
         label, data = case
@@ -244,3 +247,42 @@ def test_eval_retrieval_survives_byte_mutations(tmp_path, target):
         return _check(argv, tmp_path, label)
 
     _run_cases(f"eval-retrieval {target}", _byte_mutations(target, path.read_bytes()), run_one)
+
+
+@pytest.mark.parametrize("target", ["candidates", "references"])
+def test_eval_captions_survives_byte_mutations(tmp_path, target):
+    refs = [(f"clip{i}.wav", [f"w{i} w{j} w{i + j}" for j in range(5)]) for i in range(3)]
+    paths = {"references": write_caption_csv(tmp_path / "refs.csv", refs),
+             "candidates": write_candidates_csv(tmp_path / "cands.csv",
+                                                [(name, caps[0]) for name, caps in refs])}
+    argv = ["eval-captions", "--candidates", str(paths["candidates"]),
+            "--references", str(paths["references"])]
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    path = paths[target]
+
+    def run_one(case):
+        label, data = case
+        path.write_bytes(data)
+        return _check(argv, tmp_path, label)
+
+    _run_cases(f"eval-captions {target}", _byte_mutations(target, path.read_bytes()), run_one)
+
+
+def test_features_survives_byte_mutations_of_a_stereo_wav(tmp_path):
+    wav_dir, out_dir = tmp_path / "wav", tmp_path / "out"
+    wav_dir.mkdir()
+    rng = random.Random(SEED)
+    pcm = [[rng.randint(-8000, 8000) for _ in range(2)] for _ in range(1600)]
+    path = write_wav(wav_dir / "clip.wav", pcm, 16000, channels=2)
+    argv = ["features", "--in-dir", str(wav_dir), "--out-dir", str(out_dir)]
+    code, _, err = run_cli(argv)
+    assert (code, err) == (0, "")
+
+    def run_one(case):
+        label, data = case
+        shutil.rmtree(out_dir, ignore_errors=True)  # each case writes its features anew
+        path.write_bytes(data)
+        return _check(argv, tmp_path, label)
+
+    _run_cases("features wav", _byte_mutations("wav", path.read_bytes()), run_one)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,6 @@ from audiotext.textmetrics import (
     GramTable,
     MetricError,
     NGramTables,
-    _alignment_stats,
-    _candidate_index,
     _lcs_lengths,
     bleu_corpus,
     build_eval_set,
@@ -177,6 +176,11 @@ def _random_tokens(rng, vocab, lo, hi):
     return [f"w{k}" for k in rng.integers(0, vocab, size=int(rng.integers(lo, hi + 1)))]
 
 
+def _alignment_stats(cand, ref):
+    # the metric passes each pair's matches from its unigram join
+    return textmetrics._alignment_stats(cand, ref, sum((Counter(cand) & Counter(ref)).values()))
+
+
 def test_lcs_length_matches_recursive_reference():
     # the lane LCS must be exact, also past one 64-bit word, where the add
     # carries from word to word
@@ -324,12 +328,11 @@ def test_alignment_stats_matches_search_reference_on_small_vocabularies(monkeypa
     for _ in range(700):
         vocab = int(rng.integers(1, 6))
         cand = _random_tokens(rng, vocab, 0, 11)
-        index = _candidate_index(cand)
         for _ in range(2):
             ref = _random_tokens(rng, vocab, 0, 11)
             want = alignment_stats_reference(cand, ref)
             del calls[:]
-            assert _alignment_stats(cand, ref, index) == want, (cand, ref)
+            assert _alignment_stats(cand, ref) == want, (cand, ref)
             clash = _links_clash(cand, ref)
             clashing += clash
             assert calls == ([(tuple(cand), tuple(ref))] if clash and want[0] else []), (cand, ref)
@@ -405,6 +408,24 @@ def test_long_one_word_pair_needs_no_search():
     start = time.perf_counter()
     assert _alignment_stats(["a"] * 250, ["a"] * 250) == (250, 1)
     assert time.perf_counter() - start < 2.0
+
+
+def test_link_search_memory_grows_with_positions_times_links():
+    # one clash component of L links that the search must walk: one L-bit
+    # clash mask held per link would take L^2 / 8 bytes; the masks by
+    # position and by diagonal take about positions x L bits
+    cand, ref = ["a", "a", "b"] * 40, ["a", "b", "a"] * 40
+    links = sum(cand[i:i + 2] == ref[j:j + 2] for i in range(119) for j in range(119))
+    assert links == 4720
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert _alignment_stats(cand, ref) == (120, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < links * links / 8
+    assert time.perf_counter() - start < 10.0
 
 
 def _clash_components(cand, ref):
