@@ -231,8 +231,13 @@ def cmd_features(args) -> int:
 
     frames_total = 0
     failed = 0
-    # one worker per CPU in the affinity mask, so taskset limits them
+    # one worker per CPU in the affinity mask, so taskset limits them, when BLAS
+    # runs one thread (OPENBLAS_NUM_THREADS, or OpenBLAS's fallback OMP_NUM_THREADS,
+    # is "1"); else one worker, as BLAS threads in each file's mel product made
+    # two workers slower than one
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) != "1":
+        cpus = 1
     pool = ThreadPoolExecutor(max_workers=min(cpus or 1, len(wavs)))
     try:
         for frames, error in pool.map(one_file, wavs):

@@ -83,7 +83,6 @@ class FeatureSequence:
     """Time-major T x F matrix of audio frame features."""
 
     frames: np.ndarray  # float32, shape (T, F)
-    feature_kind: str  # one of FEATURE_KINDS
     source_file: str
 
     def __post_init__(self):
@@ -93,8 +92,6 @@ class FeatureSequence:
         if not np.isfinite(frames).all():
             raise CorpusError(f"non-finite value in features from {self.source_file!r}")
         object.__setattr__(self, "frames", frames)
-        if self.feature_kind not in FEATURE_KINDS:
-            raise CorpusError(f"unknown feature_kind {self.feature_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,6 @@ class ManifestItem:
 class DatasetManifest:
     """One split's audio clips, each with the captions that describe it."""
 
-    split: str  # one of SPLITS
     items: tuple[ManifestItem, ...]
 
 
@@ -238,23 +234,21 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
 
 
 def write_fmat(path: str | Path, matrix: np.ndarray | FeatureSequence) -> None:
-    """Write a T x F float32 matrix in the FMAT layout (bit-exact round trip)."""
-    frames = matrix.frames if isinstance(matrix, FeatureSequence) else np.asarray(matrix)
-    frames = frames.astype(np.float32, copy=False)
-    if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
-        raise CorpusError(f"FMAT needs a T x F matrix with T,F >= 1, got shape {frames.shape}")
-    if not np.isfinite(frames).all():
-        raise CorpusError("refusing to write non-finite values to FMAT")
-    rows, cols = frames.shape
+    """Write a T x F float32 matrix in the FMAT layout (bit-exact round trip);
+    an array is checked as a :class:`FeatureSequence` is."""
+    if not isinstance(matrix, FeatureSequence):
+        matrix = FeatureSequence(frames=matrix, source_file=str(path))
     with atomic_write(path, "wb") as fh:
         fh.write(FMAT_MAGIC)
-        fh.write(struct.pack("<III", FMAT_VERSION, rows, cols))
-        fh.write(frames.astype("<f4", copy=False).tobytes(order="C"))
+        fh.write(struct.pack("<III", FMAT_VERSION, *matrix.frames.shape))
+        fh.write(matrix.frames.astype("<f4", copy=False).tobytes(order="C"))
 
 
 def read_fmat(path: str | Path, feature_kind: str = "external") -> FeatureSequence:
-    """Read an FMAT file; errors on bad magic, zero dims, truncation, or a
-    log_mel_64 file whose width is not 64."""
+    """Read an FMAT file; errors on an unknown kind, bad magic, zero dims,
+    truncation, or a log_mel_64 file whose width is not 64."""
+    if feature_kind not in FEATURE_KINDS:
+        raise CorpusError(f"unknown feature_kind {feature_kind!r}")
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 16:
@@ -272,7 +266,7 @@ def read_fmat(path: str | Path, feature_kind: str = "external") -> FeatureSequen
     if len(data) != expected:
         raise CorpusError(f"{path}: truncated payload, {len(data)} bytes, expected {expected}")
     frames = np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, cols)
-    return FeatureSequence(frames=frames.copy(), feature_kind=feature_kind, source_file=str(path))
+    return FeatureSequence(frames=frames.copy(), source_file=str(path))
 
 
 _WORD_CHUNK = 64  # lines per parse; bounds the parser's extra memory
@@ -562,4 +556,4 @@ def build_manifest(
     items = tuple(
         ManifestItem(name, tuple(sorted(by_file[name], key=lambda r: r.caption_index)))
         for name in sorted(by_file))
-    return DatasetManifest(split=split, items=items)
+    return DatasetManifest(items=items)

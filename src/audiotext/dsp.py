@@ -62,9 +62,6 @@ class MelFilterbank:
     """Triangular filters with centers equally spaced on the mel axis."""
 
     weights: np.ndarray  # (n_mels, n_bins), nonnegative
-    n_mels: int
-    f_min: float
-    f_max: float
     center_freqs: np.ndarray  # (n_mels,) triangle peaks in Hz
 
 
@@ -165,10 +162,7 @@ def mel_filterbank(
     falling /= right - center
     np.minimum(weights, falling, out=weights)
     np.maximum(0.0, weights, out=weights)
-    return MelFilterbank(
-        weights=weights, n_mels=n_mels, f_min=float(f_min), f_max=float(f_max),
-        center_freqs=hz_points[1:-1].copy(),
-    )
+    return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1].copy())
 
 
 def frame_count(n_samples: int, win: int, hop: int) -> int:
@@ -224,4 +218,4 @@ def log_mel_features(
         rows = np.matmul(power[:m], fb.weights.T, out=mel[:m])
         rows += LOG_FLOOR
         out[start : start + m] = np.log(rows, out=rows)
-    return FeatureSequence(frames=out, feature_kind="log_mel_64", source_file=source)
+    return FeatureSequence(frames=out, source_file=source)

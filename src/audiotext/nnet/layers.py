@@ -126,13 +126,6 @@ class Conv1d:
         self.kernels = kernels
         self.bias = bias
 
-    def _padded(self, x: np.ndarray) -> np.ndarray:
-        """x with (k-1)/2 zero frames before and after it."""
-        pad = (self.kernels.shape[2] - 1) // 2
-        xp = np.zeros((x.shape[0] + 2 * pad, x.shape[1]), dtype=x.dtype)
-        xp[pad : pad + x.shape[0]] = x
-        return xp
-
     def forward(self, x: np.ndarray):
         c_out, c_in, k = self.kernels.shape
         t = x.shape[0]
@@ -152,7 +145,8 @@ class Conv1d:
         x = cache
         c_out, c_in, k = self.kernels.shape
         t, pad = x.shape[0], (k - 1) // 2
-        xp = self._padded(x)
+        xp = np.zeros((t + 2 * pad, c_in), dtype=x.dtype)  # x with pad zero frames each side
+        xp[pad : pad + t] = x
         # tap j's gradient is dy^T against x shifted by j: k GEMMs over
         # (T, C_in) views instead of one over a rebuilt (T, C_in*k) im2col copy
         dk = np.empty((k, c_out, c_in), dtype=np.result_type(dy, x))

@@ -298,7 +298,7 @@ def _cell_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             for kind, shape in shapes]
 
 
-def _xavier_fans(name: str, shape: tuple[int, ...]) -> tuple[int, int]:
+def _xavier_fans(shape: tuple[int, ...]) -> tuple[int, int]:
     if len(shape) == 3:  # conv kernels (C_out, C_in, k)
         return shape[1] * shape[2], shape[0] * shape[2]
     return shape[1], shape[0]  # (out, in)
@@ -316,7 +316,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> Params:
         if len(shape) == 1:  # bias
             params[name] = Tensor(np.zeros(shape, dtype=dtype))
             continue
-        fan_in, fan_out = _xavier_fans(name, shape)
+        fan_in, fan_out = _xavier_fans(shape)
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         size = int(np.prod(shape))
         draws = gen.uniform_array(size)

@@ -12,7 +12,7 @@ different order when split across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -172,9 +172,7 @@ class EpochLog:
     lr: float
 
     def to_csv_row(self) -> str:
-        return ",".join([str(self.epoch), repr(self.train_loss),
-                         repr(self.val_r1), repr(self.val_r5), repr(self.val_r10),
-                         repr(self.val_map10), repr(self.lr)])
+        return ",".join(map(repr, astuple(self)))
 
 
 def write_epoch_log(path, rows: Sequence[EpochLog]) -> None:

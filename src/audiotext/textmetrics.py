@@ -275,15 +275,14 @@ def _alignment_stats(candidate: Sequence[str], reference: Sequence[str],
     pairs = {*links, *((i + 1, j + 1) for i, j in links)}
     if len({i for i, _ in pairs}) == len(pairs) == len({j for _, j in pairs}):
         return m, m - len(links)
-    return m, _min_chunks_search(candidate, reference, links, m)
+    return m, _min_chunks_search(links, m)
 
 
 def _bits(mask: int) -> list[int]:
     return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
-def _min_chunks_search(candidate: Sequence[str], reference: Sequence[str],
-                       links: list[tuple[int, int]], m: int) -> int:
+def _min_chunks_search(links: list[tuple[int, int]], m: int) -> int:
     """m - L for a pair whose ``links`` clash, L the largest set of links no
     two of which clash: on one diagonal (equal i - j) links never clash, on
     two they clash by sharing a candidate or reference position. Each

@@ -163,7 +163,7 @@ def small_config(feature_dim=8, embed_dim=6, **overrides):
 
 
 def synthetic_dataset(n_clips, feature_shape=(12, 8), captions_per_clip=5,
-                      vocab=VOCAB10, seed=0, split="development"):
+                      vocab=VOCAB10, seed=0):
     """In-memory dataset: manifest + caption records + features dict.
 
     Captions are random token strings over `vocab`; features are random
@@ -176,8 +176,7 @@ def synthetic_dataset(n_clips, feature_shape=(12, 8), captions_per_clip=5,
     for c in range(n_clips):
         name = f"clip{c:03d}.wav"
         frames = rng.standard_normal(feature_shape).astype(np.float32)
-        features[name] = FeatureSequence(frames=frames, feature_kind="external",
-                                         source_file=name)
+        features[name] = FeatureSequence(frames=frames, source_file=name)
         clip_records = []
         for idx in range(1, captions_per_clip + 1):
             n_tok = int(rng.integers(2, 7))
@@ -187,7 +186,7 @@ def synthetic_dataset(n_clips, feature_shape=(12, 8), captions_per_clip=5,
             clip_records.append(rec)
         records.extend(clip_records)
         items.append(ManifestItem(file_name=name, captions=tuple(clip_records)))
-    manifest = DatasetManifest(split=split, items=tuple(items))
+    manifest = DatasetManifest(items=tuple(items))
     return manifest, records, features
 
 

@@ -413,12 +413,11 @@ def test_overfit_tiny_corpus():
     items = []
     for i, name in enumerate(names):
         features[name] = FeatureSequence(
-            frames=rng.standard_normal((50, 64)).astype(np.float32),
-            feature_kind="external", source_file=name)
+            frames=rng.standard_normal((50, 64)).astype(np.float32), source_file=name)
         rec = CaptionRecord(file_name=name, caption_index=1,
                             raw_text=f"w{i}", tokens=(f"w{i}",))
         items.append(ManifestItem(file_name=name, captions=(rec,)))
-    manifest = DatasetManifest(split="development", items=tuple(items))
+    manifest = DatasetManifest(items=tuple(items))
     table = embedding_table({f"w{i}": eye[i] for i in range(8)})
 
     config = ModelConfig(feature_dim=64, audio_tower=default_tower(64, (32, 32)),

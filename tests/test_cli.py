@@ -220,6 +220,7 @@ def _run_features_on_cpus(monkeypatch, cpus, in_dir, out_dir, *flags):
 @pytest.mark.parametrize("flags", [(), ("--win-ms", "400", "--hop-ms", "10")],
                          ids=["defaults", "long_window"])
 def test_features_output_does_not_depend_on_worker_count(tmp_path, monkeypatch, flags):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # the worker rule counts CPUs
     in_dir = tmp_path / "wav"
     expected_err = _five_wavs_two_corrupt(in_dir)
     sine_wav(in_dir / "f.wav", 3000.0, 16000, seconds=2.0)
@@ -241,11 +242,8 @@ def test_features_output_does_not_depend_on_worker_count(tmp_path, monkeypatch, 
     assert runs[2] == runs[4] == runs[8] == runs[1]
 
 
-def test_features_starts_one_worker_per_cpu_and_no_more_than_files(tmp_path, monkeypatch):
-    in_dir = tmp_path / "wav"
-    in_dir.mkdir()
-    for name in ("a.wav", "b.wav", "c.wav"):
-        sine_wav(in_dir / name, 440.0, 16000, seconds=0.1)
+def _recorded_worker_counts(monkeypatch):
+    """The max_workers of each thread pool started from here on."""
     workers = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -254,6 +252,16 @@ def test_features_starts_one_worker_per_cpu_and_no_more_than_files(tmp_path, mon
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    return workers
+
+
+def test_features_starts_one_worker_per_cpu_and_no_more_than_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    in_dir = tmp_path / "wav"
+    in_dir.mkdir()
+    for name in ("a.wav", "b.wav", "c.wav"):
+        sine_wav(in_dir / name, 440.0, 16000, seconds=0.1)
+    workers = _recorded_worker_counts(monkeypatch)
     for cpus in (1, 2, 8):
         assert _run_features_on_cpus(monkeypatch, cpus, in_dir, tmp_path / "fmat")[0] == 0
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity mask here
@@ -264,7 +272,31 @@ def test_features_starts_one_worker_per_cpu_and_no_more_than_files(tmp_path, mon
     assert workers == [1, 2, 3, 2, 1]
 
 
+# OpenBLAS reads OPENBLAS_NUM_THREADS, and OMP_NUM_THREADS only when that is unset;
+# unset, it runs one thread per CPU, and its threads made two workers slower than one
+@pytest.mark.parametrize("env, want", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 8),
+], ids=["unset", "openblas_2", "openblas_2_omp_1", "omp_1"])
+def test_features_runs_one_worker_unless_blas_runs_one_thread(tmp_path, monkeypatch, env, want):
+    in_dir = tmp_path / "wav"
+    in_dir.mkdir()
+    for i in range(8):
+        sine_wav(in_dir / f"{i}.wav", 200.0 + 100.0 * i, 16000, seconds=0.1)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    workers = _recorded_worker_counts(monkeypatch)
+    assert _run_features_on_cpus(monkeypatch, 8, in_dir, tmp_path / "fmat") == \
+        (0, "files=8, frames_total=32\n", "")
+    assert workers == [want]
+
+
 def test_features_interrupt_finishes_only_the_files_in_flight(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # two workers on two CPUs
     in_dir = tmp_path / "wav"
     in_dir.mkdir()
     names = [f"{i}.wav" for i in range(8)]

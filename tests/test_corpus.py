@@ -200,13 +200,13 @@ def test_fmat_rejects_bad_matrices(tmp_path):
         write_fmat(tmp_path / "n.fmat", np.array([[np.nan]], dtype=np.float32))
 
 
-def test_feature_sequence_validation():
+def test_feature_sequence_validation(tmp_path):
     with pytest.raises(CorpusError):
-        FeatureSequence(frames=np.ones((3,), dtype=np.float32), feature_kind="external",
-                        source_file="x")
-    with pytest.raises(CorpusError, match="feature_kind"):
-        FeatureSequence(frames=np.ones((2, 2), dtype=np.float32), feature_kind="mfcc",
-                        source_file="x")
+        FeatureSequence(frames=np.ones((3,), dtype=np.float32), source_file="x")
+    path = tmp_path / "x.fmat"
+    write_fmat(path, np.ones((2, 2), dtype=np.float32))
+    with pytest.raises(CorpusError, match="unknown feature_kind 'mfcc'"):
+        read_fmat(path, feature_kind="mfcc")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ whose header is mutated and whose payload is the valid one. The flat files,
 `rank --query-vector` and `eval-captions --spice`, also meet 2**63, 1e308
 and an array nested DEEP_LEVELS deep; they hold no sizes. Byte mutations
 (a byte set, bytes deleted or inserted, the file cut short) of one FMAT file,
-the caption CSV and the word table go through `eval-retrieval`, of the
+the caption CSV, the word table, the checkpoint and the EVEC caption table
+(with a sentence_table checkpoint) go through `eval-retrieval`, of the
 candidate and the reference CSV through `eval-captions`, and of one stereo
 WAV through `features`. Every command
 runs in-process through `cli.main` and must end in exit 0, or in exit 1
@@ -30,7 +31,8 @@ import warnings
 import pytest
 
 from audiotext.retrieval import SCORERS
-from test_cli import base_config_dict, make_checkpoint, make_dataset, run_cli, write_config
+from test_cli import (_write_caption_table, base_config_dict, make_checkpoint, make_dataset,
+                      run_cli, write_config)
 from helpers import small_config, write_candidates_csv, write_caption_csv, write_wav
 
 SEED = 2024
@@ -228,18 +230,25 @@ def _byte_mutations(name, data):
     return cases
 
 
-@pytest.mark.parametrize("target", ["fmat", "captions", "words"])
+@pytest.mark.parametrize("target", ["fmat", "captions", "words", "checkpoint",
+                                    "caption_table"])
 def test_eval_retrieval_survives_byte_mutations(tmp_path, target):
     ds = make_dataset(tmp_path / "data")
-    ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+    if target == "caption_table":  # read by a sentence_table model only
+        ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config(text_mode="sentence_table"))
+        table = _write_caption_table(ds, tmp_path / "captions.evec")
+        text = ["--caption-embeddings", str(table)]
+    else:
+        ckpt = make_checkpoint(tmp_path / "model.ckpt", small_config())
+        table, text = None, ["--word-embeddings", str(ds["words"])]
     argv = ["eval-retrieval", "--checkpoint", str(ckpt), "--captions", str(ds["val_csv"]),
-            "--features-dir", str(ds["feats"]), "--feature-kind", "external",
-            "--word-embeddings", str(ds["words"])]
+            "--features-dir", str(ds["feats"]), "--feature-kind", "external", *text]
     # the valid run also writes the word table's cache sidecar
     code, _, err = run_cli(argv)
     assert (code, err) == (0, "")
     path = {"captions": ds["val_csv"], "words": ds["words"],
-            "fmat": ds["feats"] / f"{ds['names'][0]}.fmat"}[target]
+            "fmat": ds["feats"] / f"{ds['names'][0]}.fmat", "checkpoint": ckpt,
+            "caption_table": table}[target]
 
     def run_one(case):
         label, data = case

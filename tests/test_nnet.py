@@ -1203,7 +1203,7 @@ def test_audio_tower_accepts_feature_sequence():
     params = init_params(config, seed=0)
     rng = np.random.default_rng(0)
     frames = rng.normal(size=(9, 8)).astype(np.float32)
-    fs = FeatureSequence(frames=frames, feature_kind="external", source_file="x")
+    fs = FeatureSequence(frames=frames, source_file="x")
     assert np.array_equal(encode_audio(fs, config, params), encode_audio(frames, config, params))
 
 
