@@ -57,14 +57,6 @@ class WaveForm:
         object.__setattr__(self, "samples", samples)
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular filters with centers equally spaced on the mel axis."""
-
-    weights: np.ndarray  # (n_mels, n_bins), nonnegative
-    center_freqs: np.ndarray  # (n_mels,) triangle peaks in Hz
-
-
 def hz_to_mel(f):
     """HTK mel scale: 2595 * log10(1 + f/700)."""
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -125,10 +117,9 @@ def read_wav(path: str | Path) -> WaveForm:
     return WaveForm(samples=samples, sample_rate=sample_rate)
 
 
-def mel_filterbank(
-    sample_rate: int, n_fft: int, n_mels: int, f_min: float = 0.0, f_max: float | None = None
-) -> MelFilterbank:
-    """Build triangular mel filters over the rfft bins of an n_fft transform."""
+def mel_filterbank(sample_rate: int, n_fft: int, n_mels: int, f_min: float = 0.0,
+                   f_max: float | None = None) -> np.ndarray:
+    """(n_mels, n_bins) triangular mel filters, equally spaced in mel, over n_fft's rfft bins."""
     if f_max is None:
         f_max = sample_rate / 2.0
     if not (0 <= f_min < f_max <= sample_rate / 2.0):
@@ -162,7 +153,7 @@ def mel_filterbank(
     falling /= right - center
     np.minimum(weights, falling, out=weights)
     np.maximum(0.0, weights, out=weights)
-    return MelFilterbank(weights=weights, center_freqs=hz_points[1:-1].copy())
+    return weights
 
 
 def frame_count(n_samples: int, win: int, hop: int) -> int:
@@ -199,7 +190,7 @@ def log_mel_features(
     t_frames = frame_count(n, win, hop)
 
     n_fft = 1 << (win - 1).bit_length()  # the least power of two >= win
-    fb = mel_filterbank(sr, n_fft, n_mels, f_min, f_max)
+    weights = mel_filterbank(sr, n_fft, n_mels, f_min, f_max)
 
     window = np.hanning(win)
     frames = np.lib.stride_tricks.sliding_window_view(wave.samples, win)[::hop]
@@ -215,7 +206,7 @@ def log_mel_features(
         np.square(spectrum, out=spectrum)
         np.add(spectrum[:, 0::2], spectrum[:, 1::2], out=power[:m])  # re*re + im*im
         del spectrum  # free it before the next chunk's spectrum is allocated
-        rows = np.matmul(power[:m], fb.weights.T, out=mel[:m])
+        rows = np.matmul(power[:m], weights.T, out=mel[:m])
         rows += LOG_FLOOR
         out[start : start + m] = np.log(rows, out=rows)
     return FeatureSequence(frames=out, source_file=source)

@@ -63,7 +63,8 @@ class CaptionEvalSet:
 # sentence, first occurrence first within one; df counts the items whose
 # references hold the row's gram. pair_ref/pair_cand join each reference row
 # to its item's candidate row of the same gram, by candidate row, then count.
-GramTable = namedtuple("GramTable", "sent count df pair_ref pair_cand")
+# pos holds each row's count starts in ``tokens``, ascending, row after row.
+GramTable = namedtuple("GramTable", "sent count df pair_ref pair_cand pos")
 
 
 class NGramTables:
@@ -87,8 +88,8 @@ class NGramTables:
         # order 0: every position starts one empty gram; they run item by item,
         # each item's candidate first, and every sort keeps that within a gram
         self._ends, by_item = np.cumsum(self.lengths), np.argsort(self.item, kind="stable")
-        lens = self.lengths[by_item]
-        self._seq = np.repeat(self._ends[by_item] - np.cumsum(lens), lens) + np.arange(lens.sum())
+        lens, self._seq = self.lengths[by_item], np.arange(len(self.tokens), dtype=np.int32)
+        self._seq += np.repeat(self._ends[by_item] - np.cumsum(lens), lens)  # int32, as pos
         self._sent, self._gram = np.repeat(by_item, lens), np.zeros(len(self.tokens), np.int32)
 
     def table(self, n: int) -> GramTable:
@@ -111,11 +112,13 @@ class NGramTables:
         row = np.flatnonzero(split | _changes(sent))  # (gram, sentence) runs
         counts, sent, gram = np.diff(np.append(row, len(seq))), sent[row], self._gram[row]
         # rows by first occurrence: a scatter over the positions, not a sort
-        at, ids = np.full(len(self.tokens), -1), np.arange(len(row))
-        at[seq[row]] = ids
+        at = np.full(len(self.tokens), -1)
+        at[seq[row]] = np.arange(len(row))
         final = at[np.flatnonzero(at >= 0)]
-        rank = np.empty_like(final)
-        rank[final] = ids
+        del at  # freed before the positions are gathered: a lower peak
+        rank, runs = np.empty_like(final), counts[final]
+        rank[final] = np.arange(len(row))
+        pos = seq[np.repeat(row[final] - np.cumsum(runs) + runs, runs) + np.arange(len(seq))]
         # (item, gram) runs of rows, each headed by its candidate's row, if any;
         # an item's first reference row of a gram counts once towards its df
         cand = sent < self.num_items
@@ -129,7 +132,7 @@ class NGramTables:
         pair = np.repeat(lead + 1 + k - np.cumsum(k), k) + np.arange(k.sum())
         pair_cand = np.repeat(np.arange(len(lead)), k)
         order = np.argsort(pair_cand * (len(seq) + 1) + counts[pair], kind="stable")
-        return GramTable(sent[final], counts[final], df[final], rank[pair[order]], pair_cand[order])
+        return GramTable(sent[final], runs, df[final], rank[pair[order]], pair_cand[order], pos)
 
 
 def _changes(a: np.ndarray) -> np.ndarray:
@@ -257,25 +260,37 @@ def rouge_l(eval_set: CaptionEvalSet, beta: float = 1.2) -> float:
     return sum(scores.tolist()) / len(eval_set.items)
 
 
-def _alignment_stats(candidate: Sequence[str], reference: Sequence[str],
-                     m: int) -> tuple[int, int]:
-    """(matches m, min chunks) of the optimal exact-token alignment: one to
-    one, m the sum of per-word min counts (the caller's unigram join), then
-    fewest chunks (runs contiguous in both sentences). Chunks are m minus
-    links (candidate i, i+1 on reference j, j+1); as a word's quota is the
-    min of its counts, any one-to-one partial alignment extends to m matches
-    keeping its links, so min chunks = m - L, L the most links one alignment
-    holds: all unless two clash (give a position two partners), when
-    ``_min_chunks_search`` runs. A pair with no matches has no links."""
-    starts: dict[tuple[str, str], list[int]] = {}  # the candidate's bigrams by start
-    for i, gram in enumerate(zip(candidate, candidate[1:])):
-        starts.setdefault(gram, []).append(i)
-    links = [(i, j) for j, gram in enumerate(zip(reference, reference[1:]))
-             for i in starts.get(gram, ())]
-    pairs = {*links, *((i + 1, j + 1) for i, j in links)}
-    if len({i for i, _ in pairs}) == len(pairs) == len({j for _, j in pairs}):
-        return m, m - len(links)
-    return m, _min_chunks_search(links, m)
+def _alignment_stats(grams: NGramTables) -> tuple[np.ndarray, np.ndarray]:
+    """(matches m, min chunks) of each pair, in reference order, of the optimal
+    exact-token alignment: one to one, m the sum of per-word min counts (the
+    unigram join), then fewest chunks (runs contiguous in both sentences).
+    Chunks are m minus links (candidate i, i+1 on reference j, j+1: a bigram
+    join's positions crossed); as a word's quota is the min of its counts,
+    any one-to-one partial alignment extends to m matches keeping its links,
+    so min chunks = m - L, L the most links one alignment holds: all unless
+    two clash (touch a position from two diagonals), when L comes from
+    ``_min_chunks_search``."""
+    ones, twos, refs = grams.table(1), grams.table(2), grams.num_items
+    shared = np.minimum(ones.count[ones.pair_cand], ones.count[ones.pair_ref])
+    m = np.bincount(ones.sent[ones.pair_ref], shared, len(grams.item))[refs:].astype(np.int64)
+    # the links, pair by pair: a reference row joins one candidate row at most
+    cand, ref = twos.pair_cand[np.argsort(twos.pair_ref)], np.sort(twos.pair_ref)
+    start, size = np.cumsum(twos.count) - twos.count, twos.count[cand] * twos.count[ref]
+    c, r, width, pair = (np.repeat(a, size) for a in
+                         (start[cand], start[ref], twos.count[ref], twos.sent[ref] - refs))
+    k = np.arange(len(pair)) - np.repeat(np.cumsum(size) - size, size)
+    i, j = twos.pos[c + k // width], twos.pos[r + k % width]
+    # i, i+1, j and j+1 touched from each link's diagonal, keyed by pair; the
+    # positions index ``tokens``, so a candidate's never equal a reference's
+    links, n, diagonal = np.bincount(pair, minlength=len(m)), len(grams.tokens), np.tile(i - j, 4)
+    touched = np.concatenate([i, i + 1, j, j + 1]) + np.tile(pair * n, 4)
+    by = np.lexsort((diagonal, touched))
+    clash = (np.diff(touched[by]) == 0) & (np.diff(diagonal[by]) != 0)
+    chunks, ends = m - links, np.cumsum(links)
+    for p in np.unique(touched[by][1:][clash] // n).tolist():
+        at = slice(ends[p] - links[p], ends[p])
+        chunks[p] = _min_chunks_search(list(zip(i[at].tolist(), j[at].tolist())), int(m[p]))
+    return m, chunks
 
 
 def _bits(mask: int) -> list[int]:
@@ -342,22 +357,17 @@ def _min_chunks_search(links: list[tuple[int, int]], m: int) -> int:
 def meteor_lite(eval_set: CaptionEvalSet, alpha: float = 0.9, beta: float = 3.0,
                 gamma: float = 0.5) -> float:
     """Mean over items of the best exact-match METEOR over each candidate's
-    references. A pair's matches m sum the min counts of the unigram join of
-    ``eval_set.grams``; a pair sharing no bigram (order-2 join) has no links,
-    so m chunks and the penalty gamma, and only the others go through
-    ``_alignment_stats``. The rest runs on arrays over all pairs."""
+    references. ``_alignment_stats`` reads each pair's matches and fewest
+    chunks from the joins of ``eval_set.grams``; a pair sharing no bigram has
+    m chunks, so the penalty gamma. Only the penalty of a linked pair runs
+    per pair; the rest runs on arrays over all pairs."""
     grams = eval_set.grams
-    ones, twos, size, refs = grams.table(1), grams.table(2), len(grams.item), grams.num_items
-    shared = np.minimum(ones.count[ones.pair_cand], ones.count[ones.pair_ref])
-    m = np.bincount(ones.sent[ones.pair_ref], shared, size)[refs:].astype(np.int64)
-    linked = np.flatnonzero(np.bincount(twos.sent[twos.pair_ref], minlength=size)[refs:])
+    m, chunks = _alignment_stats(grams)
     # an unlinked pair has m chunks, so the penalty gamma; a linked pair's power
     # runs on a scalar, as an array np.power may round otherwise
-    penalty = np.full(len(m), gamma)
-    for k, i in zip(linked.tolist(), grams.ref_item[linked].tolist()):
-        item, matches = eval_set.items[i], int(m[k])
-        ref = item.references[k - int(grams.first_ref[i])]
-        penalty[k] = gamma * (_alignment_stats(item.candidate, ref, matches)[1] / matches) ** beta
+    penalty, linked = np.full(len(m), gamma), np.flatnonzero(chunks < m)
+    penalty[linked] = [gamma * (c / k) ** beta
+                       for c, k in zip(chunks[linked].tolist(), m[linked].tolist())]
     scored = np.flatnonzero(m)
     precision = m[scored] / grams.cand_len[grams.ref_item[scored]]
     recall = m[scored] / grams.ref_len[scored]

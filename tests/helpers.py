@@ -22,6 +22,7 @@ from audiotext.corpus import (
     _check_caption_key,
     atomic_write,
 )
+from audiotext.dsp import hz_to_mel, mel_to_hz
 from audiotext.nnet import LayerSpec, ModelConfig
 from audiotext.nnet.checkpoint import _MAGIC as CHECKPOINT_MAGIC
 from audiotext.nnet.checkpoint import _canonical_json
@@ -49,6 +50,13 @@ def sine_wav(path, freq_hz, sample_rate, seconds=1.0, amplitude=0.5):
     t = np.arange(int(round(sample_rate * seconds))) / sample_rate
     samples = np.round(amplitude * 32767.0 * np.sin(2 * np.pi * freq_hz * t)).astype(np.int16)
     return write_wav(path, samples, sample_rate)
+
+
+def mel_band_centers(sample_rate, n_mels, f_min=0.0, f_max=None):
+    """The triangle peaks in Hz of ``mel_filterbank``'s bands: n_mels points
+    equally spaced on the mel axis strictly inside [f_min, f_max]."""
+    f_max = sample_rate / 2.0 if f_max is None else f_max
+    return mel_to_hz(np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2))[1:-1]
 
 
 def write_caption_csv(path, rows):

@@ -151,9 +151,10 @@ def alignment_reference(cand, ref):
 
 
 def alignment_stats_reference(candidate, reference):
-    """(matches, min chunks) of the optimal exact-token alignment: the body
-    ``textmetrics._alignment_stats`` had before bigram links, which runs the
-    memoized search ``min_chunks_search_reference`` on every pair.
+    """(matches, min chunks) of the optimal exact-token alignment of one
+    pair: the per-pair body ``textmetrics._alignment_stats`` had before it
+    read links from the bigram table's positions, which runs the memoized
+    search ``min_chunks_search_reference`` on every pair.
 
     The alignment is one-to-one, maximizes the match count (forced to
     sum of per-word min counts), and among maximal alignments
@@ -423,6 +424,20 @@ def ngram_table_reference(grams, n):
     order = np.lexsort((count[pair_ref], pair_cand))
     df = np.bincount(keys[held] % size, minlength=size)[gram]
     return sent, count, df, pair_ref[order], pair_cand[order]
+
+
+def gram_positions_reference(grams, n):
+    """Order n's pos of an NGramTables ``grams`` as a list, from a dict per
+    sentence: each gram's starts in ``grams.tokens``, ascending, the grams
+    of a sentence in first-occurrence order, sentence after sentence."""
+    tokens, pos, end = grams.tokens.tolist(), [], 0
+    for length in grams.lengths.tolist():
+        start, end = end, end + length
+        starts = {}
+        for p in range(start, end - n + 1):
+            starts.setdefault(tuple(tokens[p:p + n]), []).append(p)
+        pos.extend(p for found in starts.values() for p in found)
+    return pos
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +48,7 @@ from oracles import (
     bleu_reference,
     cider_d_per_item_reference,
     cider_d_reference,
+    gram_positions_reference,
     lcs_length_reference,
     meteor_reference,
     ngram_table_reference,
@@ -177,8 +177,9 @@ def _random_tokens(rng, vocab, lo, hi):
 
 
 def _alignment_stats(cand, ref):
-    # the metric passes each pair's matches from its unigram join
-    return textmetrics._alignment_stats(cand, ref, sum((Counter(cand) & Counter(ref)).values()))
+    # (matches, min chunks) of one pair, read from a one-item eval set's tables
+    m, chunks = textmetrics._alignment_stats(_set((cand, [ref])).grams)
+    return int(m[0]), int(chunks[0])
 
 
 def test_lcs_length_matches_recursive_reference():
@@ -648,8 +649,11 @@ def _assert_tables_equal_reference(items, max_n=6):
     grams = _set(*items).grams
     for n in range(1, max_n + 1):
         got, want = grams.table(n), ngram_table_reference(grams, n)
+        assert len(got) == len(want) + 1  # every field but pos
         for field, a, b in zip(GramTable._fields, got, want):
             assert np.array_equal(a, b), (n, field, items)
+        assert got.pos.dtype == np.int32, (n, items)
+        assert got.pos.tolist() == gram_positions_reference(grams, n), (n, items)
 
 
 def test_ngram_tables_equal_reference_on_bitwise_cases():
